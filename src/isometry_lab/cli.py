@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import (
     AntipodalPoints,
@@ -63,27 +64,10 @@ from .spherical import (
     rotation_matrix,
 )
 
-KINDS = (
-    "plane_recover",
-    "plane_compose",
-    "plane_reflections",
-    "sphere_recover",
-    "sphere_compose",
-    "baseball",
-)
-
 _NOTE_CANCELLED_ANGLES = (
     "angle sum is 0 mod 2pi: the composite is the translation by "
     "(I - R_alpha)(G - H); the shortcut G + H is not a valid translation vector"
 )
-
-
-def _note_arcsin(naive: float, angle: float) -> str:
-    return (
-        f"chord arcsin gives {naive:.6g} rad but the rotation angle is {angle:.6g} rad; "
-        "the arcsin shortcut only holds for points on the rotation's equator "
-        "turned by at most pi/2"
-    )
 
 
 @dataclass(frozen=True)
@@ -94,7 +78,7 @@ class ProblemInstance:
     payload: dict
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KINDS:
             raise SchemaError(f"unknown kind {self.kind!r}")
 
 
@@ -167,16 +151,7 @@ def _unit3(name: str, value) -> UnitVector3:
         raise ValidationError(f"field {name!r}: {exc}") from exc
 
 
-_SCHEMAS: dict[str, dict[str, str]] = {
-    "plane_recover": {"X": "vec2", "Y": "vec2", "Xp": "vec2", "Yp": "vec2"},
-    "plane_compose": {"G": "vec2", "alpha": "num", "H": "vec2", "beta": "num"},
-    "plane_reflections": {"P": "vec2", "theta": "num"},
-    "sphere_recover": {"X": "vec3", "Y": "vec3", "Xp": "vec3", "Yp": "vec3"},
-    "sphere_compose": {"G": "vec3", "alpha": "num", "H": "vec3", "beta": "num"},
-    "baseball": {"X": "vec3", "Y": "vec3", "Xp": "vec3", "Yp": "vec3"},
-}
-
-_READERS = {"num": _num, "vec2": _vec2, "vec3": _unit3}
+_READERS = {"angle": _num, "vec2": _vec2, "vec3": _unit3}
 
 
 def instance_from_obj(obj) -> ProblemInstance:
@@ -186,9 +161,9 @@ def instance_from_obj(obj) -> ProblemInstance:
     kind = obj.get("kind")
     if kind is None:
         raise SchemaError("missing field 'kind'")
-    if not isinstance(kind, str) or kind not in _SCHEMAS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
-    schema = _SCHEMAS[kind]
+    schema = _KINDS[kind].schema
     extra = sorted(set(obj) - set(schema) - {"kind"})
     if extra:
         raise SchemaError(f"unexpected fields for kind {kind!r}: {extra}")
@@ -196,34 +171,8 @@ def instance_from_obj(obj) -> ProblemInstance:
     if missing:
         raise SchemaError(f"missing fields for kind {kind!r}: {missing}")
     values = {name: _READERS[t](name, obj[name]) for name, t in schema.items()}
-
     try:
-        if kind == "plane_recover":
-            payload = {
-                "src": Segment2(values["X"], values["Y"]),
-                "dst": Segment2(values["Xp"], values["Yp"]),
-            }
-        elif kind == "plane_compose":
-            payload = {
-                "g": values["G"],
-                "alpha": values["alpha"],
-                "h": values["H"],
-                "beta": values["beta"],
-            }
-        elif kind == "plane_reflections":
-            payload = {"pivot": values["P"], "theta": values["theta"]}
-        elif kind in ("sphere_recover", "baseball"):
-            payload = {
-                "before": SphereSegment(values["X"], values["Y"]),
-                "after": SphereSegment(values["Xp"], values["Yp"]),
-            }
-        else:  # sphere_compose
-            payload = {
-                "g": values["G"],
-                "alpha": values["alpha"],
-                "h": values["H"],
-                "beta": values["beta"],
-            }
+        payload = _KINDS[kind].payload(values)
     except (DegenerateSegment, CoincidentPoints, AntipodalPoints) as exc:
         raise ValidationError(str(exc)) from exc
     return ProblemInstance(kind, payload)
@@ -273,73 +222,74 @@ def _sphere_rot_dict(rot: Rotation3) -> dict:
     }
 
 
-def _note_discrepancy(diags: list[str], disc: float, tol: float) -> None:
-    if disc > tol:
-        diags.append(
-            f"algebraic and geometric results disagree by {disc:.6g} "
-            f"(tolerance {tol:g}); both are reported unreconciled"
-        )
+def _arcsin_notes(x: UnitVector3, xp: UnitVector3, rot: Rotation3) -> list[str]:
+    naive = chord_arcsin_angle(x, xp)
+    if abs(naive - rot.angle) > 1e-9:
+        return [
+            f"chord arcsin gives {naive:.6g} rad but the rotation angle is {rot.angle:.6g} rad; "
+            "the arcsin shortcut only holds for points on the rotation's equator "
+            "turned by at most pi/2"
+        ]
+    return []
+
+
+def _solve_both_ways(method, tol, algebraic, geometric, pairs, apply, as_dict, notes=None):
+    """Run the routes `method` asks for and build the record.
+
+    The algebraic answer is primary unless only the geometric route runs.
+    `pairs` holds (point, expected image) probes: the residual is the
+    primary answer's worst miss on them and, with "both", the discrepancy
+    is the worst distance between the two answers' images of the same
+    points. `notes(primary)` supplies diagnostics about the primary answer.
+    Returns the record and the primary answer.
+    """
+    iso_a = algebraic() if method != "geometric" else None
+    iso_g = geometric() if method != "algebraic" else None
+    primary = iso_g if iso_a is None else iso_a
+    residual = max((apply(primary, p) - q).norm() for p, q in pairs)
+    record = SolutionRecord(as_dict(primary), method, residual, notes(primary) if notes else [])
+    if method == "both":
+        disc = max((apply(iso_a, p) - apply(iso_g, p)).norm() for p, _ in pairs)
+        record.result_geometric = as_dict(iso_g)
+        record.discrepancy = disc
+        if disc > tol:
+            record.diagnostics.append(
+                f"algebraic and geometric results disagree by {disc:.6g} "
+                f"(tolerance {tol:g}); both are reported unreconciled"
+            )
+    return record, primary
 
 
 def _run_plane_recover(payload, method, tol):
     src: Segment2 = payload["src"]
     dst: Segment2 = payload["dst"]
-    diags: list[str] = []
-    iso_a = iso_g = None
-    if method in ("algebraic", "both"):
-        iso_a = recover_planar(src, dst, tol=tol)
-    if method in ("geometric", "both"):
-        iso_g = recover_planar_geometric(src, dst, tol=tol)
-    primary = iso_a if iso_a is not None else iso_g
-    residual = max(
-        (apply_planar(primary, src.a) - dst.a).norm(),
-        (apply_planar(primary, src.b) - dst.b).norm(),
+    record, primary = _solve_both_ways(
+        method, tol,
+        lambda: recover_planar(src, dst, tol=tol),
+        lambda: recover_planar_geometric(src, dst, tol=tol),
+        ((src.a, dst.a), (src.b, dst.b)), apply_planar, _planar_iso_dict,
     )
-    record = SolutionRecord(_planar_iso_dict(primary), method, residual, diags)
-    if method == "both":
-        disc = max(
-            (apply_planar(iso_a, p) - apply_planar(iso_g, p)).norm()
-            for p in (src.a, src.b)
-        )
-        record.result_geometric = _planar_iso_dict(iso_g)
-        record.discrepancy = disc
-        _note_discrepancy(diags, disc, tol)
     return record, planar_recovery_figure(src, dst, primary)
 
 
 def _run_plane_compose(payload, method, tol):
-    outer = Rotation2(payload["g"], payload["alpha"])
-    inner = Rotation2(payload["h"], payload["beta"])
-    diags: list[str] = []
-    if abs(wrap_angle(payload["alpha"] + payload["beta"])) < ANGLE_MIN:
-        diags.append(_NOTE_CANCELLED_ANGLES)
+    g, h = payload["g"], payload["h"]
+    outer = Rotation2(g, payload["alpha"])
+    inner = Rotation2(h, payload["beta"])
+    cancelled = abs(wrap_angle(payload["alpha"] + payload["beta"])) < ANGLE_MIN
 
     probe = Segment2(*_PLANE_PROBE)
     mid = Segment2(apply_planar(inner, probe.a), apply_planar(inner, probe.b))
     final = Segment2(apply_planar(outer, mid.a), apply_planar(outer, mid.b))
-
-    iso_a = iso_g = None
-    if method in ("algebraic", "both"):
-        iso_a = compose_rotations_planar(outer, inner)
-    if method in ("geometric", "both"):
-        iso_g = recover_planar_geometric(probe, final, tol=tol)
-    primary = iso_a if iso_a is not None else iso_g
-
-    probes = (payload["g"], payload["h"], probe.a, probe.b)
-    residual = max(
-        (apply_planar(primary, p) - apply_planar(outer, apply_planar(inner, p))).norm()
-        for p in probes
+    pivots = [(p, apply_planar(outer, apply_planar(inner, p))) for p in (g, h)]
+    record, primary = _solve_both_ways(
+        method, tol,
+        lambda: compose_rotations_planar(outer, inner),
+        lambda: recover_planar_geometric(probe, final, tol=tol),
+        (*pivots, (probe.a, final.a), (probe.b, final.b)), apply_planar, _planar_iso_dict,
+        lambda _: [_NOTE_CANCELLED_ANGLES] if cancelled else [],
     )
-    record = SolutionRecord(_planar_iso_dict(primary), method, residual, diags)
-    if method == "both":
-        disc = max(
-            (apply_planar(iso_a, p) - apply_planar(iso_g, p)).norm() for p in probes
-        )
-        record.result_geometric = _planar_iso_dict(iso_g)
-        record.discrepancy = disc
-        _note_discrepancy(diags, disc, tol)
-    figure = planar_compose_figure(payload["g"], payload["h"], primary, probe, mid, final)
-    return record, figure
+    return record, planar_compose_figure(g, h, primary, probe, mid, final)
 
 
 def _run_plane_reflections(payload, method, tol):
@@ -367,45 +317,141 @@ def _run_plane_reflections(payload, method, tol):
     return record, reflection_pair_figure(rot, first, second)
 
 
-def _sphere_recovery(before: SphereSegment, after: SphereSegment, method, tol, diags):
-    """Shared by sphere_recover and baseball; returns (rot | None, record bits)."""
-    x, y, xp, yp = before.a, before.b, after.a, after.b
-    try:
-        if method == "geometric":
-            primary = recover_sphere_rotation(x, xp, y, yp, method="geometric", tol=tol)
-        else:
-            primary = recover_sphere_rotation(x, xp, y, yp, method="algebraic", tol=tol)
-    except IdentityCorrespondence:
-        return None, 0.0, None, None
-
-    residual = max(
-        (apply_sphere(primary, x) - xp).norm(),
-        (apply_sphere(primary, y) - yp).norm(),
-    )
-    naive = chord_arcsin_angle(x, xp)
-    if abs(naive - primary.angle) > 1e-9:
-        diags.append(_note_arcsin(naive, primary.angle))
-
-    geo_dict = disc = None
-    if method == "both":
-        rot_g = recover_sphere_rotation(x, xp, y, yp, method="geometric", tol=tol)
-        disc = max(
-            (apply_sphere(primary, p) - apply_sphere(rot_g, p)).norm() for p in (x, y)
-        )
-        geo_dict = _sphere_rot_dict(rot_g)
-        _note_discrepancy(diags, disc, tol)
-    return primary, residual, geo_dict, disc
-
-
 def _run_sphere_recover(payload, method, tol):
+    """Shared by sphere_recover and baseball."""
+    x, y = payload["before"].a, payload["before"].b
+    xp, yp = payload["after"].a, payload["after"].b
+
+    def route(name):
+        return lambda: recover_sphere_rotation(x, xp, y, yp, method=name, tol=tol)
+
+    try:
+        record, rot = _solve_both_ways(
+            method, tol, route("algebraic"), route("geometric"),
+            ((x, xp), (y, yp)), apply_sphere, _sphere_rot_dict,
+            lambda rot: _arcsin_notes(x, xp, rot),
+        )
+    except IdentityCorrespondence:
+        record, rot = SolutionRecord({"type": "identity"}, method, 0.0), None
+    return record, sphere_recovery_figure(x, xp, y, yp, rot)
+
+
+def _run_baseball(payload, method, tol):
+    """sphere_recover plus the two surface points the rotation fixes; the
+    marked segments must have the same angular length."""
     before: SphereSegment = payload["before"]
     after: SphereSegment = payload["after"]
-    diags: list[str] = []
-    rot, residual, geo_dict, disc = _sphere_recovery(before, after, method, tol, diags)
-    result = {"type": "identity"} if rot is None else _sphere_rot_dict(rot)
-    record = SolutionRecord(result, method, residual, diags, geo_dict, disc)
-    figure = sphere_recovery_figure(before.a, after.a, before.b, after.b, rot)
+    dl = abs(before.length() - after.length())
+    if dl > tol:
+        raise LengthMismatch(
+            f"marked segments have angular lengths {before.length():.9g} and "
+            f"{after.length():.9g}; a rigid motion cannot change them "
+            f"(difference {dl:.3g} > tolerance {tol:g})"
+        )
+    record, figure = _run_sphere_recover(payload, method, tol)
+    result = record.result
+    if result["type"] == "identity":
+        result["fixed_points"] = "all"
+    else:
+        axis = result["axis"]
+        result["fixed_points"] = [list(axis), [-c for c in axis]]
     return record, figure
+
+
+def _run_sphere_compose(payload, method, tol):
+    outer = Rotation3(payload["g"], payload["alpha"])
+    inner = Rotation3(payload["h"], payload["beta"])
+    m = rotation_matrix(outer).m @ rotation_matrix(inner).m
+    try:
+        pair = eig3_rotation(m).complex_pair
+    except IdentityRotation:
+        pair = (1.0, 0.0)
+
+    def geometric():
+        sx, sy = _SPHERE_PROBE
+        sxp = apply_sphere(outer, apply_sphere(inner, sx))
+        syp = apply_sphere(outer, apply_sphere(inner, sy))
+        try:
+            return recover_sphere_rotation(sx, sxp, sy, syp, method="geometric", tol=tol)
+        except IdentityCorrespondence:
+            return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
+
+    record, primary = _solve_both_ways(
+        method, tol,
+        lambda: axis_angle_from_matrix(RotationMatrix3(m)),
+        geometric,
+        [(p, apply_sphere(outer, apply_sphere(inner, p))) for p in _SPHERE_RESIDUAL_PROBES],
+        apply_sphere, _sphere_rot_dict,
+    )
+    record.result["complex_pair"] = [pair[0], pair[1]]
+    return record, sphere_compose_figure(payload["g"], payload["h"], primary)
+
+
+class _Kind(NamedTuple):
+    """A problem kind: its JSON fields and their types, how the validated
+    values become the payload, its solver, and its subcommand's help. The
+    subcommand is the kind with "_" replaced by "-"."""
+
+    schema: dict[str, str]
+    payload: Callable[[dict], dict]
+    solve: Callable
+    help: str
+
+
+def _segment_pair(segment, first: str, second: str):
+    return lambda v: {first: segment(v["X"], v["Y"]), second: segment(v["Xp"], v["Yp"])}
+
+
+def _rotation_pair(v: dict) -> dict:
+    return {"g": v["G"], "alpha": v["alpha"], "h": v["H"], "beta": v["beta"]}
+
+
+_PLANE_SEGMENTS = {"X": "vec2", "Y": "vec2", "Xp": "vec2", "Yp": "vec2"}
+_SPHERE_SEGMENTS = {"X": "vec3", "Y": "vec3", "Xp": "vec3", "Yp": "vec3"}
+
+_KINDS: dict[str, _Kind] = {
+    "plane_recover": _Kind(
+        _PLANE_SEGMENTS, _segment_pair(Segment2, "src", "dst"), _run_plane_recover,
+        "isometry taking one plane segment onto another",
+    ),
+    "plane_compose": _Kind(
+        {"G": "vec2", "alpha": "angle", "H": "vec2", "beta": "angle"},
+        _rotation_pair, _run_plane_compose, "composite of two pivoted plane rotations",
+    ),
+    "plane_reflections": _Kind(
+        {"P": "vec2", "theta": "angle"},
+        lambda v: {"pivot": v["P"], "theta": v["theta"]}, _run_plane_reflections,
+        "split a plane rotation into two mirror lines",
+    ),
+    "sphere_recover": _Kind(
+        _SPHERE_SEGMENTS, _segment_pair(SphereSegment, "before", "after"), _run_sphere_recover,
+        "rotation taking one sphere segment onto another",
+    ),
+    "sphere_compose": _Kind(
+        {"G": "vec3", "alpha": "angle", "H": "vec3", "beta": "angle"},
+        _rotation_pair, _run_sphere_compose, "composite of two sphere rotations",
+    ),
+    "baseball": _Kind(
+        _SPHERE_SEGMENTS, _segment_pair(SphereSegment, "before", "after"), _run_baseball,
+        "net rotation of a marked ball from two observations",
+    ),
+}
+
+
+def run(
+    instance: ProblemInstance,
+    *,
+    method: str = "both",
+    svg_path: str | None = None,
+    tolerance: float = 1e-9,
+) -> SolutionRecord:
+    """Solve one instance and, if asked, write its diagram."""
+    if method not in ("algebraic", "geometric", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    record, figure = _KINDS[instance.kind].solve(instance.payload, method, tolerance)
+    if svg_path:
+        Path(svg_path).write_bytes(render_svg(figure))
+    return record
 
 
 def run_baseball(
@@ -424,107 +470,8 @@ def run_baseball(
     and raises LengthMismatch. The result reports the two surface points
     that ended up exactly where they started.
     """
-    dl = abs(before.length() - after.length())
-    if dl > tolerance:
-        raise LengthMismatch(
-            f"marked segments have angular lengths {before.length():.9g} and "
-            f"{after.length():.9g}; a rigid motion cannot change them "
-            f"(difference {dl:.3g} > tolerance {tolerance:g})"
-        )
-    diags: list[str] = []
-    rot, residual, geo_dict, disc = _sphere_recovery(before, after, method, tolerance, diags)
-    if rot is None:
-        result: dict = {"type": "identity", "fixed_points": "all"}
-    else:
-        result = _sphere_rot_dict(rot)
-        result["fixed_points"] = [
-            [rot.axis.x, rot.axis.y, rot.axis.z],
-            [-rot.axis.x, -rot.axis.y, -rot.axis.z],
-        ]
-    record = SolutionRecord(result, method, residual, diags, geo_dict, disc)
-    if svg_path:
-        figure = sphere_recovery_figure(before.a, after.a, before.b, after.b, rot)
-        Path(svg_path).write_bytes(render_svg(figure))
-    return record
-
-
-def _run_baseball(payload, method, tol):
-    record = run_baseball(payload["before"], payload["after"], method=method, tolerance=tol)
-    rot = None
-    if record.result["type"] == "rotation":
-        a = record.result["axis"]
-        rot = Rotation3(UnitVector3(a[0], a[1], a[2]), record.result["angle"])
-    figure = sphere_recovery_figure(
-        payload["before"].a, payload["after"].a, payload["before"].b, payload["after"].b, rot
-    )
-    return record, figure
-
-
-def _run_sphere_compose(payload, method, tol):
-    outer = Rotation3(payload["g"], payload["alpha"])
-    inner = Rotation3(payload["h"], payload["beta"])
-    diags: list[str] = []
-    m = rotation_matrix(outer).m @ rotation_matrix(inner).m
-    try:
-        pair = eig3_rotation(m).complex_pair
-    except IdentityRotation:
-        pair = (1.0, 0.0)
-
-    iso_a = iso_g = None
-    if method in ("algebraic", "both"):
-        iso_a = axis_angle_from_matrix(RotationMatrix3(m))
-    if method in ("geometric", "both"):
-        sx, sy = _SPHERE_PROBE
-        sxp = apply_sphere(outer, apply_sphere(inner, sx))
-        syp = apply_sphere(outer, apply_sphere(inner, sy))
-        try:
-            iso_g = recover_sphere_rotation(sx, sxp, sy, syp, method="geometric", tol=tol)
-        except IdentityCorrespondence:
-            iso_g = Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
-    primary = iso_a if iso_a is not None else iso_g
-
-    residual = max(
-        (apply_sphere(primary, p) - apply_sphere(outer, apply_sphere(inner, p))).norm()
-        for p in _SPHERE_RESIDUAL_PROBES
-    )
-    result = _sphere_rot_dict(primary)
-    result["complex_pair"] = [pair[0], pair[1]]
-    record = SolutionRecord(result, method, residual, diags)
-    if method == "both":
-        disc = max(
-            (apply_sphere(iso_a, p) - apply_sphere(iso_g, p)).norm()
-            for p in _SPHERE_RESIDUAL_PROBES
-        )
-        record.result_geometric = _sphere_rot_dict(iso_g)
-        record.discrepancy = disc
-        _note_discrepancy(diags, disc, tol)
-    return record, sphere_compose_figure(payload["g"], payload["h"], primary)
-
-
-_HANDLERS = {
-    "plane_recover": _run_plane_recover,
-    "plane_compose": _run_plane_compose,
-    "plane_reflections": _run_plane_reflections,
-    "sphere_recover": _run_sphere_recover,
-    "baseball": _run_baseball,
-    "sphere_compose": _run_sphere_compose,
-}
-
-
-def run(
-    instance: ProblemInstance,
-    *,
-    method: str = "both",
-    svg_path: str | None = None,
-    tolerance: float = 1e-9,
-) -> SolutionRecord:
-    """Solve one instance and, if asked, write its diagram."""
-    if method not in ("algebraic", "geometric", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    record, figure = _HANDLERS[instance.kind](instance.payload, method, tolerance)
-    if svg_path and figure is not None:
-        Path(svg_path).write_bytes(render_svg(figure))
-    return record
+    instance = ProblemInstance("baseball", {"before": before, "after": after})
+    return run(instance, method=method, svg_path=svg_path, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +505,14 @@ def _to_degrees_record(d: dict) -> dict:
     return out
 
 
-_ANGLE_FIELDS_IN = {"plane_compose": ("alpha", "beta"), "plane_reflections": ("theta",),
-                    "sphere_compose": ("alpha", "beta")}
-
-
 def _degrees_to_radians_obj(obj):
-    if not isinstance(obj, dict):
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
         return obj
-    fields = _ANGLE_FIELDS_IN.get(obj.get("kind"), ())
     converted = dict(obj)
-    for name in fields:
+    for name, t in _KINDS[kind].schema.items():
         v = converted.get(name)
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
+        if t == "angle" and isinstance(v, (int, float)) and not isinstance(v, bool):
             converted[name] = math.radians(v)
     return converted
 
@@ -603,16 +546,6 @@ def _svg_path_for(svg: str | None, index: int, batch: bool) -> str | None:
     return str(p.with_name(f"{p.stem}.{index}{p.suffix}"))
 
 
-_SUBCOMMAND_KINDS = {
-    "plane-recover": "plane_recover",
-    "plane-compose": "plane_compose",
-    "plane-reflections": "plane_reflections",
-    "sphere-recover": "sphere_recover",
-    "sphere-compose": "sphere_compose",
-    "baseball": "baseball",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isometry-lab",
@@ -630,22 +563,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="angles in the input and output are degrees")
     common.add_argument("--tolerance", type=float, default=1e-9, metavar="REAL",
                         help="admissibility and agreement tolerance (default 1e-9)")
-    helps = {
-        "plane-recover": "isometry taking one plane segment onto another",
-        "plane-compose": "composite of two pivoted plane rotations",
-        "plane-reflections": "split a plane rotation into two mirror lines",
-        "sphere-recover": "rotation taking one sphere segment onto another",
-        "sphere-compose": "composite of two sphere rotations",
-        "baseball": "net rotation of a marked ball from two observations",
-    }
-    for name, kind_help in helps.items():
-        sub.add_parser(name, parents=[common], help=kind_help)
+    for kind, spec in _KINDS.items():
+        sub.add_parser(kind.replace("_", "-"), parents=[common], help=spec.help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    expected = _SUBCOMMAND_KINDS[args.command]
+    expected = args.command.replace("-", "_")
 
     try:
         if args.input == "-":
