@@ -166,6 +166,24 @@ def _point_scale(*points: Vec2) -> float:
     return max(1.0, *(p.norm() for p in points))
 
 
+def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) -> PlanarIsometry:
+    """The orientation-preserving isometry with angle `theta`.
+
+    Angles below ANGLE_MIN give the translation by `translation()`, or the
+    identity when that vector is negligible against the scale of `points`.
+    Any other angle gives the rotation whose pivot p solves
+    (I - R) p = pivot_rhs(R).
+    """
+    if abs(theta) < ANGLE_MIN:
+        v = translation()
+        if v.norm() <= _COINCIDENT_RTOL * _point_scale(*points):
+            return Identity2()
+        return Translation2(v)
+    r = Mat2.rotation(theta)
+    lhs = Mat2(1.0 - r.m00, -r.m01, -r.m10, 1.0 - r.m11)
+    return Rotation2(solve2(lhs, pivot_rhs(r)), theta)
+
+
 def _check_lengths(src: Segment2, dst: Segment2, tol: float) -> None:
     ls, ld = src.length(), dst.length()
     if abs(ls - ld) > tol * max(ls, ld):
@@ -191,15 +209,9 @@ def recover_planar(src: Segment2, dst: Segment2, *, tol: float = 1e-9) -> Planar
     except SingularMatrix as exc:
         raise DegenerateSegment("source segment endpoints coincide") from exc
     theta = math.atan2(cs.y, cs.x)
-    if abs(theta) < ANGLE_MIN:
-        v = dst.a - src.a
-        if v.norm() <= _COINCIDENT_RTOL * _point_scale(src.a, src.b, dst.a, dst.b):
-            return Identity2()
-        return Translation2(v)
-    r = Mat2.rotation(theta)
-    lhs = Mat2(1.0 - r.m00, -r.m01, -r.m10, 1.0 - r.m11)
-    pivot = solve2(lhs, dst.a - r.mv(src.a))
-    return Rotation2(pivot, theta)
+    return _isometry(
+        theta, lambda: dst.a - src.a, lambda r: dst.a - r.mv(src.a), (src.a, src.b, dst.a, dst.b)
+    )
 
 
 def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
@@ -274,55 +286,49 @@ def compose_rotations_planar(outer: Rotation2, inner: Rotation2) -> PlanarIsomet
     identity, as it must. The tempting shortcut G + H is not a valid
     translation vector for this case.
     """
-    alpha = outer.angle
-    g, h = outer.pivot, inner.pivot
-    gamma = wrap_angle(alpha + inner.angle)
-    ra = Mat2.rotation(alpha)
-    if abs(gamma) < ANGLE_MIN:
-        gh = g - h
-        v = gh - ra.mv(gh)
-        if v.norm() <= _COINCIDENT_RTOL * _point_scale(g, h):
-            return Identity2()
-        return Translation2(v)
-    rg = Mat2.rotation(gamma)
-    rhs = g + ra.mv(h) - rg.mv(h) - ra.mv(g)
-    lhs = Mat2(1.0 - rg.m00, -rg.m01, -rg.m10, 1.0 - rg.m11)
-    return Rotation2(solve2(lhs, rhs), gamma)
+    return compose_planar(outer, inner)
 
 
-def _linear_form(iso: PlanarIsometry) -> tuple[float, Vec2]:
-    """Write an orientation-preserving isometry as x -> R_theta x + c."""
+def _anchored_form(iso: PlanarIsometry) -> tuple[float, Vec2, Vec2]:
+    """Write an orientation-preserving isometry as x -> q + R_theta (x - p).
+
+    A rotation is anchored at its pivot (p = q = pivot); a translation by v
+    at the origin (p = 0, q = v); the identity at p = q = 0.
+    """
     if isinstance(iso, Rotation2):
-        r = Mat2.rotation(iso.angle)
-        return iso.angle, iso.pivot - r.mv(iso.pivot)
+        return iso.angle, iso.pivot, iso.pivot
+    origin = Vec2(0.0, 0.0)
     if isinstance(iso, Translation2):
-        return 0.0, iso.v
+        return 0.0, origin, iso.v
     if isinstance(iso, Identity2):
-        return 0.0, Vec2(0.0, 0.0)
+        return 0.0, origin, origin
     raise ValueError("reflections are orientation-reversing and have no rotation form")
 
 
 def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsometry:
     """Compose two isometries (inner first) within the orientation-preserving
     subgroup; two reflections are also accepted since their composite is
-    orientation-preserving again."""
+    orientation-preserving again.
+
+    With outer x -> q1 + R1 (x - p1) and inner x -> q2 + R2 (x - p2), the
+    composite is x -> R x + c with R = R1 R2 and c = q1 + R1 q2 - R p2 - R1 p1;
+    a composite translation is the displacement (q1 - p2) - R1 (p1 - q2)
+    of the inner anchor. The identity cut-off is relative to the anchors'
+    scale.
+    """
     if isinstance(outer, Reflection2) and isinstance(inner, Reflection2):
         return compose_reflections(inner, outer)
     if isinstance(outer, Reflection2) or isinstance(inner, Reflection2):
         raise ValueError("mixed reflection composites are orientation-reversing")
-    if isinstance(outer, Rotation2) and isinstance(inner, Rotation2):
-        return compose_rotations_planar(outer, inner)
-    t1, c1 = _linear_form(outer)
-    t2, c2 = _linear_form(inner)
-    theta = wrap_angle(t1 + t2)
-    c = Mat2.rotation(t1).mv(c2) + c1
-    if abs(theta) < ANGLE_MIN:
-        if c.norm() <= _COINCIDENT_RTOL:
-            return Identity2()
-        return Translation2(c)
-    r = Mat2.rotation(theta)
-    lhs = Mat2(1.0 - r.m00, -r.m01, -r.m10, 1.0 - r.m11)
-    return Rotation2(solve2(lhs, c), theta)
+    t1, p1, q1 = _anchored_form(outer)
+    t2, p2, q2 = _anchored_form(inner)
+    r1 = Mat2.rotation(t1)
+    return _isometry(
+        wrap_angle(t1 + t2),
+        lambda: (q1 - p2) - r1.mv(p1 - q2),
+        lambda r: q1 + r1.mv(q2) - r.mv(p2) - r1.mv(p1),
+        (p1, q1, p2, q2),
+    )
 
 
 def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsometry:
