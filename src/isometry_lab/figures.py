@@ -53,15 +53,6 @@ class LineElement:
 
 
 @dataclass(frozen=True)
-class CircleElement:
-    """Planar circle."""
-
-    center: Vec2
-    radius: float
-    style: str = "solid"
-
-
-@dataclass(frozen=True)
 class ArcElement:
     """Planar angle arc around a center, from angle start to end (ccw)."""
 
@@ -80,11 +71,9 @@ class GreatCircleElement:
     label: str = ""
 
 
-FigureElement = (
-    Marker | SegmentElement | LineElement | CircleElement | ArcElement | GreatCircleElement
-)
+FigureElement = Marker | SegmentElement | LineElement | ArcElement | GreatCircleElement
 
-_PLANAR_ONLY = (LineElement, CircleElement, ArcElement)
+_PLANAR_ONLY = (LineElement, ArcElement)
 
 
 @dataclass(frozen=True)
@@ -127,11 +116,6 @@ class _PlanarMapper:
             elif isinstance(el, SegmentElement):
                 pts.extend((el.a, el.b))
             # infinite lines do not influence the window; they are clipped
-            elif isinstance(el, CircleElement):
-                r = el.radius
-                pts.extend(
-                    (el.center + Vec2(r, r), el.center - Vec2(r, r))
-                )
             elif isinstance(el, ArcElement):
                 r = el.radius
                 pts.extend(
@@ -258,12 +242,6 @@ def _render_planar(spec: FigureSpec) -> list[str]:
                 out.append(
                     f'<text class="label" x="{_fmt(x2 - 20)}" y="{_fmt(y2 - 6)}" stroke="none">{el.label}</text>'
                 )
-        elif isinstance(el, CircleElement):
-            cx, cy = mapper.to_px(el.center)
-            out.append(
-                f'<circle class="circle" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(el.radius * mapper.scale)}" fill="none"{_STROKES[el.style]}/>'
-            )
         elif isinstance(el, ArcElement):
             a0, a1 = el.start, el.end
             if a1 < a0:
