@@ -546,6 +546,16 @@ def _svg_path_for(svg: str | None, index: int, batch: bool) -> str | None:
     return str(p.with_name(f"{p.stem}.{index}{p.suffix}"))
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isometry-lab",
@@ -561,8 +571,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also write an SVG diagram of the solution")
     common.add_argument("--degrees", action="store_true",
                         help="angles in the input and output are degrees")
-    common.add_argument("--tolerance", type=float, default=1e-9, metavar="REAL",
-                        help="admissibility and agreement tolerance (default 1e-9)")
+    common.add_argument("--tolerance", type=_tolerance, default=1e-9, metavar="REAL",
+                        help="admissibility and agreement tolerance, positive (default 1e-9)")
     for kind, spec in _KINDS.items():
         sub.add_parser(kind.replace("_", "-"), parents=[common], help=spec.help)
     return parser

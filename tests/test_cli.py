@@ -463,3 +463,28 @@ def test_module_entry_point(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
     out = json.loads(proc.stdout)
     assert abs(out["result"]["pivot"][0] - 0.7071) <= 1e-4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "-inf", "abc"])
+def test_bad_tolerance_exits_2_before_solving(tmp_path, capsys, value):
+    # arc lengths pi/2 and 0.927: a NaN tolerance used to accept this pair
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps({
+        "kind": "sphere_recover",
+        "X": [1, 0, 0], "Y": [0, 1, 0], "Xp": [1, 0, 0], "Yp": [0.6, 0.8, 0],
+    }))
+    with pytest.raises(SystemExit) as exc:
+        main(["sphere-recover", "--input", str(p), f"--tolerance={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--tolerance" in captured.err
+
+
+def test_positive_tolerance_is_accepted(tmp_path, capsys):
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps({
+        "kind": "plane_recover", "X": [0, 0], "Y": [1, 0], "Xp": [0, 0], "Yp": [0, 1],
+    }))
+    assert main(["plane-recover", "--input", str(p), "--tolerance", "1e-5"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["type"] == "rotation"
