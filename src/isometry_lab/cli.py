@@ -318,9 +318,18 @@ def _run_plane_reflections(payload, method, tol):
 
 
 def _run_sphere_recover(payload, method, tol):
-    """Shared by sphere_recover and baseball."""
-    x, y = payload["before"].a, payload["before"].b
-    xp, yp = payload["after"].a, payload["after"].b
+    """Shared by sphere_recover and baseball. The segments must have the
+    same angular length; a mismatch raises LengthMismatch."""
+    before: SphereSegment = payload["before"]
+    after: SphereSegment = payload["after"]
+    dl = abs(before.length() - after.length())
+    if dl > tol:
+        raise LengthMismatch(
+            f"marked segments have angular lengths {before.length():.9g} and "
+            f"{after.length():.9g}; a rigid motion cannot change them "
+            f"(difference {dl:.3g} > tolerance {tol:g})"
+        )
+    x, y, xp, yp = before.a, before.b, after.a, after.b
 
     def route(name):
         return lambda: recover_sphere_rotation(x, xp, y, yp, method=name, tol=tol)
@@ -337,17 +346,7 @@ def _run_sphere_recover(payload, method, tol):
 
 
 def _run_baseball(payload, method, tol):
-    """sphere_recover plus the two surface points the rotation fixes; the
-    marked segments must have the same angular length."""
-    before: SphereSegment = payload["before"]
-    after: SphereSegment = payload["after"]
-    dl = abs(before.length() - after.length())
-    if dl > tol:
-        raise LengthMismatch(
-            f"marked segments have angular lengths {before.length():.9g} and "
-            f"{after.length():.9g}; a rigid motion cannot change them "
-            f"(difference {dl:.3g} > tolerance {tol:g})"
-        )
+    """sphere_recover plus the two surface points the rotation fixes."""
     record, figure = _run_sphere_recover(payload, method, tol)
     result = record.result
     if result["type"] == "identity":

@@ -191,7 +191,7 @@ ERRORS = {
                  [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])).encode()),
     "exit3_baseball_length_mismatch": ("baseball", json.dumps(
         _recover("baseball", [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], _EQ)).encode()),
-    "exit4_sphere_length_mismatch": ("sphere-recover", json.dumps(
+    "exit3_sphere_length_mismatch": ("sphere-recover", json.dumps(
         _recover("sphere_recover", [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], _EQ)).encode()),
     "exit4_zero_angle": ("plane-reflections",
                          b'{"kind": "plane_reflections", "P": [1, 1], "theta": 0}'),

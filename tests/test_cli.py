@@ -488,3 +488,16 @@ def test_positive_tolerance_is_accepted(tmp_path, capsys):
     }))
     assert main(["plane-recover", "--input", str(p), "--tolerance", "1e-5"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["type"] == "rotation"
+
+
+@pytest.mark.parametrize("kind", ["sphere_recover", "baseball"])
+def test_mismatched_sphere_lengths_exit_3_for_both_kinds(tmp_path, capsys, kind):
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps({
+        "kind": kind,
+        "X": [1, 0, 0], "Y": [0, 1, 0], "Xp": [0, 1, 0], "Yp": [math.cos(0.1), math.sin(0.1), 0],
+    }))
+    code = main([kind.replace("_", "-"), "--input", str(p)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["error"]["type"] == "LengthMismatch"
