@@ -593,27 +593,23 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         obj = _loads(text)
-        batch = isinstance(obj, list)
-        raw_items = obj if batch else [obj]
-        if args.degrees:
-            raw_items = [_degrees_to_radians_obj(o) for o in raw_items]
-        instances = [instance_from_obj(o) for o in raw_items]
-        for inst in instances:
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(json.dumps(_error_payload(exc)))
+        return exit_code_for(exc)
+
+    batch = isinstance(obj, list)
+    outputs = []
+    code = 0
+    for i, item in enumerate(obj if batch else [obj]):
+        try:
+            inst = instance_from_obj(_degrees_to_radians_obj(item) if args.degrees else item)
             if inst.kind != expected:
                 raise SchemaError(
                     f"instance kind {inst.kind!r} does not match subcommand "
                     f"{args.command!r} (expected {expected!r})"
                 )
-    except _CATCHABLE as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps(_error_payload(exc)))
-        return exit_code_for(exc)
-
-    outputs = []
-    code = 0
-    for i, inst in enumerate(instances):
-        svg = _svg_path_for(args.svg, i, batch)
-        try:
+            svg = _svg_path_for(args.svg, i, batch)
             record = run(inst, method=args.method, svg_path=svg, tolerance=args.tolerance)
         except _CATCHABLE as exc:
             print(f"error: {exc}", file=sys.stderr)

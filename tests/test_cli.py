@@ -501,3 +501,50 @@ def test_mismatched_sphere_lengths_exit_3_for_both_kinds(tmp_path, capsys, kind)
     out = json.loads(capsys.readouterr().out)
     assert code == 3
     assert out["error"]["type"] == "LengthMismatch"
+
+
+def _reflection(theta=None, **extra):
+    obj = {"kind": "plane_reflections", "P": [1.0, 2.0], **extra}
+    if theta is not None:
+        obj["theta"] = theta
+    return obj
+
+
+def test_bad_batch_items_fail_one_at_a_time(tmp_path, capsys):
+    items = [
+        _reflection(0.5),
+        _reflection(),  # missing theta: schema error, exit 2
+        dict(_reflection(0.5), kind="plane_compose"),  # wrong kind for the subcommand
+        _reflection(float("nan")),  # not finite: validation error, exit 3
+        _reflection(-2.0),
+    ]
+    p = tmp_path / "batch.json"
+    p.write_text(json.dumps(items))
+    svg = tmp_path / "fig.svg"
+    code = main(["plane-reflections", "--input", str(p), "--svg", str(svg)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2  # the first error's code
+    assert isinstance(out, list) and len(out) == len(items)
+    assert [o.get("error", {}).get("type") for o in out] == [
+        None, "SchemaError", "SchemaError", "ValidationError", None,
+    ]
+    assert out[0]["result"]["angle"] == 0.5 and out[4]["result"]["angle"] == -2.0
+    assert sorted(f.name for f in tmp_path.glob("*.svg")) == ["fig.0.svg", "fig.4.svg"]
+
+
+def test_first_bad_item_sets_the_exit_code(tmp_path, capsys):
+    p = tmp_path / "batch.json"
+    p.write_text(json.dumps([_reflection(float("inf")), _reflection(), _reflection(0.0)]))
+    code = main(["plane-reflections", "--input", str(p), "--degrees"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert [o["error"]["type"] for o in out] == ["ValidationError", "SchemaError", "ZeroAngle"]
+
+
+def test_undecodable_document_is_one_error(tmp_path, capsys):
+    p = tmp_path / "batch.json"
+    p.write_bytes(b"[\xff\xfe]")
+    code = main(["plane-reflections", "--input", str(p)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
