@@ -338,7 +338,7 @@ def _run_sphere_recover(payload, method, tol):
         record, rot = _solve_both_ways(
             method, tol, route("algebraic"), route("geometric"),
             ((x, xp), (y, yp)), apply_sphere, _sphere_rot_dict,
-            lambda rot: _arcsin_notes(x, xp, rot),
+            lambda primary: _arcsin_notes(x, xp, primary),
         )
     except IdentityCorrespondence:
         record, rot = SolutionRecord({"type": "identity"}, method, 0.0), None
