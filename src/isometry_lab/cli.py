@@ -57,8 +57,8 @@ from .spherical import (
     RotationMatrix3,
     SphereSegment,
     UnitVector3,
+    _axis_angle_from_eig,
     apply_sphere,
-    axis_angle_from_matrix,
     chord_arcsin_angle,
     recover_sphere_rotation,
     rotation_matrix,
@@ -246,10 +246,12 @@ def _solve_both_ways(method, tol, algebraic, geometric, pairs, apply, as_dict, n
     iso_a = algebraic() if method != "geometric" else None
     iso_g = geometric() if method != "algebraic" else None
     primary = iso_g if iso_a is None else iso_a
-    residual = max((apply(primary, p) - q).norm() for p, q in pairs)
+    images = [apply(primary, p) for p, _ in pairs]
+    residual = max((image - q).norm() for image, (_, q) in zip(images, pairs))
     record = SolutionRecord(as_dict(primary), method, residual, notes(primary) if notes else [])
     if method == "both":
-        disc = max((apply(iso_a, p) - apply(iso_g, p)).norm() for p, _ in pairs)
+        # primary is iso_a here, so its images serve the discrepancy too
+        disc = max((image - apply(iso_g, p)).norm() for image, (p, _) in zip(images, pairs))
         record.result_geometric = as_dict(iso_g)
         record.discrepancy = disc
         if disc > tol:
@@ -269,7 +271,7 @@ def _run_plane_recover(payload, method, tol):
         lambda: recover_planar_geometric(src, dst, tol=tol),
         ((src.a, dst.a), (src.b, dst.b)), apply_planar, _planar_iso_dict,
     )
-    return record, planar_recovery_figure(src, dst, primary)
+    return record, lambda: planar_recovery_figure(src, dst, primary)
 
 
 def _run_plane_compose(payload, method, tol):
@@ -289,7 +291,7 @@ def _run_plane_compose(payload, method, tol):
         (*pivots, (probe.a, final.a), (probe.b, final.b)), apply_planar, _planar_iso_dict,
         lambda _: [_NOTE_CANCELLED_ANGLES] if cancelled else [],
     )
-    return record, planar_compose_figure(g, h, primary, probe, mid, final)
+    return record, lambda: planar_compose_figure(g, h, primary, probe, mid, final)
 
 
 def _run_plane_reflections(payload, method, tol):
@@ -314,7 +316,7 @@ def _run_plane_reflections(payload, method, tol):
         ],
     }
     record = SolutionRecord(result, "algebraic", residual, [])
-    return record, reflection_pair_figure(rot, first, second)
+    return record, lambda: reflection_pair_figure(rot, first, second)
 
 
 def _run_sphere_recover(payload, method, tol):
@@ -342,7 +344,7 @@ def _run_sphere_recover(payload, method, tol):
         )
     except IdentityCorrespondence:
         record, rot = SolutionRecord({"type": "identity"}, method, 0.0), None
-    return record, sphere_recovery_figure(x, xp, y, yp, rot)
+    return record, lambda: sphere_recovery_figure(x, xp, y, yp, rot)
 
 
 def _run_baseball(payload, method, tol):
@@ -362,9 +364,10 @@ def _run_sphere_compose(payload, method, tol):
     inner = Rotation3(payload["h"], payload["beta"])
     m = rotation_matrix(outer).m @ rotation_matrix(inner).m
     try:
-        pair = eig3_rotation(m).complex_pair
+        eig = eig3_rotation(m)
     except IdentityRotation:
-        pair = (1.0, 0.0)
+        eig = None
+    pair = (1.0, 0.0) if eig is None else eig.complex_pair
 
     def geometric():
         sx, sy = _SPHERE_PROBE
@@ -377,18 +380,19 @@ def _run_sphere_compose(payload, method, tol):
 
     record, primary = _solve_both_ways(
         method, tol,
-        lambda: axis_angle_from_matrix(RotationMatrix3(m)),
+        lambda: _axis_angle_from_eig(RotationMatrix3(m), eig),
         geometric,
         [(p, apply_sphere(outer, apply_sphere(inner, p))) for p in _SPHERE_RESIDUAL_PROBES],
         apply_sphere, _sphere_rot_dict,
     )
     record.result["complex_pair"] = [pair[0], pair[1]]
-    return record, sphere_compose_figure(payload["g"], payload["h"], primary)
+    return record, lambda: sphere_compose_figure(payload["g"], payload["h"], primary)
 
 
 class _Kind(NamedTuple):
     """A problem kind: its JSON fields and their types, how the validated
     values become the payload, its solver, and its subcommand's help. The
+    solver returns the record and a zero-argument figure builder. The
     subcommand is the kind with "_" replaced by "-"."""
 
     schema: dict[str, str]
@@ -444,12 +448,13 @@ def run(
     svg_path: str | None = None,
     tolerance: float = 1e-9,
 ) -> SolutionRecord:
-    """Solve one instance and, if asked, write its diagram."""
+    """Solve one instance and, if asked, write its diagram. The diagram is
+    built only then."""
     if method not in ("algebraic", "geometric", "both"):
         raise ValueError(f"unknown method {method!r}")
     record, figure = _KINDS[instance.kind].solve(instance.payload, method, tolerance)
     if svg_path:
-        Path(svg_path).write_bytes(render_svg(figure))
+        Path(svg_path).write_bytes(render_svg(figure()))
     return record
 
 

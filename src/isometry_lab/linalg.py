@@ -192,13 +192,15 @@ class Mat3:
         )
 
     def __matmul__(self, other: "Mat3") -> "Mat3":
-        a, b = self.rows, other.rows
-        return Mat3(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                for i in range(3)
-            )
-        )
+        # 0.0 + ... adds left to right from sum()'s start, so a -0.0 entry
+        # still comes out as 0.0
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = other.rows
+        return Mat3(tuple([
+            (0.0 + a0 * b00 + a1 * b10 + a2 * b20,
+             0.0 + a0 * b01 + a1 * b11 + a2 * b21,
+             0.0 + a0 * b02 + a1 * b12 + a2 * b22)
+            for a0, a1, a2 in self.rows
+        ]))
 
     def transpose(self) -> "Mat3":
         r = self.rows
@@ -238,13 +240,16 @@ class Eig3Result:
     complex_pair: tuple[float, float]
 
 
+def _identity_gap(m: Mat3) -> float:
+    """Largest |m - I| entry, taken row by row."""
+    (a, b, c), (d, e, f), (g, h, i) = m.rows
+    return max(abs(a - 1.0), abs(b), abs(c), abs(d), abs(e - 1.0), abs(f),
+               abs(g), abs(h), abs(i - 1.0))
+
+
 def require_rotation(m: Mat3, tol: float = ROTATION_TOL) -> None:
     """Raise NotARotation unless m is orthogonal with determinant +1."""
-    mtm = m.transpose() @ m
-    ident = Mat3.identity()
-    dev = max(
-        abs(mtm.rows[i][j] - ident.rows[i][j]) for i in range(3) for j in range(3)
-    )
+    dev = _identity_gap(m.transpose() @ m)
     if dev > tol:
         raise NotARotation(f"matrix is not orthogonal (max |MtM - I| = {dev:.3g})")
     det = m.det()
@@ -275,11 +280,7 @@ def eig3_rotation(m: Mat3) -> Eig3Result:
     direction is an eigenvector and the caller must handle angle zero.
     """
     require_rotation(m)
-    ident = Mat3.identity()
-    dev = max(
-        abs(m.rows[i][j] - ident.rows[i][j]) for i in range(3) for j in range(3)
-    )
-    if dev < IDENTITY_TOL:
+    if _identity_gap(m) < IDENTITY_TOL:
         raise IdentityRotation("matrix is the identity; every direction is fixed")
 
     a = clamp((m.trace() - 1.0) / 2.0, -1.0, 1.0)

@@ -26,7 +26,9 @@ from .errors import (
     NotIsometric,
     PointOnAxis,
 )
-from .linalg import Mat3, Vec3, clamp, cross, eig3_rotation, require_rotation, wrap_angle
+from .linalg import (
+    Eig3Result, Mat3, Vec3, clamp, cross, eig3_rotation, require_rotation, wrap_angle,
+)
 
 # Vectors within this of unit length are silently renormalized; anything
 # further off (e.g. mistyped coordinates) is rejected.
@@ -41,15 +43,16 @@ class UnitVector3(Vec3):
     """Point on the unit sphere; renormalized on construction."""
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
+        x, y, z = self.x, self.y, self.z
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise NonUnitVector("components must be finite")
-        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        n = math.sqrt(x * x + y * y + z * z)
         if abs(n - 1.0) > UNIT_TOL:
             raise NonUnitVector(f"|v| = {n:.9g} is not within {UNIT_TOL:g} of 1")
         if n != 1.0:
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
+            object.__setattr__(self, "x", x / n)
+            object.__setattr__(self, "y", y / n)
+            object.__setattr__(self, "z", z / n)
 
     @classmethod
     def from_vec(cls, v: Vec3) -> "UnitVector3":
@@ -151,11 +154,18 @@ def rotation_matrix(rot: Rotation3) -> RotationMatrix3:
 def apply_sphere(rot: Rotation3, p: Vec3) -> UnitVector3:
     """Rotate a sphere point. Both poles +/- axis stay fixed."""
     p = _as_unit(p)
+    px, py, pz = p.x, p.y, p.z
     a = rot.axis
+    ax, ay, az = a.x, a.y, a.z
     c = math.cos(rot.angle)
     s = math.sin(rot.angle)
-    q = p * c + cross(a, p) * s + a * (a.dot(p) * (1.0 - c))
-    return UnitVector3(q.x, q.y, q.z)
+    # p c + (a x p) s + a (a . p)(1 - c), term by term on floats
+    k = (ax * px + ay * py + az * pz) * (1.0 - c)
+    return UnitVector3(
+        px * c + (ay * pz - az * py) * s + ax * k,
+        py * c + (az * px - ax * pz) * s + ay * k,
+        pz * c + (ax * py - ay * px) * s + az * k,
+    )
 
 
 def _require_isometric(x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, tol: float) -> None:
@@ -338,11 +348,19 @@ def axis_angle_from_matrix(rm: RotationMatrix3) -> Rotation3:
     vanishes and the eigenvector's canonical sign is kept. The identity
     reports angle 0 about the conventional axis (0, 0, 1).
     """
-    m = rm.m
     try:
-        eig = eig3_rotation(m)
+        eig = eig3_rotation(rm.m)
     except IdentityRotation:
+        eig = None
+    return _axis_angle_from_eig(rm, eig)
+
+
+def _axis_angle_from_eig(rm: RotationMatrix3, eig: Eig3Result | None) -> Rotation3:
+    """axis_angle_from_matrix given eig3_rotation(rm.m), or None where that
+    raised IdentityRotation."""
+    if eig is None:
         return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
+    m = rm.m
     a, _ = eig.complex_pair
     angle = math.acos(clamp(a, -1.0, 1.0))
     r = m.rows

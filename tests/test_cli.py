@@ -548,3 +548,50 @@ def test_undecodable_document_is_one_error(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["error"]["type"] == "ParseError"
+
+
+_SPHERE_PAIR = {"X": [1, 0, 0], "Y": [0, 1, 0], "Xp": [0, 1, 0], "Yp": [-1, 0, 0]}
+_ONE_PER_KIND = {
+    "plane_recover": {"X": [0, 0], "Y": [1, 0], "Xp": [0, 0], "Yp": [0, 1]},
+    "plane_compose": {k: v for k, v in P2_OBJ.items() if k != "kind"},
+    "plane_reflections": {"P": [1.0, 2.0], "theta": 0.5},
+    "sphere_recover": _SPHERE_PAIR,
+    "sphere_compose": {k: v for k, v in S2_OBJ.items() if k != "kind"},
+    "baseball": _SPHERE_PAIR,
+}
+_FIGURE_BUILDERS = (
+    "planar_recovery_figure",
+    "planar_compose_figure",
+    "reflection_pair_figure",
+    "sphere_recovery_figure",
+    "sphere_compose_figure",
+)
+
+
+@pytest.mark.parametrize("method", ["algebraic", "geometric", "both"])
+def test_no_figure_is_built_without_an_svg_path(monkeypatch, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("figure built without an svg_path")
+
+    for name in _FIGURE_BUILDERS:
+        monkeypatch.setattr(f"isometry_lab.cli.{name}", refuse)
+    for kind, fields in _ONE_PER_KIND.items():
+        record = run(instance_from_obj({"kind": kind, **fields}), method=method)
+        assert record.residual <= 1e-9
+
+
+@pytest.mark.parametrize("kind", sorted(_ONE_PER_KIND))
+def test_an_svg_path_builds_the_figure_once(monkeypatch, tmp_path, kind):
+    import isometry_lab.cli as cli
+
+    calls = []
+    for name in _FIGURE_BUILDERS:
+        def counted(*args, _original=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    svg = tmp_path / "fig.svg"
+    run(instance_from_obj({"kind": kind, **_ONE_PER_KIND[kind]}), svg_path=str(svg))
+    assert len(calls) == 1
+    assert ET.fromstring(svg.read_bytes()).tag.endswith("svg")
