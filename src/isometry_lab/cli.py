@@ -452,6 +452,8 @@ def run(
     built only then."""
     if method not in ("algebraic", "geometric", "both"):
         raise ValueError(f"unknown method {method!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tolerance!r}")
     record, figure = _KINDS[instance.kind].solve(instance.payload, method, tolerance)
     if svg_path:
         Path(svg_path).write_bytes(render_svg(figure()))

@@ -568,6 +568,20 @@ _FIGURE_BUILDERS = (
 )
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_library_rejects_a_bad_tolerance(value):
+    # segment lengths 1 and 2: a NaN tolerance used to answer "identity"
+    inst = instance_from_obj({
+        "kind": "plane_recover", "X": [0, 0], "Y": [1, 0], "Xp": [0, 0], "Yp": [2, 0],
+    })
+    with pytest.raises(ValueError, match="tolerance"):
+        run(inst, tolerance=value)
+    before = SphereSegment(UnitVector3(1, 0, 0), UnitVector3(0, 1, 0))
+    after = SphereSegment(UnitVector3(1, 0, 0), UnitVector3(0.6, 0.8, 0))
+    with pytest.raises(ValueError, match="tolerance"):
+        run_baseball(before, after, tolerance=value)
+
+
 @pytest.mark.parametrize("method", ["algebraic", "geometric", "both"])
 def test_no_figure_is_built_without_an_svg_path(monkeypatch, method):
     def refuse(*args, **kwargs):
