@@ -343,7 +343,8 @@ def _run_sphere_recover(payload, method, tol):
             lambda primary: _arcsin_notes(x, xp, primary),
         )
     except IdentityCorrespondence:
-        record, rot = SolutionRecord({"type": "identity"}, method, 0.0), None
+        residual = max((x - xp).norm(), (y - yp).norm())
+        record, rot = SolutionRecord({"type": "identity"}, method, residual), None
     return record, lambda: sphere_recovery_figure(x, xp, y, yp, rot)
 
 

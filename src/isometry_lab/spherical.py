@@ -37,6 +37,9 @@ UNIT_TOL = 1e-6
 # Chord length below this counts as "the same point".
 _COINCIDENT_TOL = 1e-12
 
+# Shortest chord a perpendicular-bisector great circle is built from.
+_BISECTOR_MIN_CHORD = 1e-9
+
 
 @dataclass(frozen=True)
 class UnitVector3(Vec3):
@@ -206,18 +209,19 @@ def recover_axis_geometric(
 
     A point that does not move is itself a pole of the rotation and is
     returned directly; if both points are fixed the correspondence is the
-    identity and no axis exists.
+    identity and no axis exists. Failing a fixed point, one that moves too
+    little for its bisector circle to be built counts as fixed.
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     _require_isometric(x, xp, y, yp, tol)
-    fixed_x = (x - xp).norm() <= _COINCIDENT_TOL
-    fixed_y = (y - yp).norm() <= _COINCIDENT_TOL
-    if fixed_x and fixed_y:
-        raise IdentityCorrespondence("both points are fixed; every axis works")
-    if fixed_x:
-        return x
-    if fixed_y:
-        return y
+    dx, dy = (x - xp).norm(), (y - yp).norm()
+    for cut in (_COINCIDENT_TOL, _BISECTOR_MIN_CHORD):
+        if dx <= cut and dy <= cut:
+            raise IdentityCorrespondence("both points are fixed; every axis works")
+        if dx <= cut:
+            return x
+        if dy <= cut:
+            return y
     cx = bisector_great_circle(x, xp)
     cy = bisector_great_circle(y, yp)
     try:
@@ -267,7 +271,7 @@ def bisector_great_circle(a: Vec3, b: Vec3) -> GreatCircle:
     a, b = _as_unit(a), _as_unit(b)
     chord = a - b
     n = chord.norm()
-    if n <= 1e-9:
+    if n <= _BISECTOR_MIN_CHORD:
         raise CoincidentPoints("coincident points have no unique bisector circle")
     if (a + b).norm() <= 1e-9:
         raise AntipodalPoints("antipodal points are equidistant from every great circle "

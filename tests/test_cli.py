@@ -609,3 +609,40 @@ def test_an_svg_path_builds_the_figure_once(monkeypatch, tmp_path, kind):
     run(instance_from_obj({"kind": kind, **_ONE_PER_KIND[kind]}), svg_path=str(svg))
     assert len(calls) == 1
     assert ET.fromstring(svg.read_bytes()).tag.endswith("svg")
+
+
+@pytest.mark.parametrize("method", ["algebraic", "geometric", "both"])
+def test_near_identity_sphere_compose_solves_by_every_route(method):
+    # the probe points move about 1e-10: too little for a bisector circle
+    inst = instance_from_obj({
+        "kind": "sphere_compose", "G": [0.0, 0.6, 0.8], "alpha": 2e-10,
+        "H": [1.0, 0.0, 0.0], "beta": 1e-10,
+    })
+    out = run(inst, method=method).to_dict()
+    assert out["result"]["angle"] == 0.0
+    assert out["residual"] <= 1e-9
+    assert out.get("discrepancy", 0.0) <= 1e-9
+
+
+def test_sphere_points_moved_below_the_bisector_cut_off_are_the_identity():
+    t = 3e-10  # about the z axis: (1, 0, 0) moves by t, (0, 0.6, 0.8) by 0.6 t
+    inst = instance_from_obj({
+        "kind": "sphere_recover", "X": [1.0, 0.0, 0.0], "Y": [0.0, 0.6, 0.8],
+        "Xp": [math.cos(t), math.sin(t), 0.0],
+        "Yp": [-0.6 * math.sin(t), 0.6 * math.cos(t), 0.8],
+    })
+    for method in ("algebraic", "geometric", "both"):
+        out = run(inst, method=method).to_dict()
+        assert out["result"] == {"type": "identity"}
+        assert out["residual"] == pytest.approx(t, rel=1e-6)
+
+
+def test_a_fixed_point_still_wins_over_a_short_chord():
+    t = 3e-10  # (0, 0, 1) is on the axis, so the turn about z is found
+    inst = instance_from_obj({
+        "kind": "sphere_recover", "X": [1.0, 0.0, 0.0], "Y": [0.0, 0.0, 1.0],
+        "Xp": [math.cos(t), math.sin(t), 0.0], "Yp": [0.0, 0.0, 1.0],
+    })
+    out = run(inst, method="geometric").to_dict()
+    assert out["result"]["axis"] == [0.0, 0.0, 1.0]
+    assert out["result"]["angle"] == pytest.approx(t, rel=1e-6)
