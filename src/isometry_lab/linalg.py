@@ -192,8 +192,8 @@ class Mat3:
         )
 
     def __matmul__(self, other: "Mat3") -> "Mat3":
-        # 0.0 + ... adds left to right from sum()'s start, so a -0.0 entry
-        # still comes out as 0.0
+        # Each entry adds left to right from 0.0, so one whose products are
+        # all -0.0 comes out as 0.0
         (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = other.rows
         return Mat3(tuple([
             (0.0 + a0 * b00 + a1 * b10 + a2 * b20,

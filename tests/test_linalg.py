@@ -120,6 +120,21 @@ class TestSolve2:
         assert (got - x).norm() <= 1e-10 * max(1.0, x.norm())
 
 
+@given(st.lists(finite, min_size=18, max_size=18))
+def test_mat3_product_matches_numpy(vals):
+    a = Mat3(tuple(tuple(vals[i:i + 3]) for i in range(0, 9, 3)))
+    b = Mat3(tuple(tuple(vals[i:i + 3]) for i in range(9, 18, 3)))
+    np.testing.assert_allclose(
+        np.array((a @ b).rows), np.array(a.rows) @ np.array(b.rows), rtol=1e-12, atol=1e-12
+    )
+
+
+def test_mat3_product_entry_of_negative_zeros_is_positive_zero():
+    # every product in each entry is -0.0; the entry still reads +0.0
+    m = Mat3(((-1.0,) * 3,) * 3) @ Mat3(((0.0,) * 3,) * 3)
+    assert all(math.copysign(1.0, v) == 1.0 for row in m.rows for v in row)
+
+
 def _mat3_to_np(m: Mat3) -> np.ndarray:
     return np.array(m.rows)
 
