@@ -38,9 +38,9 @@ from .figures import (
     sphere_compose_figure,
     sphere_recovery_figure,
 )
-from .linalg import Vec2, Vec3, eig3_rotation, wrap_angle
+from .linalg import ANGLE_MIN, ARCSIN_NOTE_TOL, DEFAULT_TOL, MAX_COORD
+from .linalg import Vec2, Vec3, check_tol, eig3_rotation, wrap_angle
 from .planar import (
-    ANGLE_MIN,
     Identity2,
     Rotation2,
     Segment2,
@@ -140,7 +140,10 @@ def _coords(name: str, value, dim: int) -> list[float]:
 
 
 def _vec2(name: str, value) -> Vec2:
-    return Vec2(*_coords(name, value, 2))
+    x, y = _coords(name, value, 2)
+    if max(abs(x), abs(y)) > MAX_COORD:
+        raise ValidationError(f"field {name!r}: coordinates beyond {MAX_COORD:g} are not accepted")
+    return Vec2(x, y)
 
 
 def _unit3(name: str, value) -> UnitVector3:
@@ -224,7 +227,7 @@ def _sphere_rot_dict(rot: Rotation3) -> dict:
 
 def _arcsin_notes(x: UnitVector3, xp: UnitVector3, rot: Rotation3) -> list[str]:
     naive = chord_arcsin_angle(x, xp)
-    if abs(naive - rot.angle) > 1e-9:
+    if abs(naive - rot.angle) > ARCSIN_NOTE_TOL:
         return [
             f"chord arcsin gives {naive:.6g} rad but the rotation angle is {rot.angle:.6g} rad; "
             "the arcsin shortcut only holds for points on the rotation's equator "
@@ -447,15 +450,13 @@ def run(
     *,
     method: str = "both",
     svg_path: str | None = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOL,
 ) -> SolutionRecord:
     """Solve one instance and, if asked, write its diagram. The diagram is
     built only then."""
     if method not in ("algebraic", "geometric", "both"):
         raise ValueError(f"unknown method {method!r}")
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance must be a positive finite number, got {tolerance!r}")
-    record, figure = _KINDS[instance.kind].solve(instance.payload, method, tolerance)
+    record, figure = _KINDS[instance.kind].solve(instance.payload, method, check_tol(tolerance))
     if svg_path:
         Path(svg_path).write_bytes(render_svg(figure()))
     return record
@@ -467,7 +468,7 @@ def run_baseball(
     *,
     method: str = "both",
     svg_path: str | None = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOL,
 ) -> SolutionRecord:
     """Recover the ball's net rotation from two marked points photographed
     before and after its travels.
@@ -555,12 +556,9 @@ def _svg_path_for(svg: str | None, index: int, batch: bool) -> str | None:
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+        return check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -578,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also write an SVG diagram of the solution")
     common.add_argument("--degrees", action="store_true",
                         help="angles in the input and output are degrees")
-    common.add_argument("--tolerance", type=_tolerance, default=1e-9, metavar="REAL",
+    common.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL, metavar="REAL",
                         help="admissibility and agreement tolerance, positive (default 1e-9)")
     for kind, spec in _KINDS.items():
         sub.add_parser(kind.replace("_", "-"), parents=[common], help=spec.help)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import AntipodalPoints, CoincidentPoints
+from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, FIGURE_MOVED_TOL
 from .linalg import Vec2, Vec3, cross
 from .planar import Line2, Rotation2, perpendicular_bisector
 from .spherical import UnitVector3, bisector_great_circle
@@ -126,7 +127,7 @@ class _PlanarMapper:
         xs = [p.x for p in pts]
         ys = [p.y for p in pts]
         cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
-        span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-6) * 1.25
+        span = max(max(xs) - min(xs), max(ys) - min(ys), FIGURE_MIN_SPAN) * 1.25
         self.cx, self.cy = cx, cy
         self.scale = min(spec.width, spec.height) / span
         self.w, self.h = spec.width, spec.height
@@ -148,7 +149,7 @@ class _PlanarMapper:
             (p.x, d.x, xmin, xmax),
             (p.y, d.y, ymin, ymax),
         ):
-            if abs(direction) < 1e-15:
+            if abs(direction) < FIGURE_CLIP_TOL:
                 if origin < lo or origin > hi:
                     return None
                 continue
@@ -333,7 +334,7 @@ def _geodesic_samples(a: Vec3, b: Vec3, n: int = 32) -> list[Vec3]:
     a = a.normalized()
     b = b.normalized()
     omega = math.acos(max(-1.0, min(1.0, a.dot(b))))
-    if omega < 1e-9:
+    if omega < FIGURE_MIN_ARC:
         return [a, b]
     so = math.sin(omega)
     return [
@@ -353,10 +354,9 @@ def planar_recovery_figure(src, dst, iso) -> FigureSpec:
         Marker(dst.b, "Y'"),
     ]
     if isinstance(iso, Rotation2):
-        if (dst.a - src.a).norm() > 1e-12:
-            elements.append(LineElement(perpendicular_bisector(src.a, dst.a)))
-        if (dst.b - src.b).norm() > 1e-12:
-            elements.append(LineElement(perpendicular_bisector(src.b, dst.b)))
+        for a, b in ((src.a, dst.a), (src.b, dst.b)):
+            if (b - a).norm() > FIGURE_MOVED_TOL:
+                elements.append(LineElement(perpendicular_bisector(a, b)))
         elements.append(Marker(iso.pivot, "P", style="pivot"))
     else:
         elements.append(SegmentElement(src.a, dst.a, style="faint"))
@@ -402,15 +402,14 @@ def sphere_recovery_figure(x, xp, y, yp, rot) -> FigureSpec:
         Marker(y, "Y"),
         Marker(yp, "Y'"),
     ]
-    for a, b in ((x, xp), (y, yp)):
-        if (a - b).norm() > 1e-9 and (a + b).norm() > 1e-9:
-            elements.append(SegmentElement(a, b, style="solid"))
+    circles = []
     for a, b, label in ((x, xp, "lX"), (y, yp, "lY")):
         try:
-            circle = bisector_great_circle(a, b)
+            circles.append((a, b, GreatCircleElement(bisector_great_circle(a, b).normal, label)))
         except (CoincidentPoints, AntipodalPoints):
             continue
-        elements.append(GreatCircleElement(circle.normal, label))
+    elements.extend(SegmentElement(a, b, style="solid") for a, b, _ in circles)
+    elements.extend(circle for _, _, circle in circles)
     if rot is not None:
         elements.append(Marker(rot.axis, "P", style="pivot"))
         elements.append(Marker(-rot.axis, "P'", style="pivot"))

@@ -17,13 +17,38 @@ from .errors import IdentityRotation, NotARotation, SingularMatrix
 
 TWO_PI = 2.0 * math.pi
 
-# |det| <= SOLVE2_RTOL * (max row norm)^2 counts as singular.
-SOLVE2_RTOL = 1e-12
-# Orthogonality / determinant slack accepted by eig3_rotation.
-ROTATION_TOL = 1e-8
-# ||M - I||_max below this means the identity, where (M - I) has a
-# three-dimensional null space and no single axis exists.
-IDENTITY_TOL = 1e-9
+# Every numeric threshold, one name per decision. A "scaled" name is relative:
+# a distance is compared with it times max(1, |p|, ...) over the points involved
+# (1 on the unit sphere). The rest are compared as they stand.
+DEFAULT_TOL = 1e-9  # default `tol`: length, residual and route-agreement slack
+MAX_COORD = 1e150  # largest plane input coordinate: squares of sums stay finite
+COINCIDENT_RTOL = 1e-12  # scaled: points this close coincide
+SOLVE2_RTOL = 1e-12  # scaled by the squared larger row norm: |det| this small is singular
+SAME_LINE_RTOL = 1e-9  # scaled: a bisector this close to the other is the same line
+PIVOT_ARM_RTOL = 1e-9  # scaled: an endpoint this close to the pivot gives no angle
+ANGLE_MIN = 1e-9  # plane angles below this are translations: the pivot runs off
+UNIT_TOL = 1e-6  # sphere vectors this close to unit length are renormalized
+SPHERE_CHORD_MIN = 1e-9  # |a - b| and |a + b| above this give a great circle
+PARALLEL_TOL = 1e-12  # a shorter cross product makes unit-scale factors parallel
+ON_AXIS_TOL = 1e-9  # a point this close to a rotation axis has no turn angle
+ROTATION_TOL = 1e-8  # orthogonality and determinant slack of eig3_rotation
+ROTATION_MATRIX_TOL = 1e-9  # the same slack for RotationMatrix3
+IDENTITY_TOL = 1e-9  # max |M - I| below this is the identity: no single axis
+AXIS_SIGN_TOL = 1e-9  # the first axis component above this is made positive
+SKEW_TOL = 1e-12  # a shorter skew part (sin of the angle) gives no turn direction
+SKEW_CHECK_TOL = 1e-9  # the skew part's length must match sin(angle) this closely
+ARCSIN_NOTE_TOL = 1e-9  # a chord-arcsin angle off by more gets a note
+FIGURE_MOVED_TOL = 1e-12  # absolute: a figure draws an endpoint's bisector past this
+FIGURE_MIN_SPAN = 1e-6  # least span of a planar figure's window
+FIGURE_CLIP_TOL = 1e-15  # a direction component below this is parallel to a window edge
+FIGURE_MIN_ARC = 1e-9  # a shorter geodesic arc (rad) is drawn as its endpoints
+
+
+def check_tol(tol: float) -> float:
+    """Return a caller's `tol` if it is positive and finite, else raise ValueError."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
+    return tol
 
 
 def wrap_angle(theta: float) -> float:
@@ -258,9 +283,9 @@ def require_rotation(m: Mat3, tol: float = ROTATION_TOL) -> None:
 
 
 def _canonical_axis_sign(v: Vec3) -> Vec3:
-    """Flip so the first component larger than 1e-9 in magnitude is positive."""
+    """Flip so the first component above AXIS_SIGN_TOL in magnitude is positive."""
     for c in (v.x, v.y, v.z):
-        if abs(c) > 1e-9:
+        if abs(c) > AXIS_SIGN_TOL:
             return v if c > 0.0 else -v
     return v
 

@@ -20,15 +20,8 @@ from .errors import (
     SingularMatrix,
     ZeroAngle,
 )
-from .linalg import Mat2, Vec2, cross2, solve2, wrap_angle
-
-# Solved angles below this are classified as translations: the pivot
-# system (I - R) p = c degenerates as the angle goes to zero and the pivot
-# runs off to infinity.
-ANGLE_MIN = 1e-9
-
-# Relative tolerance for coincidence tests (fixed points, zero vectors).
-_COINCIDENT_RTOL = 1e-12
+from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, PIVOT_ARM_RTOL, SAME_LINE_RTOL
+from .linalg import Mat2, Vec2, check_tol, cross2, solve2, wrap_angle
 
 
 def _finite2(v: Vec2) -> bool:
@@ -102,7 +95,7 @@ class Segment2:
         if not (_finite2(self.a) and _finite2(self.b)):
             raise ValueError("segment endpoints must be finite")
         scale = max(1.0, self.a.norm(), self.b.norm())
-        if (self.a - self.b).norm() <= _COINCIDENT_RTOL * scale:
+        if (self.a - self.b).norm() <= COINCIDENT_RTOL * scale:
             raise DegenerateSegment("segment endpoints coincide")
 
     def length(self) -> float:
@@ -176,7 +169,7 @@ def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) ->
     """
     if abs(theta) < ANGLE_MIN:
         v = translation()
-        if v.norm() <= _COINCIDENT_RTOL * _point_scale(*points):
+        if v.norm() <= COINCIDENT_RTOL * _point_scale(*points):
             return Identity2()
         return Translation2(v)
     r = Mat2.rotation(theta)
@@ -185,6 +178,7 @@ def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) ->
 
 
 def _check_lengths(src: Segment2, dst: Segment2, tol: float) -> None:
+    check_tol(tol)
     ls, ld = src.length(), dst.length()
     if abs(ls - ld) > tol * max(ls, ld):
         raise LengthMismatch(
@@ -192,7 +186,7 @@ def _check_lengths(src: Segment2, dst: Segment2, tol: float) -> None:
         )
 
 
-def recover_planar(src: Segment2, dst: Segment2, *, tol: float = 1e-9) -> PlanarIsometry:
+def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) -> PlanarIsometry:
     """Find the orientation-preserving isometry taking src onto dst.
 
     The chord equation R(src.a - src.b) = dst.a - dst.b is solved for
@@ -227,8 +221,8 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     ParallelBisectors.
     """
     scale = _point_scale(src.a, src.b, dst.a, dst.b)
-    fixed_a = (dst.a - src.a).norm() <= _COINCIDENT_RTOL * scale
-    fixed_b = (dst.b - src.b).norm() <= _COINCIDENT_RTOL * scale
+    fixed_a = (dst.a - src.a).norm() <= COINCIDENT_RTOL * scale
+    fixed_b = (dst.b - src.b).norm() <= COINCIDENT_RTOL * scale
     if fixed_a and fixed_b:
         raise DegenerateBisector("both endpoints are fixed; any point is a candidate pivot")
     if fixed_a:
@@ -238,12 +232,10 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
 
     la = perpendicular_bisector(src.a, dst.a)
     lb = perpendicular_bisector(src.b, dst.b)
-    point = None
-    if abs(cross2(la.direction, lb.direction)) > 1e-12:
-        point = _intersect_lines(la, lb)
+    point = _intersect_lines(la, lb)
     if point is None:
         offset = abs(cross2(la.direction, lb.point - la.point))
-        if offset <= 1e-9 * scale:
+        if offset <= SAME_LINE_RTOL * scale:
             alg = recover_planar(src, dst)
             if isinstance(alg, Rotation2):
                 return alg.pivot
@@ -252,7 +244,7 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     return point
 
 
-def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = 1e-9) -> PlanarIsometry:
+def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) -> PlanarIsometry:
     """Geometric sibling of recover_planar.
 
     Equal displacement chords identify a translation; otherwise the pivot
@@ -264,29 +256,15 @@ def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = 1e-9)
     db = dst.b - src.b
     scale = _point_scale(src.a, src.b, dst.a, dst.b)
     if (da - db).norm() <= ANGLE_MIN * src.length():
-        if da.norm() <= _COINCIDENT_RTOL * scale:
+        if da.norm() <= COINCIDENT_RTOL * scale:
             return Identity2()
         return Translation2(da)
     pivot = recover_pivot_geometric(src, dst)
-    if (src.a - pivot).norm() > 1e-9 * scale:
+    if (src.a - pivot).norm() > PIVOT_ARM_RTOL * scale:
         theta = signed_angle(src.a - pivot, dst.a - pivot)
     else:
         theta = signed_angle(src.b - pivot, dst.b - pivot)
     return Rotation2(pivot, theta)
-
-
-def compose_rotations_planar(outer: Rotation2, inner: Rotation2) -> PlanarIsometry:
-    """Compose two pivoted rotations, inner first.
-
-    The linear part of the composite is R_alpha R_beta = R_{alpha+beta},
-    so the composite angle is always the angle sum and only the pivot
-    needs solving. When the angles cancel (alpha + beta = 0 mod 2 pi) the
-    composite is the translation x -> x + (I - R_alpha)(G - H), obtained by
-    expanding G + R_alpha(H + R_{-alpha}(x - H) - G); note G = H gives the
-    identity, as it must. The tempting shortcut G + H is not a valid
-    translation vector for this case.
-    """
-    return compose_planar(outer, inner)
 
 
 def _anchored_form(iso: PlanarIsometry) -> tuple[float, Vec2, Vec2]:
@@ -314,7 +292,10 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
     composite is x -> R x + c with R = R1 R2 and c = q1 + R1 q2 - R p2 - R1 p1;
     a composite translation is the displacement (q1 - p2) - R1 (p1 - q2)
     of the inner anchor. The identity cut-off is relative to the anchors'
-    scale.
+    scale. Rotations about G and H whose angles cancel compose to the
+    translation by (I - R_alpha)(G - H): expand
+    G + R_alpha(H + R_{-alpha}(x - H) - G). G = H gives the identity, as
+    it must; the shortcut G + H is not a valid translation vector.
     """
     if isinstance(outer, Reflection2) and isinstance(inner, Reflection2):
         return compose_reflections(inner, outer)
@@ -331,6 +312,9 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
     )
 
 
+compose_rotations_planar = compose_planar
+
+
 def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsometry:
     """Reflect across `first`, then across `second`.
 
@@ -341,14 +325,12 @@ def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsomet
     """
     d1 = first.line.direction
     d2 = second.line.direction
-    crossing = None
-    if abs(cross2(d1, d2)) > 1e-12:
-        crossing = _intersect_lines(first.line, second.line)
+    crossing = _intersect_lines(first.line, second.line)
     if crossing is None:
         n = d1.perp()
         offset = (second.line.point - first.line.point).dot(n)
         scale = _point_scale(first.line.point, second.line.point)
-        if abs(offset) <= _COINCIDENT_RTOL * scale:
+        if abs(offset) <= COINCIDENT_RTOL * scale:
             return Identity2()
         return Translation2(n * (2.0 * offset))
     return Rotation2(crossing, wrap_angle(2.0 * signed_angle(d1, d2)))

@@ -27,18 +27,10 @@ from .errors import (
     PointOnAxis,
 )
 from .linalg import (
-    Eig3Result, Mat3, Vec3, clamp, cross, eig3_rotation, require_rotation, wrap_angle,
+    COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL, ROTATION_MATRIX_TOL, SKEW_CHECK_TOL,
+    SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Eig3Result, Mat3, Vec3, check_tol, clamp, cross,
+    eig3_rotation, require_rotation, wrap_angle,
 )
-
-# Vectors within this of unit length are silently renormalized; anything
-# further off (e.g. mistyped coordinates) is rejected.
-UNIT_TOL = 1e-6
-
-# Chord length below this counts as "the same point".
-_COINCIDENT_TOL = 1e-12
-
-# Shortest chord a perpendicular-bisector great circle is built from.
-_BISECTOR_MIN_CHORD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,7 @@ class RotationMatrix3:
     m: Mat3
 
     def __post_init__(self):
-        require_rotation(self.m, 1e-9)
+        require_rotation(self.m, ROTATION_MATRIX_TOL)
 
 
 @dataclass(frozen=True)
@@ -123,9 +115,9 @@ class SphereSegment:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_unit(self.a))
         object.__setattr__(self, "b", _as_unit(self.b))
-        if (self.a - self.b).norm() <= 1e-9:
+        if (self.a - self.b).norm() <= SPHERE_CHORD_MIN:
             raise CoincidentPoints("segment endpoints coincide")
-        if (self.a + self.b).norm() <= 1e-9:
+        if (self.a + self.b).norm() <= SPHERE_CHORD_MIN:
             raise AntipodalPoints("antipodal endpoints lie on infinitely many great circles")
 
     def length(self) -> float:
@@ -172,6 +164,7 @@ def apply_sphere(rot: Rotation3, p: Vec3) -> UnitVector3:
 
 
 def _require_isometric(x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, tol: float) -> None:
+    check_tol(tol)
     before = angular_distance(x, y)
     after = angular_distance(xp, yp)
     if abs(before - after) > tol:
@@ -182,7 +175,7 @@ def _require_isometric(x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, tol: float) -> None
 
 
 def recover_axis_cross(
-    x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, *, tol: float = 1e-9
+    x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, *, tol: float = DEFAULT_TOL
 ) -> UnitVector3:
     """Rotation axis from the two displacement chords.
 
@@ -194,7 +187,7 @@ def recover_axis_cross(
     _require_isometric(x, xp, y, yp, tol)
     u = cross(x - xp, y - yp)
     n = u.norm()
-    if n < 1e-12:
+    if n < PARALLEL_TOL:
         raise DegenerateAxis(
             "displacement chords are parallel or zero; no unique axis from the cross product"
         )
@@ -202,7 +195,7 @@ def recover_axis_cross(
 
 
 def recover_axis_geometric(
-    x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, *, tol: float = 1e-9
+    x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, *, tol: float = DEFAULT_TOL
 ) -> UnitVector3:
     """Rotation axis by construction: intersect the two perpendicular
     bisector great circles.
@@ -215,7 +208,7 @@ def recover_axis_geometric(
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     _require_isometric(x, xp, y, yp, tol)
     dx, dy = (x - xp).norm(), (y - yp).norm()
-    for cut in (_COINCIDENT_TOL, _BISECTOR_MIN_CHORD):
+    for cut in (COINCIDENT_RTOL, SPHERE_CHORD_MIN):
         if dx <= cut and dy <= cut:
             raise IdentityCorrespondence("both points are fixed; every axis works")
         if dx <= cut:
@@ -243,7 +236,7 @@ def rotation_angle_about_axis(axis: Vec3, x: Vec3, xp: Vec3) -> float:
     axis = _as_unit(axis)
     u = x - axis * x.dot(axis)
     v = xp - axis * xp.dot(axis)
-    if u.norm() < 1e-9 or v.norm() < 1e-9:
+    if u.norm() < ON_AXIS_TOL or v.norm() < ON_AXIS_TOL:
         raise PointOnAxis("point lies on the rotation axis; its turn angle is undefined")
     angle = math.atan2(axis.dot(cross(u, v)), u.dot(v))
     return math.pi if angle <= -math.pi else angle
@@ -271,9 +264,9 @@ def bisector_great_circle(a: Vec3, b: Vec3) -> GreatCircle:
     a, b = _as_unit(a), _as_unit(b)
     chord = a - b
     n = chord.norm()
-    if n <= _BISECTOR_MIN_CHORD:
+    if n <= SPHERE_CHORD_MIN:
         raise CoincidentPoints("coincident points have no unique bisector circle")
-    if (a + b).norm() <= 1e-9:
+    if (a + b).norm() <= SPHERE_CHORD_MIN:
         raise AntipodalPoints("antipodal points are equidistant from every great circle "
                               "through their polar plane")
     return GreatCircle(UnitVector3(chord.x / n, chord.y / n, chord.z / n))
@@ -285,7 +278,7 @@ def intersect_great_circles(
     """The two (antipodal) intersection points of distinct great circles."""
     u = cross(c1.normal, c2.normal)
     n = u.norm()
-    if n < 1e-12:
+    if n < PARALLEL_TOL:
         raise IdenticalCircles("great circles coincide")
     p = UnitVector3(u.x / n, u.y / n, u.z / n)
     return p, -p
@@ -298,7 +291,7 @@ def recover_sphere_rotation(
     yp: Vec3,
     *,
     method: str = "algebraic",
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> Rotation3:
     """Recover the rotation mapping x to xp and y to yp.
 
@@ -310,7 +303,7 @@ def recover_sphere_rotation(
     point pairs to within tol.
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
-    if (x - xp).norm() <= _COINCIDENT_TOL and (y - yp).norm() <= _COINCIDENT_TOL:
+    if (x - xp).norm() <= COINCIDENT_RTOL and (y - yp).norm() <= COINCIDENT_RTOL:
         raise IdentityCorrespondence("both points are fixed; the map is the identity")
     if method == "algebraic":
         try:
@@ -374,11 +367,11 @@ def _axis_angle_from_eig(rm: RotationMatrix3, eig: Eig3Result | None) -> Rotatio
         (r[1][0] - r[0][1]) / 2.0,
     )
     sn = skew.norm()
-    if abs(sn - math.sin(angle)) > 1e-9:
+    if abs(sn - math.sin(angle)) > SKEW_CHECK_TOL:
         raise InternalCheckError(
             f"skew magnitude {sn:.12g} disagrees with sin(angle) {math.sin(angle):.12g}"
         )
     axis = eig.axis
-    if sn > 1e-12 and axis.dot(skew) < 0.0:
+    if sn > SKEW_TOL and axis.dot(skew) < 0.0:
         axis = -axis
     return Rotation3(UnitVector3(axis.x, axis.y, axis.z), angle)

@@ -646,3 +646,62 @@ def test_a_fixed_point_still_wins_over_a_short_chord():
     out = run(inst, method="geometric").to_dict()
     assert out["result"]["axis"] == [0.0, 0.0, 1.0]
     assert out["result"]["angle"] == pytest.approx(t, rel=1e-6)
+
+
+_HUGE_PLANE = {
+    # overflows the geometric route's midpoints and the algebraic determinant
+    "1e308": {"X": [1e308, 1e307], "Y": [0.9e308, 0.0],
+              "Xp": [1.5e308, -1e307], "Yp": [1.6e308, 0.0]},
+    # a quarter turn whose pivot comes out infinite
+    "1e154": {"X": [1e154, 0.0], "Y": [0.0, 1e154], "Xp": [0.0, 1e154], "Yp": [-1e154, 0.0]},
+}
+
+
+@pytest.mark.parametrize("method", ["algebraic", "geometric", "both"])
+@pytest.mark.parametrize("scale", sorted(_HUGE_PLANE))
+def test_plane_coordinates_beyond_1e150_exit_3(tmp_path, capsys, scale, method):
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps({"kind": "plane_recover", **_HUGE_PLANE[scale]}))
+    assert main(["plane-recover", "--input", str(p), "--method", method]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "ValidationError"
+    assert "1e+150" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("method", ["algebraic", "geometric", "both"])
+def test_plane_coordinates_at_1e150_still_solve(tmp_path, capsys, method):
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps({
+        "kind": "plane_recover", "X": [1e150, 0.0], "Y": [0.0, 1e150],
+        "Xp": [0.0, 1e150], "Yp": [-1e150, 0.0],
+    }))
+    assert main(["plane-recover", "--input", str(p), "--method", method]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["type"] == "rotation"
+    assert result["angle"] == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+# The two routes land about 3.6e-15 apart on this quarter turn.
+_DISAGREEING_ROUTES = {
+    "kind": "plane_recover", "X": [7, 10], "Y": [33, -2],
+    "Xp": [-11.174170620902519, 0.05136235638721676],
+    "Yp": [0.8258293790974802, 26.051362356387216],
+}
+
+
+def test_route_disagreement_beyond_the_tolerance_is_reported():
+    record = run(instance_from_obj(_DISAGREEING_ROUTES), tolerance=1e-15)
+    assert record.discrepancy > 1e-15
+    assert any("disagree" in d for d in record.diagnostics)
+    assert record.result["type"] == record.result_geometric["type"] == "rotation"
+
+
+def test_route_disagreement_is_a_warning_not_a_failure(tmp_path, capsys):
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps(_DISAGREEING_ROUTES))
+    assert main(["plane-recover", "--input", str(p), "--tolerance", "1e-15"]) == 0
+    captured = capsys.readouterr()
+    assert any(line.startswith("warning:") and "disagree" in line
+               for line in captured.err.splitlines())
+    out = json.loads(captured.out)
+    assert "result" in out and "result_geometric" in out

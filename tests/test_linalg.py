@@ -1,11 +1,14 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import isometry_lab
 from helpers import rand_rotation3
 from isometry_lab import (
     IdentityRotation,
@@ -13,12 +16,18 @@ from isometry_lab import (
     Mat3,
     NotARotation,
     Rotation3,
+    Segment2,
     SingularMatrix,
     UnitVector3,
     Vec2,
     Vec3,
     cross,
     eig3_rotation,
+    recover_axis_cross,
+    recover_axis_geometric,
+    recover_planar,
+    recover_planar_geometric,
+    recover_sphere_rotation,
     rotation_matrix,
     solve2,
     wrap_angle,
@@ -213,3 +222,53 @@ def _rot_z(theta):
 
 def _rot_y(theta):
     return Rotation3(UnitVector3(0, 1, 0), theta)
+
+
+def _stray_small_floats(path: Path):
+    """(line, value) of every float literal 0 < |v| < 1e-3 in the module at
+    `path`, leaving out linalg's threshold table: its module-level
+    assignments to upper-case names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    if path.name == "linalg.py":
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name) and node.targets[0].id.isupper()):
+                allowed.update(id(n) for n in ast.walk(node))
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0.0 < abs(node.value) < 1e-3 and id(node) not in allowed
+    ]
+
+
+def test_every_small_float_threshold_lives_in_the_linalg_table():
+    src = Path(isometry_lab.__file__).parent
+    stray = {
+        path.name: found
+        for path in sorted(src.glob("*.py"))
+        if (found := _stray_small_floats(path))
+    }
+    assert stray == {}
+
+
+# Segments of lengths 1 and 2; arcs of pi/2 and 0.927 (x fixed): no isometry exists.
+_PLANE_ARGS = (Segment2(Vec2(0, 0), Vec2(1, 0)), Segment2(Vec2(0, 0), Vec2(2, 0)))
+_SPHERE_ARGS = (
+    UnitVector3(1, 0, 0), UnitVector3(1, 0, 0), UnitVector3(0, 1, 0), UnitVector3(0.6, 0.8, 0)
+)
+_SOLVERS = [
+    (recover_planar, _PLANE_ARGS),
+    (recover_planar_geometric, _PLANE_ARGS),
+    (recover_axis_cross, _SPHERE_ARGS),
+    (recover_axis_geometric, _SPHERE_ARGS),
+    (recover_sphere_rotation, _SPHERE_ARGS),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize("solver, args", _SOLVERS, ids=[f.__name__ for f, _ in _SOLVERS])
+def test_solvers_reject_a_bad_tolerance(solver, args, value):
+    with pytest.raises(ValueError, match="tolerance"):
+        solver(*args, tol=value)
