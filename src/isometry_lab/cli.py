@@ -38,8 +38,8 @@ from .figures import (
     sphere_compose_figure,
     sphere_recovery_figure,
 )
-from .linalg import ANGLE_MIN, ARCSIN_NOTE_TOL, DEFAULT_TOL, MAX_COORD
-from .linalg import Vec2, Vec3, check_tol, eig3_rotation, wrap_angle
+from .linalg import ANGLE_MIN, ARCSIN_NOTE_TOL, DEFAULT_TOL
+from .linalg import Vec2, Vec3, check_coords, check_tol, eig3_rotation, wrap_angle
 from .planar import (
     Identity2,
     Rotation2,
@@ -140,10 +140,12 @@ def _coords(name: str, value, dim: int) -> list[float]:
 
 
 def _vec2(name: str, value) -> Vec2:
-    x, y = _coords(name, value, 2)
-    if max(abs(x), abs(y)) > MAX_COORD:
-        raise ValidationError(f"field {name!r}: coordinates beyond {MAX_COORD:g} are not accepted")
-    return Vec2(x, y)
+    v = Vec2(*_coords(name, value, 2))
+    try:
+        check_coords(v)
+    except ValueError as exc:
+        raise ValidationError(f"field {name!r}: {exc}") from None
+    return v
 
 
 def _unit3(name: str, value) -> UnitVector3:
@@ -283,18 +285,18 @@ def _run_plane_compose(payload, method, tol):
     inner = Rotation2(h, payload["beta"])
     cancelled = abs(wrap_angle(payload["alpha"] + payload["beta"])) < ANGLE_MIN
 
-    probe = Segment2(*_PLANE_PROBE)
-    mid = Segment2(apply_planar(inner, probe.a), apply_planar(inner, probe.b))
-    final = Segment2(apply_planar(outer, mid.a), apply_planar(outer, mid.b))
+    # plain points: as a Segment2, images far from the origin can fail the coincidence cut
+    mid = tuple(apply_planar(inner, p) for p in _PLANE_PROBE)
+    final = tuple(apply_planar(outer, p) for p in mid)
     pivots = [(p, apply_planar(outer, apply_planar(inner, p))) for p in (g, h)]
     record, primary = _solve_both_ways(
         method, tol,
         lambda: compose_rotations_planar(outer, inner),
-        lambda: recover_planar_geometric(probe, final, tol=tol),
-        (*pivots, (probe.a, final.a), (probe.b, final.b)), apply_planar, _planar_iso_dict,
+        lambda: recover_planar_geometric(Segment2(*_PLANE_PROBE), Segment2(*final), tol=tol),
+        (*pivots, *zip(_PLANE_PROBE, final)), apply_planar, _planar_iso_dict,
         lambda _: [_NOTE_CANCELLED_ANGLES] if cancelled else [],
     )
-    return record, lambda: planar_compose_figure(g, h, primary, probe, mid, final)
+    return record, lambda: planar_compose_figure(g, h, primary, _PLANE_PROBE, mid, final)
 
 
 def _run_plane_reflections(payload, method, tol):
@@ -323,17 +325,8 @@ def _run_plane_reflections(payload, method, tol):
 
 
 def _run_sphere_recover(payload, method, tol):
-    """Shared by sphere_recover and baseball. The segments must have the
-    same angular length; a mismatch raises LengthMismatch."""
-    before: SphereSegment = payload["before"]
-    after: SphereSegment = payload["after"]
-    dl = abs(before.length() - after.length())
-    if dl > tol:
-        raise LengthMismatch(
-            f"marked segments have angular lengths {before.length():.9g} and "
-            f"{after.length():.9g}; a rigid motion cannot change them "
-            f"(difference {dl:.3g} > tolerance {tol:g})"
-        )
+    """Shared by sphere_recover and baseball."""
+    before, after = payload["before"], payload["after"]
     x, y, xp, yp = before.a, before.b, after.a, after.b
 
     def route(name):

@@ -18,11 +18,6 @@ class IdentityRotation(GeometryError):
     is an eigenvector and no single axis can be reported."""
 
 
-class LengthMismatch(GeometryError):
-    """Corresponding segments have different lengths, so no isometry maps
-    one onto the other."""
-
-
 class DegenerateSegment(GeometryError):
     """A segment's endpoints coincide."""
 
@@ -50,6 +45,11 @@ class DegenerateAxis(GeometryError):
 
 class NotIsometric(GeometryError):
     """The point correspondence does not preserve distances."""
+
+
+class LengthMismatch(NotIsometric):
+    """Corresponding segments have different lengths, so no isometry maps
+    one onto the other."""
 
 
 class PointOnAxis(GeometryError):

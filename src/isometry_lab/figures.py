@@ -2,20 +2,19 @@
 
 A FigureSpec is a flat list of geometric elements plus a projection mode.
 Planar scenes map world coordinates straight to pixels (y up). Sphere
-scenes are projected orthographically along a view direction; elements on
-the far hemisphere are drawn dashed. Rendering is deterministic: the same
+scenes are projected orthographically along the z axis; elements on the
+far hemisphere (z < 0) are drawn dashed. Rendering is deterministic: the same
 spec always yields the same bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AntipodalPoints, CoincidentPoints
-from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, FIGURE_MOVED_TOL
-from .linalg import Vec2, Vec3, cross
-from .planar import Line2, Rotation2, perpendicular_bisector
+from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, Vec2, Vec3, cross
+from .planar import Line2, Rotation2, _fixed_endpoints, perpendicular_bisector
 from .spherical import UnitVector3, bisector_great_circle
 
 _STROKES = {
@@ -85,7 +84,6 @@ class FigureSpec:
     elements: tuple[FigureElement, ...]
     width: int = 480
     height: int = 480
-    view: Vec3 = field(default_factory=lambda: Vec3(0.0, 0.0, 1.0))
 
     def __post_init__(self):
         if self.projection not in ("planar", "orthographic_sphere"):
@@ -162,13 +160,6 @@ class _PlanarMapper:
         if tmin >= tmax or not math.isfinite(tmin) or not math.isfinite(tmax):
             return None
         return p + d * tmin, p + d * tmax
-
-
-def _sphere_basis(view: Vec3) -> tuple[Vec3, Vec3, Vec3]:
-    w = view.normalized()
-    ref = Vec3(0.0, 0.0, 1.0) if abs(w.z) < 0.9 else Vec3(1.0, 0.0, 0.0)
-    u = cross(ref, w).normalized()
-    return u, cross(w, u), w
 
 
 def _polyline(points: list[tuple[float, float]], stroke: str, cls: str) -> str:
@@ -266,19 +257,16 @@ def _render_planar(spec: FigureSpec) -> list[str]:
 
 
 _CIRCLE_SAMPLES = 96
+_ARC_SAMPLES = 32
 
 
 def _render_sphere(spec: FigureSpec) -> list[str]:
-    u, v, w = _sphere_basis(spec.view)
     half = 1.18
     scale = min(spec.width, spec.height) / (2.0 * half)
 
     def to_px(p: Vec3) -> tuple[float, float, float]:
-        return (
-            spec.width / 2.0 + p.dot(u) * scale,
-            spec.height / 2.0 - p.dot(v) * scale,
-            p.dot(w),
-        )
+        # seen from +z: +x points up the page and +y to the left
+        return spec.width / 2.0 - p.y * scale, spec.height / 2.0 - p.x * scale, p.z
 
     out: list[str] = [
         f'<circle class="sphere-outline" cx="{_fmt(spec.width / 2)}" '
@@ -330,7 +318,7 @@ def _render_sphere(spec: FigureSpec) -> list[str]:
     return out
 
 
-def _geodesic_samples(a: Vec3, b: Vec3, n: int = 32) -> list[Vec3]:
+def _geodesic_samples(a: Vec3, b: Vec3) -> list[Vec3]:
     a = a.normalized()
     b = b.normalized()
     omega = math.acos(max(-1.0, min(1.0, a.dot(b))))
@@ -339,7 +327,7 @@ def _geodesic_samples(a: Vec3, b: Vec3, n: int = 32) -> list[Vec3]:
     so = math.sin(omega)
     return [
         (a * math.sin((1.0 - t) * omega) + b * math.sin(t * omega)) * (1.0 / so)
-        for t in (k / n for k in range(n + 1))
+        for t in (k / _ARC_SAMPLES for k in range(_ARC_SAMPLES + 1))
     ]
 
 
@@ -354,8 +342,9 @@ def planar_recovery_figure(src, dst, iso) -> FigureSpec:
         Marker(dst.b, "Y'"),
     ]
     if isinstance(iso, Rotation2):
-        for a, b in ((src.a, dst.a), (src.b, dst.b)):
-            if (b - a).norm() > FIGURE_MOVED_TOL:
+        fixed_a, fixed_b = _fixed_endpoints(src, dst)
+        for a, b, fixed in ((src.a, dst.a, fixed_a), (src.b, dst.b, fixed_b)):
+            if not fixed:
                 elements.append(LineElement(perpendicular_bisector(a, b)))
         elements.append(Marker(iso.pivot, "P", style="pivot"))
     else:
@@ -365,13 +354,14 @@ def planar_recovery_figure(src, dst, iso) -> FigureSpec:
 
 
 def planar_compose_figure(g: Vec2, h: Vec2, iso, probe, mid, final) -> FigureSpec:
-    """Pivots of both factors, a probe segment, and its two images."""
+    """Pivots of both factors, a probe segment, and its two images; each
+    segment is given as its pair of endpoints."""
     elements: list[FigureElement] = [
         Marker(g, "G"),
         Marker(h, "H"),
-        SegmentElement(probe.a, probe.b, label="XY"),
-        SegmentElement(mid.a, mid.b, style="faint", label="X'Y'"),
-        SegmentElement(final.a, final.b, label="X''Y''"),
+        SegmentElement(*probe, label="XY"),
+        SegmentElement(*mid, style="faint", label="X'Y'"),
+        SegmentElement(*final, label="X''Y''"),
     ]
     if isinstance(iso, Rotation2):
         elements.append(Marker(iso.pivot, "P", style="pivot"))

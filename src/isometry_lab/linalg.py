@@ -31,14 +31,12 @@ UNIT_TOL = 1e-6  # sphere vectors this close to unit length are renormalized
 SPHERE_CHORD_MIN = 1e-9  # |a - b| and |a + b| above this give a great circle
 PARALLEL_TOL = 1e-12  # a shorter cross product makes unit-scale factors parallel
 ON_AXIS_TOL = 1e-9  # a point this close to a rotation axis has no turn angle
-ROTATION_TOL = 1e-8  # orthogonality and determinant slack of eig3_rotation
-ROTATION_MATRIX_TOL = 1e-9  # the same slack for RotationMatrix3
+ROTATION_TOL = 1e-9  # orthogonality and determinant slack of a rotation matrix
 IDENTITY_TOL = 1e-9  # max |M - I| below this is the identity: no single axis
 AXIS_SIGN_TOL = 1e-9  # the first axis component above this is made positive
 SKEW_TOL = 1e-12  # a shorter skew part (sin of the angle) gives no turn direction
 SKEW_CHECK_TOL = 1e-9  # the skew part's length must match sin(angle) this closely
 ARCSIN_NOTE_TOL = 1e-9  # a chord-arcsin angle off by more gets a note
-FIGURE_MOVED_TOL = 1e-12  # absolute: a figure draws an endpoint's bisector past this
 FIGURE_MIN_SPAN = 1e-6  # least span of a planar figure's window
 FIGURE_CLIP_TOL = 1e-15  # a direction component below this is parallel to a window edge
 FIGURE_MIN_ARC = 1e-9  # a shorter geodesic arc (rad) is drawn as its endpoints
@@ -49,6 +47,13 @@ def check_tol(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
     return tol
+
+
+def check_coords(*points: "Vec2") -> None:
+    """Raise ValueError if a plane point has a coordinate beyond MAX_COORD."""
+    for p in points:
+        if abs(p.x) > MAX_COORD or abs(p.y) > MAX_COORD:
+            raise ValueError(f"coordinates beyond {MAX_COORD:g} are not accepted")
 
 
 def wrap_angle(theta: float) -> float:
@@ -272,13 +277,13 @@ def _identity_gap(m: Mat3) -> float:
                abs(g), abs(h), abs(i - 1.0))
 
 
-def require_rotation(m: Mat3, tol: float = ROTATION_TOL) -> None:
+def require_rotation(m: Mat3) -> None:
     """Raise NotARotation unless m is orthogonal with determinant +1."""
     dev = _identity_gap(m.transpose() @ m)
-    if dev > tol:
+    if dev > ROTATION_TOL:
         raise NotARotation(f"matrix is not orthogonal (max |MtM - I| = {dev:.3g})")
     det = m.det()
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > ROTATION_TOL:
         raise NotARotation(f"matrix determinant {det:.9g} is not +1")
 
 

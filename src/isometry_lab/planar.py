@@ -21,7 +21,7 @@ from .errors import (
     ZeroAngle,
 )
 from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, PIVOT_ARM_RTOL, SAME_LINE_RTOL
-from .linalg import Mat2, Vec2, check_tol, cross2, solve2, wrap_angle
+from .linalg import Mat2, Vec2, check_coords, check_tol, cross2, solve2, wrap_angle
 
 
 def _finite2(v: Vec2) -> bool:
@@ -179,6 +179,7 @@ def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) ->
 
 def _check_lengths(src: Segment2, dst: Segment2, tol: float) -> None:
     check_tol(tol)
+    check_coords(src.a, src.b, dst.a, dst.b)
     ls, ld = src.length(), dst.length()
     if abs(ls - ld) > tol * max(ls, ld):
         raise LengthMismatch(
@@ -208,6 +209,12 @@ def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) ->
     )
 
 
+def _fixed_endpoints(src: Segment2, dst: Segment2) -> tuple[bool, bool]:
+    """Whether src.a and src.b stay put, to COINCIDENT_RTOL scaled to the four points."""
+    cut = COINCIDENT_RTOL * _point_scale(src.a, src.b, dst.a, dst.b)
+    return (dst.a - src.a).norm() <= cut, (dst.b - src.b).norm() <= cut
+
+
 def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     """Pivot of the rotation taking src onto dst, by construction.
 
@@ -220,9 +227,7 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     instead; genuinely parallel bisectors mean a translation and raise
     ParallelBisectors.
     """
-    scale = _point_scale(src.a, src.b, dst.a, dst.b)
-    fixed_a = (dst.a - src.a).norm() <= COINCIDENT_RTOL * scale
-    fixed_b = (dst.b - src.b).norm() <= COINCIDENT_RTOL * scale
+    fixed_a, fixed_b = _fixed_endpoints(src, dst)
     if fixed_a and fixed_b:
         raise DegenerateBisector("both endpoints are fixed; any point is a candidate pivot")
     if fixed_a:
@@ -235,7 +240,7 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     point = _intersect_lines(la, lb)
     if point is None:
         offset = abs(cross2(la.direction, lb.point - la.point))
-        if offset <= SAME_LINE_RTOL * scale:
+        if offset <= SAME_LINE_RTOL * _point_scale(src.a, src.b, dst.a, dst.b):
             alg = recover_planar(src, dst)
             if isinstance(alg, Rotation2):
                 return alg.pivot

@@ -22,14 +22,15 @@ from .errors import (
     IdentityCorrespondence,
     IdentityRotation,
     InternalCheckError,
+    LengthMismatch,
     NonUnitVector,
     NotIsometric,
     PointOnAxis,
 )
 from .linalg import (
-    COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL, ROTATION_MATRIX_TOL, SKEW_CHECK_TOL,
-    SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Eig3Result, Mat3, Vec3, check_tol, clamp, cross,
-    eig3_rotation, require_rotation, wrap_angle,
+    COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL, SKEW_CHECK_TOL, SKEW_TOL,
+    SPHERE_CHORD_MIN, UNIT_TOL, Eig3Result, Mat3, Vec3, check_tol, clamp, cross, eig3_rotation,
+    require_rotation, wrap_angle,
 )
 
 
@@ -87,7 +88,7 @@ class RotationMatrix3:
     m: Mat3
 
     def __post_init__(self):
-        require_rotation(self.m, ROTATION_MATRIX_TOL)
+        require_rotation(self.m)
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,12 @@ class SphereSegment:
 
 
 def angular_distance(p: Vec3, q: Vec3) -> float:
-    """Great-circle distance between two unit vectors, in [0, pi]."""
-    return math.acos(clamp(p.dot(q), -1.0, 1.0))
+    """Great-circle distance between two unit vectors, in [0, pi], as
+    atan2(|p x q|, p . q): unlike acos(p . q), accurate on short arcs (W. Kahan, 2006)."""
+    px, py, pz = p.x, p.y, p.z
+    qx, qy, qz = q.x, q.y, q.z
+    cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+    return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), px * qx + py * qy + pz * qz)
 
 
 def rotation_matrix(rot: Rotation3) -> RotationMatrix3:
@@ -167,10 +172,11 @@ def _require_isometric(x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, tol: float) -> None
     check_tol(tol)
     before = angular_distance(x, y)
     after = angular_distance(xp, yp)
-    if abs(before - after) > tol:
-        raise NotIsometric(
-            f"angular distances differ: {before:.12g} vs {after:.12g}; "
-            "the correspondence preserves no isometry"
+    dl = abs(before - after)
+    if dl > tol:
+        raise LengthMismatch(
+            f"marked segments have angular lengths {before:.9g} and {after:.9g}; "
+            f"a rigid motion cannot change them (difference {dl:.3g} > tolerance {tol:g})"
         )
 
 
@@ -300,11 +306,10 @@ def recover_sphere_rotation(
     point is fixed or the chords degenerate), "geometric" intersects the
     bisector great circles. The angle then comes from the signed
     projection about the axis, and the result is verified against both
-    point pairs to within tol.
+    point pairs to within tol. Either construction raises LengthMismatch
+    for arcs of unequal length and IdentityCorrespondence for two fixed points.
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
-    if (x - xp).norm() <= COINCIDENT_RTOL and (y - yp).norm() <= COINCIDENT_RTOL:
-        raise IdentityCorrespondence("both points are fixed; the map is the identity")
     if method == "algebraic":
         try:
             axis = recover_axis_cross(x, xp, y, yp, tol=tol)

@@ -10,11 +10,14 @@ from isometry_lab import (
     ParseError,
     Rotation2,
     SchemaError,
+    Segment2,
     SphereSegment,
     UnitVector3,
     ValidationError,
     Vec2,
     apply_planar,
+    recover_planar,
+    recover_planar_geometric,
 )
 from isometry_lab.cli import (
     ProblemInstance,
@@ -349,6 +352,22 @@ class TestExitCodes:
         assert code == 4
         assert out["error"]["type"] == "DegenerateAxis"
 
+    def test_batch_item_that_is_not_an_object_is_2(self, tmp_path, capsys):
+        code = main(["plane-compose", "--input", self._write(tmp_path, [P2_OBJ, 5])])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out[0]["result"]["type"] == "rotation"
+        assert out[1]["error"] == {
+            "type": "SchemaError", "message": "an instance must be a JSON object",
+        }
+
+    def test_unreadable_input_is_2(self, tmp_path, capsys):
+        code = main(["plane-compose", "--input", str(tmp_path / "missing.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["type"] == "ParseError"
+        assert captured.err.startswith("error: cannot read")
+
     def test_exit_code_mapping_for_internal_check(self):
         from isometry_lab import InternalCheckError
 
@@ -679,6 +698,29 @@ def test_plane_coordinates_at_1e150_still_solve(tmp_path, capsys, method):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["type"] == "rotation"
     assert result["angle"] == pytest.approx(math.pi / 2, abs=1e-9)
+
+
+def _segments(points: dict) -> tuple[Segment2, Segment2]:
+    p = {name: Vec2(*xy) for name, xy in points.items()}
+    return Segment2(p["X"], p["Y"]), Segment2(p["Xp"], p["Yp"])
+
+
+@pytest.mark.parametrize("solver", [recover_planar, recover_planar_geometric])
+@pytest.mark.parametrize("scale", sorted(_HUGE_PLANE))
+def test_plane_solvers_reject_coordinates_beyond_1e150(solver, scale):
+    with pytest.raises(ValueError, match=r"coordinates beyond 1e\+150"):
+        solver(*_segments(_HUGE_PLANE[scale]))
+
+
+def test_plane_compose_with_far_pivots_solves_algebraically():
+    # the probe's images are 1e13 from the origin, so as a segment they
+    # would fall within the relative coincidence cut
+    inst = instance_from_obj({
+        "kind": "plane_compose", "G": [1e13, 0.0], "alpha": 1.0, "H": [0.0, 1e13], "beta": 0.5,
+    })
+    result = run(inst, method="algebraic").result
+    assert result["type"] == "rotation"
+    assert result["angle"] == pytest.approx(1.5, abs=1e-12)
 
 
 # The two routes land about 3.6e-15 apart on this quarter turn.

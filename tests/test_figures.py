@@ -3,7 +3,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from isometry_lab import Line2, Rotation2, Rotation3, Segment2, UnitVector3, Vec2, Vec3
+from isometry_lab import (
+    Line2, Rotation2, Rotation3, Segment2, UnitVector3, Vec2, Vec3, recover_pivot_geometric,
+)
 from isometry_lab.figures import (
     FigureSpec,
     GreatCircleElement,
@@ -129,6 +131,14 @@ class TestFigureBuilders:
         assert kinds.count("LineElement") == 2
         assert kinds.count("Marker") == 5  # four endpoints + pivot
         render_svg(fig)
+
+    def test_planar_recovery_figure_draws_no_bisector_for_a_fixed_endpoint(self):
+        # X moves 1e-9: past 1e-12, but within the cut scaled to |X| = 1e6
+        src = Segment2(Vec2(1e6, 0), Vec2(1e6 + 1, 0))
+        dst = Segment2(Vec2(1e6, 1e-9), Vec2(1e6, 1))
+        assert recover_pivot_geometric(src, dst) == src.a
+        fig = planar_recovery_figure(src, dst, Rotation2(src.a, math.pi / 2))
+        assert [type(el) for el in fig.elements].count(LineElement) == 1
 
     def test_reflection_pair_figure(self):
         rot = Rotation2(Vec2(2, 5), math.pi / 2)

@@ -224,17 +224,23 @@ def _rot_y(theta):
     return Rotation3(UnitVector3(0, 1, 0), theta)
 
 
+def _threshold_table(tree: ast.Module) -> list[ast.Assign]:
+    """linalg's threshold table: its module-level assignments to upper-case names."""
+    return [
+        node for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and node.targets[0].id.isupper()
+    ]
+
+
 def _stray_small_floats(path: Path):
     """(line, value) of every float literal 0 < |v| < 1e-3 in the module at
-    `path`, leaving out linalg's threshold table: its module-level
-    assignments to upper-case names."""
+    `path`, leaving out linalg's threshold table."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     allowed = set()
     if path.name == "linalg.py":
-        for node in tree.body:
-            if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name) and node.targets[0].id.isupper()):
-                allowed.update(id(n) for n in ast.walk(node))
+        for node in _threshold_table(tree):
+            allowed.update(id(n) for n in ast.walk(node))
     return [
         (node.lineno, node.value)
         for node in ast.walk(tree)
@@ -251,6 +257,19 @@ def test_every_small_float_threshold_lives_in_the_linalg_table():
         if (found := _stray_small_floats(path))
     }
     assert stray == {}
+
+
+def test_every_name_in_the_linalg_table_is_read_somewhere():
+    # a decision deleted from the code must not leave its threshold behind
+    src = Path(isometry_lab.__file__).parent
+    table = _threshold_table(ast.parse((src / "linalg.py").read_text(encoding="utf-8")))
+    read = {
+        node.id
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(node.targets[0].id for node in table if node.targets[0].id not in read) == []
 
 
 # Segments of lengths 1 and 2; arcs of pi/2 and 0.927 (x fixed): no isometry exists.

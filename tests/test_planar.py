@@ -210,6 +210,11 @@ class TestRecoverPivotGeometric:
         dst = Segment2(apply_planar(rot, src.a), apply_planar(rot, src.b))
         assert _close(recover_pivot_geometric(src, dst), Vec2(1, 0), 1e-12)
 
+    def test_fixed_second_endpoint_is_the_pivot(self):
+        src = Segment2(Vec2(3, 0), Vec2(1, 0))
+        dst = Segment2(Vec2(1, 2), Vec2(1, 0))
+        assert recover_pivot_geometric(src, dst) == Vec2(1, 0)
+
     def test_fully_fixed_correspondence_raises(self):
         seg = Segment2(Vec2(0, 0), Vec2(1, 0))
         with pytest.raises(DegenerateBisector):

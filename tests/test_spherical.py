@@ -11,6 +11,7 @@ from isometry_lab import (
     GreatCircle,
     IdenticalCircles,
     IdentityCorrespondence,
+    LengthMismatch,
     Mat3,
     NonUnitVector,
     NotARotation,
@@ -148,6 +149,13 @@ class TestApplySphere:
             d0 = angular_distance(p, q)
             d1 = angular_distance(apply_sphere(r, p), apply_sphere(r, q))
             assert abs(d0 - d1) <= 1e-9
+
+    @pytest.mark.parametrize("t", [1e-7, 1e-8])
+    def test_short_arcs_keep_their_length(self, t):
+        # acos(p . q) reads the 1e-7 arc 0.04 % short and the 1e-8 arc as 0
+        for p, q in ((X, UnitVector3(math.cos(t), math.sin(t), 0.0)),
+                     (Z, UnitVector3(0.0, math.sin(t), math.cos(t)))):
+            assert angular_distance(p, q) == pytest.approx(t, rel=1e-12)
 
     def test_matches_matrix_action(self):
         rng = random.Random(17)
@@ -351,6 +359,27 @@ class TestRecoverSphereRotation:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             recover_sphere_rotation(X, Y, Y, X, method="guess")
+
+    def test_residual_check_rejects_what_the_length_check_passes(self):
+        # the lengths agree to the last bit; the recovered rotation carries
+        # rounding a 1e-17 tolerance does not forgive
+        rot = Rotation3(UnitVector3.from_vec(Vec3(1.0, 2.0, 1.0).normalized()), 0.1)
+        xp, yp = apply_sphere(rot, X), apply_sphere(rot, Y)
+        assert angular_distance(X, Y) == angular_distance(xp, yp)
+        for method in ("algebraic", "geometric"):
+            with pytest.raises(NotIsometric, match="no single rotation") as info:
+                recover_sphere_rotation(X, xp, Y, yp, method=method, tol=1e-17)
+            assert not isinstance(info.value, LengthMismatch)
+
+
+@pytest.mark.parametrize(
+    "solver", [recover_axis_cross, recover_axis_geometric, recover_sphere_rotation]
+)
+def test_unequal_angular_lengths_raise_length_mismatch(solver):
+    # X stays put while Y's arc from it shrinks from pi/2 to 0.927
+    assert issubclass(LengthMismatch, NotIsometric)
+    with pytest.raises(LengthMismatch, match="angular lengths 1.57079633 and 0.927295218"):
+        solver(X, X, Y, UnitVector3(0.6, 0.8, 0.0))
 
 
 class TestComposeSphereRotations:
