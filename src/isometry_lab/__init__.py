@@ -1,166 +1,20 @@
 """Recover, compose, and decompose orientation-preserving isometries of
 the Euclidean plane and the unit 2-sphere, with matching algebraic and
-geometric solution routes that can cross-check each other."""
+geometric solution routes that can cross-check each other.
 
-from .errors import (
-    AntipodalPoints,
-    CoincidentPoints,
-    DegenerateAxis,
-    DegenerateBisector,
-    DegenerateSegment,
-    GeometryError,
-    IdenticalCircles,
-    IdentityCorrespondence,
-    IdentityRotation,
-    InternalCheckError,
-    LengthMismatch,
-    NonUnitVector,
-    NotARotation,
-    NotIsometric,
-    ParallelBisectors,
-    ParseError,
-    PointOnAxis,
-    SchemaError,
-    SingularMatrix,
-    ValidationError,
-    ZeroAngle,
-)
-from .cli import (
-    ProblemInstance,
-    SolutionRecord,
-    parse_instance,
-    run,
-    run_baseball,
-)
-from .figures import FigureSpec, render_svg
-from .linalg import (
-    Eig3Result,
-    Mat2,
-    Mat3,
-    Vec2,
-    Vec3,
-    cross,
-    cross2,
-    eig3_rotation,
-    solve2,
-    wrap_angle,
-)
-from .planar import (
-    Identity2,
-    Line2,
-    PlanarIsometry,
-    Reflection2,
-    Rotation2,
-    Segment2,
-    Translation2,
-    apply_planar,
-    compose_planar,
-    compose_reflections,
-    compose_rotations_planar,
-    orientation_sign,
-    perpendicular_bisector,
-    recover_pivot_geometric,
-    recover_planar,
-    recover_planar_geometric,
-    reflect,
-    reflections_for_rotation,
-    signed_angle,
-)
-from .spherical import (
-    GreatCircle,
-    Rotation3,
-    RotationMatrix3,
-    SphereSegment,
-    UnitVector3,
-    angular_distance,
-    apply_sphere,
-    axis_angle_from_matrix,
-    bisector_great_circle,
-    chord_arcsin_angle,
-    compose_sphere_rotations,
-    intersect_great_circles,
-    recover_axis_cross,
-    recover_axis_geometric,
-    recover_sphere_rotation,
-    rotation_angle_about_axis,
-    rotation_matrix,
-)
+Each module declares its public names in its own `__all__`; the package
+re-exports all of them."""
+
+from . import cli, errors, figures, linalg, planar, spherical
+from .cli import *
+from .errors import *
+from .figures import *
+from .linalg import *
+from .planar import *
+from .spherical import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntipodalPoints",
-    "CoincidentPoints",
-    "DegenerateAxis",
-    "DegenerateBisector",
-    "DegenerateSegment",
-    "Eig3Result",
-    "FigureSpec",
-    "GeometryError",
-    "GreatCircle",
-    "IdenticalCircles",
-    "Identity2",
-    "IdentityCorrespondence",
-    "IdentityRotation",
-    "InternalCheckError",
-    "LengthMismatch",
-    "Line2",
-    "Mat2",
-    "Mat3",
-    "NonUnitVector",
-    "NotARotation",
-    "NotIsometric",
-    "ParallelBisectors",
-    "ParseError",
-    "PlanarIsometry",
-    "PointOnAxis",
-    "ProblemInstance",
-    "Reflection2",
-    "Rotation2",
-    "Rotation3",
-    "RotationMatrix3",
-    "SchemaError",
-    "Segment2",
-    "SingularMatrix",
-    "SolutionRecord",
-    "SphereSegment",
-    "Translation2",
-    "UnitVector3",
-    "ValidationError",
-    "Vec2",
-    "Vec3",
-    "ZeroAngle",
-    "angular_distance",
-    "apply_planar",
-    "apply_sphere",
-    "axis_angle_from_matrix",
-    "bisector_great_circle",
-    "chord_arcsin_angle",
-    "compose_planar",
-    "compose_reflections",
-    "compose_rotations_planar",
-    "compose_sphere_rotations",
-    "cross",
-    "cross2",
-    "eig3_rotation",
-    "intersect_great_circles",
-    "orientation_sign",
-    "parse_instance",
-    "perpendicular_bisector",
-    "recover_axis_cross",
-    "recover_axis_geometric",
-    "recover_pivot_geometric",
-    "recover_planar",
-    "recover_planar_geometric",
-    "recover_sphere_rotation",
-    "reflect",
-    "reflections_for_rotation",
-    "render_svg",
-    "rotation_angle_about_axis",
-    "rotation_matrix",
-    "run",
-    "run_baseball",
-    "signed_angle",
-    "solve2",
-    "wrap_angle",
-]
+__all__ = sorted(
+    name for module in (cli, errors, figures, linalg, planar, spherical) for name in module.__all__
+)

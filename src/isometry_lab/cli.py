@@ -2,8 +2,9 @@
 
 Problem instances are JSON objects (or a JSON array of them); results go
 to standard output as a single JSON document and warnings to standard
-error. Exit codes: 0 success, 2 parse or schema problem, 3 inadmissible
-values, 4 solver degeneracy, 5 internal consistency failure.
+error. Exit codes: 0 success, 2 parse or schema problem or a file that
+cannot be read or written, 3 inadmissible values, 4 solver degeneracy,
+5 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ from .spherical import (
     rotation_matrix,
 )
 
+__all__ = ["ProblemInstance", "SolutionRecord", "parse_instance", "run", "run_baseball"]
+
 _NOTE_CANCELLED_ANGLES = (
     "angle sum is 0 mod 2pi: the composite is the translation by "
     "(I - R_alpha)(G - H); the shortcut G + H is not a valid translation vector"
@@ -120,14 +123,17 @@ def _loads(text: bytes | str):
             raise ParseError(f"input is not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
         raise ParseError(f"input is not valid JSON: {exc}") from exc
 
 
 def _num(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"field {name!r} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ValidationError(f"field {name!r} must be finite")
     return value
@@ -514,13 +520,13 @@ def _degrees_to_radians_obj(obj):
     for name, t in _KINDS[kind].schema.items():
         v = converted.get(name)
         if t == "angle" and isinstance(v, (int, float)) and not isinstance(v, bool):
-            converted[name] = math.radians(v)
+            converted[name] = math.radians(_num(name, v))
     return converted
 
 
 def exit_code_for(exc: BaseException) -> int:
     """Map an error to the CLI exit-code contract."""
-    if isinstance(exc, (ParseError, SchemaError)):
+    if isinstance(exc, (ParseError, SchemaError, OSError)):
         return 2
     if isinstance(exc, (ValidationError, LengthMismatch)):
         return 3
@@ -531,7 +537,8 @@ def exit_code_for(exc: BaseException) -> int:
     return 1
 
 
-_CATCHABLE = (ParseError, SchemaError, ValidationError, GeometryError, InternalCheckError)
+# OSError: an --svg file that cannot be written
+_CATCHABLE = (ParseError, SchemaError, ValidationError, GeometryError, InternalCheckError, OSError)
 
 
 def _error_payload(exc: BaseException) -> dict:

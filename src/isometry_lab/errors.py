@@ -1,5 +1,13 @@
 """Exception types shared by the solver modules and the CLI."""
 
+__all__ = [
+    "AntipodalPoints", "CoincidentPoints", "DegenerateAxis", "DegenerateBisector",
+    "DegenerateSegment", "GeometryError", "IdenticalCircles", "IdentityCorrespondence",
+    "IdentityRotation", "InternalCheckError", "LengthMismatch", "NonUnitVector", "NotARotation",
+    "NotIsometric", "ParallelBisectors", "ParseError", "PointOnAxis", "SchemaError",
+    "SingularMatrix", "ValidationError", "ZeroAngle",
+]
+
 
 class GeometryError(Exception):
     """Base class for domain errors raised by the solvers."""

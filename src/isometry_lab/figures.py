@@ -17,6 +17,8 @@ from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, Vec2, Vec3
 from .planar import Line2, Rotation2, _fixed_endpoints, perpendicular_bisector
 from .spherical import UnitVector3, bisector_great_circle
 
+__all__ = ["FigureSpec", "render_svg"]
+
 _STROKES = {
     "solid": "",
     "dashed": ' stroke-dasharray="6 4"',

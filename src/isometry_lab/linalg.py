@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 from .errors import IdentityRotation, NotARotation, SingularMatrix
 
+__all__ = [
+    "Eig3Result", "Mat2", "Mat3", "Vec2", "Vec3", "cross", "cross2", "eig3_rotation", "solve2",
+    "wrap_angle",
+]
+
 TWO_PI = 2.0 * math.pi
 
 # Every numeric threshold, one name per decision. A "scaled" name is relative:

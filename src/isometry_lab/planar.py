@@ -23,6 +23,13 @@ from .errors import (
 from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, PIVOT_ARM_RTOL, SAME_LINE_RTOL
 from .linalg import Mat2, Vec2, check_coords, check_tol, cross2, solve2, wrap_angle
 
+__all__ = [
+    "Identity2", "Line2", "PlanarIsometry", "Reflection2", "Rotation2", "Segment2", "Translation2",
+    "apply_planar", "compose_planar", "compose_reflections", "compose_rotations_planar",
+    "orientation_sign", "perpendicular_bisector", "recover_pivot_geometric", "recover_planar",
+    "recover_planar_geometric", "reflect", "reflections_for_rotation", "signed_angle",
+]
+
 
 def _finite2(v: Vec2) -> bool:
     return math.isfinite(v.x) and math.isfinite(v.y)
@@ -198,6 +205,11 @@ def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) ->
     (I - R) p = dst.a - R src.a.
     """
     _check_lengths(src, dst, tol)
+    return _solve_planar(src, dst)
+
+
+def _solve_planar(src: Segment2, dst: Segment2) -> PlanarIsometry:
+    """recover_planar's construction, on lengths already checked."""
     d = src.a - src.b
     try:
         cs = solve2(Mat2(d.x, -d.y, d.y, d.x), dst.a - dst.b)
@@ -224,8 +236,8 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     its own pivot. When the two bisectors are the same line (the segment
     is collinear with the pivot, including symmetric half turns) the
     construction cannot isolate a point and the algebraic pivot is used
-    instead; genuinely parallel bisectors mean a translation and raise
-    ParallelBisectors.
+    instead, on segment lengths the caller has already checked; genuinely
+    parallel bisectors mean a translation and raise ParallelBisectors.
     """
     fixed_a, fixed_b = _fixed_endpoints(src, dst)
     if fixed_a and fixed_b:
@@ -241,7 +253,7 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     if point is None:
         offset = abs(cross2(la.direction, lb.point - la.point))
         if offset <= SAME_LINE_RTOL * _point_scale(src.a, src.b, dst.a, dst.b):
-            alg = recover_planar(src, dst)
+            alg = _solve_planar(src, dst)
             if isinstance(alg, Rotation2):
                 return alg.pivot
             raise ParallelBisectors("correspondence is a translation; no pivot exists")

@@ -33,6 +33,14 @@ from .linalg import (
     require_rotation, wrap_angle,
 )
 
+__all__ = [
+    "GreatCircle", "Rotation3", "RotationMatrix3", "SphereSegment", "UnitVector3",
+    "angular_distance", "apply_sphere", "axis_angle_from_matrix", "bisector_great_circle",
+    "chord_arcsin_angle", "compose_sphere_rotations", "intersect_great_circles",
+    "recover_axis_cross", "recover_axis_geometric", "recover_sphere_rotation",
+    "rotation_angle_about_axis", "rotation_matrix",
+]
+
 
 @dataclass(frozen=True)
 class UnitVector3(Vec3):
@@ -191,6 +199,13 @@ def recover_axis_cross(
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     _require_isometric(x, xp, y, yp, tol)
+    return _axis_cross(x, xp, y, yp)
+
+
+def _axis_cross(
+    x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3
+) -> UnitVector3:
+    """recover_axis_cross's construction, on arc lengths already checked."""
     u = cross(x - xp, y - yp)
     n = u.norm()
     if n < PARALLEL_TOL:
@@ -213,6 +228,13 @@ def recover_axis_geometric(
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     _require_isometric(x, xp, y, yp, tol)
+    return _axis_geometric(x, xp, y, yp)
+
+
+def _axis_geometric(
+    x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3
+) -> UnitVector3:
+    """recover_axis_geometric's construction, on arc lengths already checked."""
     dx, dy = (x - xp).norm(), (y - yp).norm()
     for cut in (COINCIDENT_RTOL, SPHERE_CHORD_MIN):
         if dx <= cut and dy <= cut:
@@ -310,15 +332,16 @@ def recover_sphere_rotation(
     for arcs of unequal length and IdentityCorrespondence for two fixed points.
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
-    if method == "algebraic":
-        try:
-            axis = recover_axis_cross(x, xp, y, yp, tol=tol)
-        except DegenerateAxis:
-            axis = recover_axis_geometric(x, xp, y, yp, tol=tol)
-    elif method == "geometric":
-        axis = recover_axis_geometric(x, xp, y, yp, tol=tol)
-    else:
+    if method not in ("algebraic", "geometric"):
         raise ValueError(f"unknown method {method!r}; use 'algebraic' or 'geometric'")
+    _require_isometric(x, xp, y, yp, tol)
+    if method == "geometric":
+        axis = _axis_geometric(x, xp, y, yp)
+    else:
+        try:
+            axis = _axis_cross(x, xp, y, yp)
+        except DegenerateAxis:
+            axis = _axis_geometric(x, xp, y, yp)
     try:
         angle = rotation_angle_about_axis(axis, x, xp)
     except PointOnAxis:

@@ -747,3 +747,89 @@ def test_route_disagreement_is_a_warning_not_a_failure(tmp_path, capsys):
                for line in captured.err.splitlines())
     out = json.loads(captured.out)
     assert "result" in out and "result_geometric" in out
+
+
+def _plane_compose_text(alpha: str = "1", g: str = "[0, 0]") -> str:
+    return f'{{"kind": "plane_compose", "G": {g}, "alpha": {alpha}, "H": [1, 0], "beta": 0.5}}'
+
+
+_BEYOND_FLOAT = "1" + "0" * 400  # a JSON integer too large for a float
+_OVERFLOWING = {
+    "alpha": _plane_compose_text(alpha=_BEYOND_FLOAT),
+    "G[0]": _plane_compose_text(g=f"[{_BEYOND_FLOAT}, 0]"),
+}
+
+
+def _main_on(tmp_path, capsys, subcommand, text, *flags):
+    p = tmp_path / "instance.json"
+    p.write_text(text)
+    code = main([subcommand, "--input", str(p), *flags])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
+
+
+@pytest.mark.parametrize("flags", [(), ("--degrees",)])
+@pytest.mark.parametrize("field", sorted(_OVERFLOWING))
+def test_an_integer_beyond_the_float_range_exits_3_like_1e400(tmp_path, capsys, field, flags):
+    code, out, err = _main_on(tmp_path, capsys, "plane-compose", _OVERFLOWING[field], *flags)
+    assert code == 3
+    assert out["error"] == {"type": "ValidationError", "message": f"field {field!r} must be finite"}
+    assert err.startswith("error:")
+    as_float = _OVERFLOWING[field].replace(_BEYOND_FLOAT, "1e400")
+    assert _main_on(tmp_path, capsys, "plane-compose", as_float, *flags)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("field", sorted(_OVERFLOWING))
+def test_parse_instance_rejects_an_integer_beyond_the_float_range(field):
+    with pytest.raises(ValidationError, match="must be finite"):
+        parse_instance(_OVERFLOWING[field])
+
+
+_UNDECODABLE = {
+    "integer of 5000 digits": _plane_compose_text(alpha="1" * 5000),
+    "200000 nested arrays": "[" * 200000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDECODABLE))
+def test_a_document_json_cannot_decode_exits_2(tmp_path, capsys, name):
+    code, out, err = _main_on(tmp_path, capsys, "plane-compose", _UNDECODABLE[name])
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+    assert err.startswith("error: input is not valid JSON")
+    with pytest.raises(ParseError):
+        parse_instance(_UNDECODABLE[name])
+
+
+def test_an_svg_path_in_a_missing_directory_exits_2(tmp_path, capsys):
+    svg = tmp_path / "missing" / "figure.svg"
+    code, out, err = _main_on(tmp_path, capsys, "plane-compose", json.dumps(P2_OBJ),
+                              "--svg", str(svg))
+    assert code == 2
+    assert out["error"]["type"] == "FileNotFoundError"
+    assert str(svg) in out["error"]["message"]
+    assert err.startswith("error:")
+
+
+def test_an_unwritable_svg_path_fails_only_its_batch_item(tmp_path, capsys):
+    (tmp_path / "figure.1.svg").mkdir()  # item 1's figure path is a directory
+    code, out, err = _main_on(tmp_path, capsys, "plane-compose", json.dumps([P2_OBJ] * 3),
+                              "--svg", str(tmp_path / "figure.svg"))
+    assert code == 2
+    assert out[1]["error"]["type"] == "IsADirectoryError"
+    assert out[0]["result"]["type"] == out[2]["result"]["type"] == "rotation"
+    for i in (0, 2):
+        ET.fromstring((tmp_path / f"figure.{i}.svg").read_bytes().decode())
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {out[1]['error']['message']}"
+    ]
+
+
+def test_collinear_plane_recover_honours_the_tolerance_by_both_routes(tmp_path, capsys):
+    obj = {"kind": "plane_recover", "X": [1, 0], "Y": [2, 0], "Xp": [-1, 0], "Yp": [-2 - 3e-9, 0]}
+    code, out, _ = _main_on(tmp_path, capsys, "plane-recover", json.dumps(obj),
+                            "--tolerance", "1e-5")
+    assert code == 0
+    for result in (out["result"], out["result_geometric"]):
+        assert result["type"] == "rotation"
+        assert result["angle"] == pytest.approx(math.pi)

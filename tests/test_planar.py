@@ -424,3 +424,34 @@ class TestReflectionsForRotation:
             assert isinstance(back, Rotation2)
             assert _close(back.pivot, rot.pivot, 1e-12 * max(1.0, rot.pivot.norm()))
             assert abs(wrap_angle(back.angle - rot.angle)) <= 1e-12
+
+
+# The half turn about the origin, collinear with both bisectors (the x axis);
+# the image segment is 3e-9 longer than the source.
+_LONGER_HALF_TURN = (
+    Segment2(Vec2(1.0, 0.0), Vec2(2.0, 0.0)),
+    Segment2(Vec2(-1.0, 0.0), Vec2(-2.0 - 3e-9, 0.0)),
+)
+
+
+@pytest.mark.parametrize("solver", [recover_planar, recover_planar_geometric])
+def test_collinear_fallback_honours_the_callers_tolerance(solver):
+    iso = solver(*_LONGER_HALF_TURN, tol=1e-5)
+    assert isinstance(iso, Rotation2)
+    assert iso.angle == pytest.approx(math.pi)
+    assert _close(iso.pivot, Vec2(0.0, 0.0), 1e-12)
+    with pytest.raises(LengthMismatch):
+        solver(*_LONGER_HALF_TURN)
+
+
+def test_collinear_geometric_solve_checks_lengths_once(monkeypatch):
+    import isometry_lab.planar as planar
+
+    calls = []
+    check = planar._check_lengths
+    monkeypatch.setattr(planar, "_check_lengths", lambda *a: calls.append(a) or check(*a))
+    monkeypatch.setattr(planar, "recover_planar", None)  # the fallback must not need it
+    src = Segment2(Vec2(1.0, 0.0), Vec2(2.0, 0.0))
+    iso = recover_planar_geometric(src, Segment2(Vec2(-1.0, 0.0), Vec2(-2.0, 0.0)))
+    assert isinstance(iso, Rotation2) and iso.angle == pytest.approx(math.pi)
+    assert len(calls) == 1

@@ -455,3 +455,18 @@ class TestAxisAngleFromMatrix:
             out = axis_angle_from_matrix(m)
             a, _ = eig3_rotation(m.m).complex_pair
             assert abs(out.angle - math.acos(max(-1.0, min(1.0, a)))) <= 1e-9
+
+
+def test_fixed_point_algebraic_solve_checks_lengths_once(monkeypatch):
+    import isometry_lab.spherical as spherical
+
+    calls = []
+    check = spherical._require_isometric
+    monkeypatch.setattr(spherical, "_require_isometric", lambda *a: calls.append(a) or check(*a))
+    # the fallback from the chord cross product must not need the public solvers
+    monkeypatch.setattr(spherical, "recover_axis_cross", None)
+    monkeypatch.setattr(spherical, "recover_axis_geometric", None)
+    rot = recover_sphere_rotation(Z, Z, X, UnitVector3(0.6, 0.8, 0.0), method="algebraic")
+    assert _close3(rot.axis, Z, 1e-12)
+    assert rot.angle == pytest.approx(math.atan2(0.8, 0.6), abs=1e-12)
+    assert len(calls) == 1
