@@ -40,12 +40,13 @@ from .figures import (
     sphere_recovery_figure,
 )
 from .linalg import ANGLE_MIN, ARCSIN_NOTE_TOL, DEFAULT_TOL
-from .linalg import Vec2, Vec3, check_coords, check_tol, eig3_rotation, wrap_angle
+from .linalg import Vec2, check_coords, check_tol, eig3_rotation, wrap_angle
 from .planar import (
     Identity2,
     Rotation2,
     Segment2,
     Translation2,
+    _compose_planar_geometric,
     apply_planar,
     compose_reflections,
     compose_rotations_planar,
@@ -59,6 +60,7 @@ from .spherical import (
     SphereSegment,
     UnitVector3,
     _axis_angle_from_eig,
+    _compose_sphere_geometric,
     apply_sphere,
     chord_arcsin_angle,
     recover_sphere_rotation,
@@ -201,13 +203,6 @@ def parse_instance(text: bytes | str) -> ProblemInstance:
 # solving
 
 _PLANE_PROBE = (Vec2(0.31, 0.17), Vec2(-0.42, 0.93))
-
-
-def _unit(x: float, y: float, z: float) -> UnitVector3:
-    return UnitVector3.from_vec(Vec3(x, y, z).normalized())
-
-
-_SPHERE_PROBE = (_unit(0.31, 0.17, 0.93), _unit(-0.42, 0.83, 0.36))
 _SPHERE_RESIDUAL_PROBES = (
     UnitVector3(1.0, 0.0, 0.0),
     UnitVector3(0.0, 1.0, 0.0),
@@ -289,16 +284,15 @@ def _run_plane_compose(payload, method, tol):
     g, h = payload["g"], payload["h"]
     outer = Rotation2(g, payload["alpha"])
     inner = Rotation2(h, payload["beta"])
-    cancelled = abs(wrap_angle(payload["alpha"] + payload["beta"])) < ANGLE_MIN
+    cancelled = abs(wrap_angle(outer.angle + inner.angle)) < ANGLE_MIN
 
-    # plain points: as a Segment2, images far from the origin can fail the coincidence cut
     mid = tuple(apply_planar(inner, p) for p in _PLANE_PROBE)
     final = tuple(apply_planar(outer, p) for p in mid)
     pivots = [(p, apply_planar(outer, apply_planar(inner, p))) for p in (g, h)]
     record, primary = _solve_both_ways(
         method, tol,
         lambda: compose_rotations_planar(outer, inner),
-        lambda: recover_planar_geometric(Segment2(*_PLANE_PROBE), Segment2(*final), tol=tol),
+        lambda: _compose_planar_geometric(outer, inner),
         (*pivots, *zip(_PLANE_PROBE, final)), apply_planar, _planar_iso_dict,
         lambda _: [_NOTE_CANCELLED_ANGLES] if cancelled else [],
     )
@@ -370,25 +364,14 @@ def _run_sphere_compose(payload, method, tol):
         eig = eig3_rotation(m)
     except IdentityRotation:
         eig = None
-    pair = (1.0, 0.0) if eig is None else eig.complex_pair
-
-    def geometric():
-        sx, sy = _SPHERE_PROBE
-        sxp = apply_sphere(outer, apply_sphere(inner, sx))
-        syp = apply_sphere(outer, apply_sphere(inner, sy))
-        try:
-            return recover_sphere_rotation(sx, sxp, sy, syp, method="geometric", tol=tol)
-        except IdentityCorrespondence:
-            return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
-
     record, primary = _solve_both_ways(
         method, tol,
         lambda: _axis_angle_from_eig(RotationMatrix3(m), eig),
-        geometric,
+        lambda: _compose_sphere_geometric(outer, inner),
         [(p, apply_sphere(outer, apply_sphere(inner, p))) for p in _SPHERE_RESIDUAL_PROBES],
         apply_sphere, _sphere_rot_dict,
     )
-    record.result["complex_pair"] = [pair[0], pair[1]]
+    record.result["complex_pair"] = [1.0, 0.0] if eig is None else list(eig.complex_pair)
     return record, lambda: sphere_compose_figure(payload["g"], payload["h"], primary)
 
 

@@ -31,7 +31,7 @@ COINCIDENT_RTOL = 1e-12  # scaled: points this close coincide
 SOLVE2_RTOL = 1e-12  # scaled by the squared larger row norm: |det| this small is singular
 SAME_LINE_RTOL = 1e-9  # scaled: a bisector this close to the other is the same line
 PIVOT_ARM_RTOL = 1e-9  # scaled: an endpoint this close to the pivot gives no angle
-ANGLE_MIN = 1e-9  # plane angles below this are translations: the pivot runs off
+ANGLE_MIN = 1e-9  # composite angles below this: a plane translation, the sphere identity
 UNIT_TOL = 1e-6  # sphere vectors this close to unit length are renormalized
 SPHERE_CHORD_MIN = 1e-9  # |a - b| and |a + b| above this give a great circle
 PARALLEL_TOL = 1e-12  # a shorter cross product makes unit-scale factors parallel

@@ -205,11 +205,6 @@ def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) ->
     (I - R) p = dst.a - R src.a.
     """
     _check_lengths(src, dst, tol)
-    return _solve_planar(src, dst)
-
-
-def _solve_planar(src: Segment2, dst: Segment2) -> PlanarIsometry:
-    """recover_planar's construction, on lengths already checked."""
     d = src.a - src.b
     try:
         cs = solve2(Mat2(d.x, -d.y, d.y, d.x), dst.a - dst.b)
@@ -233,11 +228,10 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     The pivot is equidistant from every point and its image, so it lies on
     the perpendicular bisector of (src.a, dst.a) and on that of
     (src.b, dst.b); their intersection is returned. A fixed endpoint is
-    its own pivot. When the two bisectors are the same line (the segment
-    is collinear with the pivot, including symmetric half turns) the
-    construction cannot isolate a point and the algebraic pivot is used
-    instead, on segment lengths the caller has already checked; genuinely
-    parallel bisectors mean a translation and raise ParallelBisectors.
+    its own pivot. Coincident bisectors (a segment collinear with the pivot,
+    as in half turns) are a mirror taking src onto dst; the rotation is that
+    reflection then the one in line dst, so the two lines cross at the pivot.
+    Parallel bisectors mean a translation and raise ParallelBisectors.
     """
     fixed_a, fixed_b = _fixed_endpoints(src, dst)
     if fixed_a and fixed_b:
@@ -253,9 +247,9 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     if point is None:
         offset = abs(cross2(la.direction, lb.point - la.point))
         if offset <= SAME_LINE_RTOL * _point_scale(src.a, src.b, dst.a, dst.b):
-            alg = _solve_planar(src, dst)
-            if isinstance(alg, Rotation2):
-                return alg.pivot
+            iso = compose_reflections(Reflection2(la), Reflection2(Line2(dst.a, dst.b - dst.a)))
+            if isinstance(iso, Rotation2):
+                return iso.pivot
             raise ParallelBisectors("correspondence is a translation; no pivot exists")
         raise ParallelBisectors("bisectors are parallel; the correspondence is a translation")
     return point
@@ -332,25 +326,35 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
 compose_rotations_planar = compose_planar
 
 
+def _compose_planar_geometric(outer: Rotation2, inner: Rotation2) -> PlanarIsometry:
+    """compose_planar(outer, inner) from two reflections (H. S. M. Coxeter,
+    Introduction to Geometry, 1969, section 3.2): with l the line through
+    both pivots, inner is n then l and outer l then m, for n through inner's
+    pivot at -inner.angle/2 to l and m through outer's at +outer.angle/2."""
+    d = outer.pivot - inner.pivot
+    phi = math.atan2(d.y, d.x)  # 0, the x axis, when the pivots coincide
+    a, b = phi - inner.angle / 2.0, phi + outer.angle / 2.0
+    n = Line2(inner.pivot, Vec2(math.cos(a), math.sin(a)))
+    m = Line2(outer.pivot, Vec2(math.cos(b), math.sin(b)))
+    return compose_reflections(Reflection2(n), Reflection2(m))
+
+
 def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsometry:
     """Reflect across `first`, then across `second`.
 
-    Intersecting lines give a rotation about the crossing by twice the
-    signed angle from the first line to the second; parallel lines give a
-    translation perpendicular to them by twice their separation; the same
-    line twice gives the identity.
+    The composite turns by twice the signed angle from the first line to
+    the second, about their crossing. Below ANGLE_MIN, as for every plane
+    composite, it is the translation taking the first line's point to its
+    image instead, or the identity when that translation is negligible.
     """
-    d1 = first.line.direction
-    d2 = second.line.direction
-    crossing = _intersect_lines(first.line, second.line)
-    if crossing is None:
-        n = d1.perp()
+    angle = wrap_angle(2.0 * signed_angle(first.line.direction, second.line.direction))
+    if abs(angle) < ANGLE_MIN:
+        n = second.line.direction.perp()
         offset = (second.line.point - first.line.point).dot(n)
-        scale = _point_scale(first.line.point, second.line.point)
-        if abs(offset) <= COINCIDENT_RTOL * scale:
+        if abs(offset) <= COINCIDENT_RTOL * _point_scale(first.line.point, second.line.point):
             return Identity2()
         return Translation2(n * (2.0 * offset))
-    return Rotation2(crossing, wrap_angle(2.0 * signed_angle(d1, d2)))
+    return Rotation2(_intersect_lines(first.line, second.line), angle)
 
 
 def reflections_for_rotation(rot: Rotation2) -> tuple[Reflection2, Reflection2]:

@@ -28,7 +28,7 @@ from .errors import (
     PointOnAxis,
 )
 from .linalg import (
-    COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL, SKEW_CHECK_TOL, SKEW_TOL,
+    ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL, SKEW_CHECK_TOL, SKEW_TOL,
     SPHERE_CHORD_MIN, UNIT_TOL, Eig3Result, Mat3, Vec3, check_tol, clamp, cross, eig3_rotation,
     require_rotation, wrap_angle,
 )
@@ -362,6 +362,25 @@ def compose_sphere_rotations(outer: Rotation3, inner: Rotation3) -> Rotation3:
     """Compose two rotations, inner first, via the matrix product."""
     m = rotation_matrix(outer).m @ rotation_matrix(inner).m
     return axis_angle_from_matrix(RotationMatrix3(m))
+
+
+def _compose_sphere_geometric(outer: Rotation3, inner: Rotation3) -> Rotation3:
+    """compose_sphere_rotations(outer, inner) from two reflections in planes
+    through the origin, held by their normals: with c a great circle through
+    both axes, inner is n then c and outer c then m, for n = c turned by
+    -inner.angle/2 about inner's axis and m = c turned by +outer.angle/2
+    about outer's. Below ANGLE_MIN it is the identity, angle 0 about z."""
+    g, h = outer.axis, inner.axis
+    c = cross(g, h - g if g.dot(h) >= 0.0 else h + g)  # g x h, accurate for h near +-g
+    if c.norm() < PARALLEL_TOL:  # one axis: any circle through it
+        c = max(cross(g, Vec3(1.0, 0.0, 0.0)), cross(g, Vec3(0.0, 1.0, 0.0)), key=Vec3.norm)
+    c = c.normalized()
+    n = apply_sphere(Rotation3(h, -inner.angle / 2.0), c)
+    m = apply_sphere(Rotation3(g, outer.angle / 2.0), c)
+    angle = 2.0 * angular_distance(n, m)
+    if abs(wrap_angle(angle)) < ANGLE_MIN:
+        return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
+    return Rotation3(intersect_great_circles(GreatCircle(n), GreatCircle(m))[0], angle)
 
 
 def axis_angle_from_matrix(rm: RotationMatrix3) -> Rotation3:

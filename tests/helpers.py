@@ -52,3 +52,20 @@ def rand_sphere_pair(
         sep = math.acos(max(-1.0, min(1.0, x.dot(y))))
         if min_sep <= sep <= max_sep:
             return x, y
+
+
+def refuse_algebraic_routes(monkeypatch) -> None:
+    """Make every algebraic entry point raise, so only a construction can answer."""
+    import isometry_lab.linalg as linalg
+    import isometry_lab.planar as planar
+    import isometry_lab.spherical as spherical
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebraic route ran")
+
+    for module, name in (
+        (planar, "recover_planar"), (planar, "compose_planar"), (planar, "compose_rotations_planar"),
+        (spherical, "rotation_matrix"), (spherical, "eig3_rotation"), (linalg, "eig3_rotation"),
+        (spherical, "_axis_cross"), (spherical, "recover_sphere_rotation"),
+    ):
+        monkeypatch.setattr(module, name, refuse)

@@ -833,3 +833,43 @@ def test_collinear_plane_recover_honours_the_tolerance_by_both_routes(tmp_path, 
     for result in (out["result"], out["result_geometric"]):
         assert result["type"] == "rotation"
         assert result["angle"] == pytest.approx(math.pi)
+
+
+def _far_pivots(x: float) -> dict:
+    return {"kind": "plane_compose", "G": [x, 0.0], "alpha": 1.0, "H": [0.0, x], "beta": 0.5}
+
+
+@pytest.mark.parametrize("method", ["geometric", "both"])
+@pytest.mark.parametrize("x", [1e6, 1e8, 1e13])
+def test_plane_compose_with_far_pivots_solves_by_every_route(tmp_path, capsys, x, method):
+    text = json.dumps(_far_pivots(x))
+    assert _main_on(tmp_path, capsys, "plane-compose", text, "--method", method)[0] == 0
+    inst = instance_from_obj(_far_pivots(x))
+    want = run(inst, method="algebraic").result
+    got = run(inst, method=method).to_dict()
+    got = got.get("result_geometric", got["result"])
+    assert got["angle"] == pytest.approx(want["angle"], abs=1e-12)
+    assert max(abs(a - b) for a, b in zip(got["pivot"], want["pivot"])) <= 1e-15 * x
+
+
+def test_plane_compose_with_pivots_1e6_away_agrees_within_the_tolerance(tmp_path, capsys):
+    # from 1e8 the routes still differ by more than the absolute 1e-9 in the
+    # last bits of coordinates that large, and "both" warns
+    code, _, err = _main_on(tmp_path, capsys, "plane-compose", json.dumps(_far_pivots(1e6)))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("method", ["algebraic", "geometric", "both"])
+def test_plane_compose_angles_summing_past_the_float_range_solve(tmp_path, capsys, method):
+    text = '{"kind": "plane_compose", "G": [0, 0], "alpha": 1e308, "H": [1, 0], "beta": 1e308}'
+    code, out, err = _main_on(tmp_path, capsys, "plane-compose", text, "--method", method)
+    assert (code, err) == (0, "")
+    assert out["result"]["type"] == "rotation"
+
+
+def test_same_axis_sphere_compose_turns_by_the_angle_sum():
+    g, alpha, beta = [0.0, 0.6, 0.8], 1.2, -1.2 + 1e-3
+    inst = instance_from_obj({"kind": "sphere_compose", "G": g, "alpha": alpha, "H": g, "beta": beta})
+    result = run(inst, method="geometric").result
+    assert result["angle"] == pytest.approx(alpha + beta, abs=1e-16)
+    assert max(abs(a - b) for a, b in zip(result["axis"], g)) <= 1e-12

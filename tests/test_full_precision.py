@@ -36,17 +36,17 @@ CORPUS_DIGESTS = {
     "baseball/both": "a9f80abb676b3fa408f491cfb1341e66f10cc0672f1bf66abaec67805bb96272",
     "baseball/geometric": "9dd09e65250c3d30a048afc2d5906cff043ce298e8fc78bb9065a88557c7a95d",
     "plane_compose/algebraic": "16ad1358f79a263bc1999964ed4d485b1e6c634659a382be192062017a4e9cd7",
-    "plane_compose/both": "295611bd8eac143fab563e51f236efb36acb07c27eed13563a047f163507e060",
-    "plane_compose/geometric": "1e66bfe30a0915eb761b1f0887b9f94409231defbc9d05c061e2289428593210",
+    "plane_compose/both": "865580190bc52301dbff79e0b8c4c5b60abdacfe920d0551d900503817697fa4",
+    "plane_compose/geometric": "6132cb52d8878002bc00154d48d5f10a7e66fbff4cfc91dc62ad5599f1d6c1b8",
     "plane_recover/algebraic": "943ad3bb65eb450a76a67480447e75ba3cbab48ae1c312a662b21574031f0a05",
-    "plane_recover/both": "ca8ae4a1524695284097fdc22c1bff0ed9b54cd235f5e506372499416a415551",
-    "plane_recover/geometric": "3d59aff74e1c660cfb44ee1fdf24fa69893886d3f4930c60b2d51cc0c6746081",
+    "plane_recover/both": "4f91f26002ca1f30ca8a996bee7819a7cfaaf10c06f8e7bf12853fd24145140d",
+    "plane_recover/geometric": "f98a0a74c26d8c1e3cc1a29f1235ae069d6536ed51832c5f2c0191bf4dc00119",
     "plane_reflections/algebraic": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/both": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/geometric": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "sphere_compose/algebraic": "802dfe55bcaaa6ce9ca408f9a63727693984e515673ed783a5e15272d59d56c7",
-    "sphere_compose/both": "d89904061a63c1be7e6136f23a7e07355a9a0f7e67e75f393ec66a60c6981e78",
-    "sphere_compose/geometric": "e3d8a099cae75d1eea588102f04ab37a4c000a8968d7514ec9e3f3f0e48e7131",
+    "sphere_compose/both": "0322f418f2e277d6007af6bc31a9ecf9b803870137911c6416711ec6e7621c5d",
+    "sphere_compose/geometric": "b94dcf5f3ab053d95e4716ab1a6a874e00a65f224f1865df5486804772ac9e85",
     "sphere_recover/algebraic": "fdd194ac761a6add6e10a9c844a46a45e84a32ec6cdaf0d147d86285e87a5d1c",
     "sphere_recover/both": "b5b10135c948379b69a67d31e4c942afa6375cf0a3076ad615fd33634151cee1",
     "sphere_recover/geometric": "d4720458f98c9002c9cd64149f3be96f997d10073d5a038a291fa49f48b9c6c5",
@@ -57,8 +57,8 @@ RANDOM_DIGESTS = {
     "baseball/both": "f1fbed17970fbd5b054686c4497ffbf93be349cbb2391734ba2dd51f0e6e4100",
     "baseball/geometric": "979fbe0b8d7b9fcefd4b03feb69db322837e6f9b2bbbf24c7ff0237ccdadf71d",
     "plane_compose/algebraic": "07b060c19071eae12c0d4ca44c217498b482cad4412f631973099122f619dcec",
-    "plane_compose/both": "9725aafa5c49a25521d1ec0a983541ab918d9e5a4f70691605a04de76cab0560",
-    "plane_compose/geometric": "e992d5c42231041fd89e77d6a8c43249807b2d0d955e1ec7aa37f5d154d59934",
+    "plane_compose/both": "e39361801e99f298d348a3f45aaabdd8a8b3778e6af4f2ce59ced2c040dd66aa",
+    "plane_compose/geometric": "cdbcca00d93a1f9474b95a47c10f3ea593517c30f6cd207bafcdb4af89374c85",
     "plane_recover/algebraic": "997c8fbba1c027b4ff2911aa795724119d261e74a584f75bee2ba7bcb2af3125",
     "plane_recover/both": "69da124f83b64d4d1e574c7a7fd1ae15b9566475b16ac8ea4b771b7b2fa82e78",
     "plane_recover/geometric": "e99a5dc3d43cd9eeb2a9274aeac8ec5d28f1399f11ac95e27b2263f17f621aec",
@@ -66,8 +66,8 @@ RANDOM_DIGESTS = {
     "plane_reflections/both": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
     "plane_reflections/geometric": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
     "sphere_compose/algebraic": "d040d12e716115490088a9f00b273db79d34c0b8638f4dfcaf042bbc62795cd1",
-    "sphere_compose/both": "8ae49b72630d34129ac6ca17bb0168dcde2407adb884f4fca49d7d78a3e202da",
-    "sphere_compose/geometric": "4f67602146480dc016ee9f60a192dcc852d31dbd269502a0f7a9aab30b73b015",
+    "sphere_compose/both": "c5f147412d50ac869b8a1428e6cf2da87bfee3cb80abf0d5e632b878d05ce87e",
+    "sphere_compose/geometric": "64780cafae0f5fe46ad044f4be0feb6b3cd58d6cec8053057375a5ed9d49bf7e",
     "sphere_recover/algebraic": "bb904079ed5df69e65041c63a6415c874afee7e48d44fddb03f87a08712709ac",
     "sphere_recover/both": "6359e1cf29b5eec936478696da97215408c3327ca0c5fe3f80bbc2eca916f110",
     "sphere_recover/geometric": "f1fb682ed041a30bfd2a216b5abe78742cf91e5e30c122b16f0764187389862d",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rand_rotation2, rand_segment2, rand_vec2
+from helpers import rand_rotation2, rand_segment2, rand_vec2, refuse_algebraic_routes
 from isometry_lab import (
     DegenerateBisector,
     DegenerateSegment,
@@ -385,6 +385,14 @@ class TestComposeReflections:
         r = Reflection2(Line2(Vec2(1, 2), Vec2(2, 1)))
         assert isinstance(compose_reflections(r, r), Identity2)
 
+    def test_lines_crossing_below_angle_min_translate(self):
+        # a 4e-10 rad turn about a crossing 5e9 away: below ANGLE_MIN, as for
+        # every plane composite, that is a translation
+        t = 2e-10
+        first = Reflection2(Line2(Vec2(0.0, 0.0), Vec2(math.cos(t), -math.sin(t))))
+        second = Reflection2(Line2(Vec2(0.0, 1.0), Vec2(1.0, 0.0)))
+        assert compose_reflections(first, second) == Translation2(Vec2(0.0, 2.0))
+
     def test_matches_double_reflection_pointwise(self):
         rng = random.Random(59)
         for _ in range(200):
@@ -455,3 +463,23 @@ def test_collinear_geometric_solve_checks_lengths_once(monkeypatch):
     iso = recover_planar_geometric(src, Segment2(Vec2(-1.0, 0.0), Vec2(-2.0, 0.0)))
     assert isinstance(iso, Rotation2) and iso.angle == pytest.approx(math.pi)
     assert len(calls) == 1
+
+
+def test_collinear_pivot_is_constructed_without_the_algebraic_route(monkeypatch):
+    refuse_algebraic_routes(monkeypatch)
+    src = Segment2(Vec2(1.0, 0.0), Vec2(2.0, 0.0))
+    iso = recover_planar_geometric(src, Segment2(Vec2(-1.0, 0.0), Vec2(-2.0, 0.0)))
+    assert isinstance(iso, Rotation2) and iso.angle == pytest.approx(math.pi)
+    assert iso.pivot == Vec2(0.0, 0.0)
+
+
+def test_plane_composite_is_constructed_without_the_algebraic_route(monkeypatch):
+    import isometry_lab.planar as planar
+
+    refuse_algebraic_routes(monkeypatch)
+    outer, inner = Rotation2(Vec2(0.0, 0.0), math.pi / 4), Rotation2(Vec2(1.0, 0.0), math.pi / 2)
+    iso = planar._compose_planar_geometric(outer, inner)
+    # acceptance test_01's published values
+    assert isinstance(iso, Rotation2)
+    assert _close(iso.pivot, Vec2(0.7071, 0.2929), 1e-4)
+    assert iso.angle == pytest.approx(3 * math.pi / 4, abs=1e-12)

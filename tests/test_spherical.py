@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import rand_rotation3, rand_sphere_pair, rand_unit3
+from helpers import rand_rotation3, rand_sphere_pair, rand_unit3, refuse_algebraic_routes
 from isometry_lab import (
     AntipodalPoints,
     CoincidentPoints,
@@ -470,3 +470,16 @@ def test_fixed_point_algebraic_solve_checks_lengths_once(monkeypatch):
     assert _close3(rot.axis, Z, 1e-12)
     assert rot.angle == pytest.approx(math.atan2(0.8, 0.6), abs=1e-12)
     assert len(calls) == 1
+
+
+def test_sphere_composite_is_constructed_without_the_algebraic_route(monkeypatch):
+    import isometry_lab.spherical as spherical
+
+    refuse_algebraic_routes(monkeypatch)
+    outer, inner = Rotation3(UnitVector3(0.0, 1.0, 0.0), math.pi / 4), Rotation3(Z, math.pi / 6)
+    rot = spherical._compose_sphere_geometric(outer, inner)
+    # acceptance test_02's published values
+    assert rot.angle == pytest.approx(0.9363, abs=1e-3)
+    assert (math.cos(rot.angle), math.sin(rot.angle)) == pytest.approx((0.5927, 0.8054), abs=1e-3)
+    for got, want in zip((rot.axis.x, rot.axis.y, rot.axis.z), (0.2195, 0.8192, 0.5299)):
+        assert abs(abs(got) - want) <= 1e-3
