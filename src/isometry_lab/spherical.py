@@ -5,8 +5,8 @@ here as a unit axis plus an angle in [0, pi] (the axis sign carries the
 turn direction, since a turn of -t about p equals +t about -p). Axis
 recovery from a two-point correspondence runs either through the cross
 product of the displacement chords or through intersecting two
-perpendicular-bisector great circles; composition goes through the matrix
-product with the axis read back from the +1 eigenvector.
+perpendicular-bisector great circles; composition either through the
+matrix product and its +1 eigenvector or through two mirror reflections.
 """
 
 from __future__ import annotations
