@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -468,15 +469,39 @@ def run_baseball(
 # output formatting and the entry point
 
 
-def _round_floats(obj):
-    """Round floats to 10 significant digits for stable, readable output."""
+def _write(obj, newline: str = "\n") -> str:
+    """JSON text of `obj` in the indent=2 layout, floats rounded to 10
+    significant digits: json.dumps(obj, indent=2) with every float x
+    replaced by float(f"{x:.10g}"), in one pass. `newline` is a line break
+    plus the indentation `obj` starts at.
+
+    A rounded float in fixed notation is already its own shortest repr
+    (at most 10 significant digits, no trailing zeros, |x| in [1e-4, 1e10)),
+    so only the other forms are parsed back and reprinted. Rounding can
+    overflow: 1.7976931348623157e308 rounds to infinity.
+    """
     if isinstance(obj, float):
-        return float(f"{obj:.10g}")
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
+        s = f"{obj:.10g}"
+        if "." in s and "e" not in s:
+            return s
+        x = float(s)
+        return repr(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        return _block([_write(v, inner) for v in obj], newline, "[]")
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    return obj
+        return _block([f"{_quote(k)}: {_write(v, inner)}" for k, v in obj.items()], newline, "{}")
+    return json.dumps(obj)
+
+
+def _block(parts: list[str], newline: str, brackets: str) -> str:
+    """`parts` one to a line, one step deeper than `newline`, in `brackets`."""
+    if not parts:
+        return brackets
+    inner = newline + "  "
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{newline}{brackets[1]}"
 
 
 _ANGLE_KEYS = ("angle", "angle_between_lines")
@@ -588,6 +613,7 @@ def main(argv: list[str] | None = None) -> int:
         return exit_code_for(exc)
 
     batch = isinstance(obj, list)
+    newline = "\n  " if batch else "\n"
     outputs = []
     code = 0
     for i, item in enumerate(obj if batch else [obj]):
@@ -602,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
             record = run(inst, method=args.method, svg_path=svg, tolerance=args.tolerance)
         except _CATCHABLE as exc:
             print(f"error: {exc}", file=sys.stderr)
-            outputs.append(_error_payload(exc))
+            outputs.append(_write(_error_payload(exc), newline))
             if code == 0:
                 code = exit_code_for(exc)
             continue
@@ -611,9 +637,9 @@ def main(argv: list[str] | None = None) -> int:
         payload = record.to_dict()
         if args.degrees:
             payload = _to_degrees_record(payload)
-        outputs.append(_round_floats(payload))
+        outputs.append(_write(payload, newline))
 
-    print(json.dumps(outputs if batch else outputs[0], indent=2))
+    print(_block(outputs, "\n", "[]") if batch else outputs[0])
     return code
 
 

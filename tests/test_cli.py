@@ -1,12 +1,18 @@
 import json
 import math
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from golden.make_corpus import METHODS, RANDOM
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from isometry_lab import (
+    GeometryError,
+    InternalCheckError,
     ParseError,
     Rotation2,
     SchemaError,
@@ -21,6 +27,10 @@ from isometry_lab import (
 )
 from isometry_lab.cli import (
     ProblemInstance,
+    _block,
+    _error_payload,
+    _to_degrees_record,
+    _write,
     exit_code_for,
     instance_from_obj,
     main,
@@ -873,3 +883,133 @@ def test_same_axis_sphere_compose_turns_by_the_angle_sum():
     result = run(inst, method="geometric").result
     assert result["angle"] == pytest.approx(alpha + beta, abs=1e-16)
     assert max(abs(a - b) for a, b in zip(result["axis"], g)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the output writer against json.dumps
+
+
+def _round_floats(obj):
+    """The writer's oracle: floats rounded to 10 significant digits, then
+    handed to json.dumps(indent=2)."""
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
+    if isinstance(obj, list):
+        return [_round_floats(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    return obj
+
+
+def _oracle(obj) -> str:
+    return json.dumps(_round_floats(obj), indent=2)
+
+
+def _seeded_payloads(method: str):
+    """Per kind, the payloads main() prints for the 6000 seeded instances of
+    the full-precision gate, solved by `method`, in radians and in degrees."""
+    rng = random.Random(2718)
+    for kind, make in RANDOM.items():
+        radians, degrees = [], []
+        for _ in range(1000):
+            try:
+                record = run(instance_from_obj(make(rng)), method=method).to_dict()
+            except (ValidationError, GeometryError, InternalCheckError) as exc:
+                radians.append(_error_payload(exc))
+                degrees.append(_error_payload(exc))
+                continue
+            radians.append(record)
+            degrees.append(_to_degrees_record(record))
+        yield kind, radians, degrees
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_writer_matches_json_dumps_on_seeded_instances(method):
+    for kind, *payloads in _seeded_payloads(method):
+        for batch in payloads:
+            for payload in batch:
+                assert _write(payload) == _oracle(payload), (kind, payload)
+            # main's batch layout: items written one step in, then joined
+            assert _block([_write(p, "\n  ") for p in batch], "\n", "[]") == _oracle(batch)
+
+
+_FLOAT_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 1.7976931348623157e308,
+    math.nan, -math.nan, math.inf, -math.inf,
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 9.9999999995e-5, 9.99999999949e-5,
+    1e10, math.nextafter(1e10, 0.0), 9999999999.5, 9999999999.49, 1e16, 123456789012.0,
+    1.0, 0.1, 0.5, 1 / 3, 2 / 3, 1e-7, 1.2246467991473532e-16, math.pi, math.tau,
+]
+
+
+def test_writer_matches_json_dumps_on_float_edges():
+    for x in _FLOAT_EDGES:
+        for v in (x, -x):
+            assert _write(v) == _oracle(v), v
+
+
+@given(st.one_of(
+    st.floats(),
+    st.floats(min_value=1e-5, max_value=1e-3),
+    st.floats(min_value=1e9, max_value=1e11),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.floats(min_value=1e307),
+).flatmap(lambda x: st.sampled_from([x, -x])))
+def test_writer_matches_json_dumps_on_floats(x):
+    assert _write(x) == _oracle(x)
+    assert _write([x, {"x": x}]) == _oracle([x, {"x": x}])
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_TREES)
+@example([])
+@example({})
+@example([[], {}, [[]], {"": {}}])
+@example({'"q"\n\u00e9\u2603\U0001f600': ["\x00\x1f\\", '"', "\u2028"], "\t": [0.1, None, True]})
+def test_writer_matches_json_dumps_on_nested_values(tree):
+    assert _write(tree) == _oracle(tree)
+    assert _write(tree, "\n    ") == _oracle(tree).replace("\n", "\n    ")
+
+
+# ---------------------------------------------------------------------------
+# the CLI's document layout
+
+
+def test_an_empty_batch_prints_an_empty_array(tmp_path, capsys):
+    p = tmp_path / "batch.json"
+    p.write_text("[]")
+    assert main(["plane-compose", "--input", str(p)]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+def test_a_batch_whose_items_all_fail_prints_their_errors(tmp_path, capsys):
+    items = [{"kind": "plane_compose", "G": [0, 0]}, 3, dict(P2_OBJ, alpha=1e400)]
+    p = tmp_path / "batch.json"
+    p.write_text(json.dumps(items))
+    code = main(["plane-compose", "--input", str(p)])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert code == 2
+    assert [item["error"]["type"] for item in out] == ["SchemaError", "SchemaError", "ValidationError"]
+    assert captured.out == json.dumps(out, indent=2) + "\n"
+    assert len(captured.err.splitlines()) == 3
+
+
+@pytest.mark.parametrize("degrees", [False, True])
+def test_a_batch_of_one_is_the_single_answer_in_an_array(tmp_path, capsys, degrees):
+    flags = ["--degrees"] if degrees else []
+    outs = []
+    for doc in (S2_OBJ, [S2_OBJ]):
+        p = tmp_path / "instance.json"
+        p.write_text(json.dumps(doc))
+        assert main(["sphere-compose", "--input", str(p), *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    single, batch = outs
+    body = "\n".join("  " + line for line in single.rstrip("\n").split("\n"))
+    assert batch == f"[\n{body}\n]\n"
