@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import AntipodalPoints, CoincidentPoints
 from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, Vec2, Vec3, cross
-from .planar import Line2, Rotation2, _fixed_endpoints, perpendicular_bisector
+from .planar import Line2, Rotation2, _fixed_endpoints, _point_scale, perpendicular_bisector
 from .spherical import UnitVector3, bisector_great_circle
 
 __all__ = ["FigureSpec", "render_svg"]
@@ -344,7 +344,7 @@ def planar_recovery_figure(src, dst, iso) -> FigureSpec:
         Marker(dst.b, "Y'"),
     ]
     if isinstance(iso, Rotation2):
-        fixed_a, fixed_b = _fixed_endpoints(src, dst)
+        fixed_a, fixed_b = _fixed_endpoints(src, dst, _point_scale(src.a, src.b, dst.a, dst.b))
         for a, b, fixed in ((src.a, dst.a, fixed_a), (src.b, dst.b, fixed_b)):
             if not fixed:
                 elements.append(LineElement(perpendicular_bisector(a, b)))

@@ -216,9 +216,10 @@ def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) ->
     )
 
 
-def _fixed_endpoints(src: Segment2, dst: Segment2) -> tuple[bool, bool]:
-    """Whether src.a and src.b stay put, to COINCIDENT_RTOL scaled to the four points."""
-    cut = COINCIDENT_RTOL * _point_scale(src.a, src.b, dst.a, dst.b)
+def _fixed_endpoints(src: Segment2, dst: Segment2, scale: float) -> tuple[bool, bool]:
+    """Whether src.a and src.b stay put, to COINCIDENT_RTOL of `scale`, the
+    _point_scale of the four points."""
+    cut = COINCIDENT_RTOL * scale
     return (dst.a - src.a).norm() <= cut, (dst.b - src.b).norm() <= cut
 
 
@@ -233,7 +234,12 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     reflection then the one in line dst, so the two lines cross at the pivot.
     Parallel bisectors mean a translation and raise ParallelBisectors.
     """
-    fixed_a, fixed_b = _fixed_endpoints(src, dst)
+    return _pivot_geometric(src, dst, _point_scale(src.a, src.b, dst.a, dst.b))
+
+
+def _pivot_geometric(src: Segment2, dst: Segment2, scale: float) -> Vec2:
+    """recover_pivot_geometric, given the _point_scale of the four points."""
+    fixed_a, fixed_b = _fixed_endpoints(src, dst, scale)
     if fixed_a and fixed_b:
         raise DegenerateBisector("both endpoints are fixed; any point is a candidate pivot")
     if fixed_a:
@@ -246,7 +252,7 @@ def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
     point = _intersect_lines(la, lb)
     if point is None:
         offset = abs(cross2(la.direction, lb.point - la.point))
-        if offset <= SAME_LINE_RTOL * _point_scale(src.a, src.b, dst.a, dst.b):
+        if offset <= SAME_LINE_RTOL * scale:
             iso = compose_reflections(Reflection2(la), Reflection2(Line2(dst.a, dst.b - dst.a)))
             if isinstance(iso, Rotation2):
                 return iso.pivot
@@ -270,7 +276,7 @@ def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAU
         if da.norm() <= COINCIDENT_RTOL * scale:
             return Identity2()
         return Translation2(da)
-    pivot = recover_pivot_geometric(src, dst)
+    pivot = _pivot_geometric(src, dst, scale)
     if (src.a - pivot).norm() > PIVOT_ARM_RTOL * scale:
         theta = signed_angle(src.a - pivot, dst.a - pivot)
     else:

@@ -483,3 +483,24 @@ def test_plane_composite_is_constructed_without_the_algebraic_route(monkeypatch)
     assert isinstance(iso, Rotation2)
     assert _close(iso.pivot, Vec2(0.7071, 0.2929), 1e-4)
     assert iso.angle == pytest.approx(3 * math.pi / 4, abs=1e-12)
+
+
+_PLAIN_SRC = Segment2(Vec2(1.0, 0.0), Vec2(2.0, 0.5))
+_TURN = Rotation2(Vec2(0.5, 0.2), math.pi / 3)
+
+
+@pytest.mark.parametrize("src, dst", [
+    (_PLAIN_SRC, Segment2(apply_planar(_TURN, _PLAIN_SRC.a), apply_planar(_TURN, _PLAIN_SRC.b))),
+    (Segment2(Vec2(1.0, 0.0), Vec2(2.0, 0.0)), Segment2(Vec2(-1.0, 0.0), Vec2(-2.0, 0.0))),
+], ids=["plain", "collinear"])
+def test_geometric_plane_solve_scales_the_points_once(monkeypatch, src, dst):
+    import isometry_lab.planar as planar
+
+    calls = []
+    scale = planar._point_scale
+    monkeypatch.setattr(planar, "_point_scale", lambda *p: calls.append(p) or scale(*p))
+    iso = recover_planar_geometric(src, dst)
+    assert isinstance(iso, Rotation2)
+    assert len(calls) == 1
+    assert recover_pivot_geometric(src, dst) == iso.pivot
+    assert len(calls) == 2
