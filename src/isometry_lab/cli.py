@@ -360,19 +360,26 @@ def _run_baseball(payload, method, tol):
 def _run_sphere_compose(payload, method, tol):
     outer = Rotation3(payload["g"], payload["alpha"])
     inner = Rotation3(payload["h"], payload["beta"])
-    m = rotation_matrix(outer).m @ rotation_matrix(inner).m
-    try:
-        eig = eig3_rotation(m)
-    except IdentityRotation:
-        eig = None
+    eig = None  # the algebraic route's eigenstructure, when it runs and finds a turn
+
+    def algebraic():
+        nonlocal eig
+        m = rotation_matrix(outer).m @ rotation_matrix(inner).m
+        try:
+            eig = eig3_rotation(m)
+        except IdentityRotation:
+            pass
+        return _axis_angle_from_eig(RotationMatrix3(m), eig)
+
     record, primary = _solve_both_ways(
-        method, tol,
-        lambda: _axis_angle_from_eig(RotationMatrix3(m), eig),
+        method, tol, algebraic,
         lambda: _compose_sphere_geometric(outer, inner),
         [(p, apply_sphere(outer, apply_sphere(inner, p))) for p in _SPHERE_RESIDUAL_PROBES],
         apply_sphere, _sphere_rot_dict,
     )
-    record.result["complex_pair"] = [1.0, 0.0] if eig is None else list(eig.complex_pair)
+    # a from the eigensolve, else from the primary answer's angle; b by eig3_rotation's formula
+    a = math.cos(primary.angle) if eig is None else eig.complex_pair[0]
+    record.result["complex_pair"] = [a, math.sqrt(max(0.0, 1.0 - a * a))]
     return record, lambda: sphere_compose_figure(payload["g"], payload["h"], primary)
 
 

@@ -55,7 +55,9 @@ def rand_sphere_pair(
 
 
 def refuse_algebraic_routes(monkeypatch) -> None:
-    """Make every algebraic entry point raise, so only a construction can answer."""
+    """Make every algebraic entry point raise, in each module that bound it,
+    so only a construction can answer."""
+    import isometry_lab.cli as cli
     import isometry_lab.linalg as linalg
     import isometry_lab.planar as planar
     import isometry_lab.spherical as spherical
@@ -63,9 +65,10 @@ def refuse_algebraic_routes(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("an algebraic route ran")
 
-    for module, name in (
-        (planar, "recover_planar"), (planar, "compose_planar"), (planar, "compose_rotations_planar"),
-        (spherical, "rotation_matrix"), (spherical, "eig3_rotation"), (linalg, "eig3_rotation"),
-        (spherical, "_axis_cross"), (spherical, "recover_sphere_rotation"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
+    for module in (linalg, planar, spherical, cli):
+        for name in (
+            "recover_planar", "compose_planar", "compose_rotations_planar", "rotation_matrix",
+            "eig3_rotation", "_axis_cross", "recover_sphere_rotation",
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)

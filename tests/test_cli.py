@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 from golden.make_corpus import METHODS, RANDOM
+from helpers import refuse_algebraic_routes
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -1013,3 +1014,21 @@ def test_a_batch_of_one_is_the_single_answer_in_an_array(tmp_path, capsys, degre
     single, batch = outs
     body = "\n".join("  " + line for line in single.rstrip("\n").split("\n"))
     assert batch == f"[\n{body}\n]\n"
+
+
+def test_geometric_sphere_compose_runs_no_algebraic_route(monkeypatch):
+    refuse_algebraic_routes(monkeypatch)
+    result = run(instance_from_obj(S2_OBJ), method="geometric").result
+    a, b = result["complex_pair"]
+    assert a == pytest.approx(math.cos(result["angle"]), abs=1e-15)
+    assert b == pytest.approx(math.sin(result["angle"]), abs=1e-15)
+
+
+def test_geometric_sphere_compose_takes_its_complex_pair_from_its_own_angle():
+    # two quarter turns about one axis: the matrix product's trace puts
+    # 1.5e-8 into b, which the geometric answer (angle pi) must not report
+    g = [-0.10035013191106842, 0.3006758566800328, 0.9484323277045966]
+    obj = {"kind": "sphere_compose", "G": g, "alpha": math.pi / 2, "H": g, "beta": math.pi / 2}
+    result = run(instance_from_obj(obj), method="geometric").result
+    assert result["angle"] == math.pi
+    assert result["complex_pair"] == [-1.0, 0.0]
