@@ -41,6 +41,7 @@ IDENTITY_TOL = 1e-9  # max |M - I| below this is the identity: no single axis
 AXIS_SIGN_TOL = 1e-9  # the first axis component above this is made positive
 SKEW_TOL = 1e-12  # a shorter skew part (sin of the angle) gives no turn direction
 SKEW_CHECK_TOL = 1e-9  # the skew part's length must match sin(angle) this closely
+ACOS_SINE_MIN = 1e-5  # a shorter skew part reads the angle by atan2: acos(a) loses digits
 ARCSIN_NOTE_TOL = 1e-9  # a chord-arcsin angle off by more gets a note
 FIGURE_MIN_SPAN = 1e-6  # least span of a planar figure's window
 FIGURE_CLIP_TOL = 1e-15  # a direction component below this is parallel to a window edge

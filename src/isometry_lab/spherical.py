@@ -28,9 +28,9 @@ from .errors import (
     PointOnAxis,
 )
 from .linalg import (
-    ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL, SKEW_CHECK_TOL, SKEW_TOL,
-    SPHERE_CHORD_MIN, UNIT_TOL, Eig3Result, Mat3, Vec3, check_tol, clamp, cross, eig3_rotation,
-    require_rotation, wrap_angle,
+    ACOS_SINE_MIN, ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL,
+    SKEW_CHECK_TOL, SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Eig3Result, Mat3, Vec3, check_tol, clamp,
+    cross, eig3_rotation, require_rotation, wrap_angle,
 )
 
 __all__ = [
@@ -406,7 +406,6 @@ def _axis_angle_from_eig(rm: RotationMatrix3, eig: Eig3Result | None) -> Rotatio
         return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
     m = rm.m
     a, _ = eig.complex_pair
-    angle = math.acos(clamp(a, -1.0, 1.0))
     r = m.rows
     skew = Vec3(
         (r[2][1] - r[1][2]) / 2.0,
@@ -414,6 +413,8 @@ def _axis_angle_from_eig(rm: RotationMatrix3, eig: Eig3Result | None) -> Rotatio
         (r[1][0] - r[0][1]) / 2.0,
     )
     sn = skew.norm()
+    # Near a turn of 0 or pi, a one ulp from +-1 moves acos(a) by 1.5e-8
+    angle = math.acos(clamp(a, -1.0, 1.0)) if sn >= ACOS_SINE_MIN else math.atan2(sn, a)
     if abs(sn - math.sin(angle)) > SKEW_CHECK_TOL:
         raise InternalCheckError(
             f"skew magnitude {sn:.12g} disagrees with sin(angle) {math.sin(angle):.12g}"

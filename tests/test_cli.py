@@ -1032,3 +1032,36 @@ def test_geometric_sphere_compose_takes_its_complex_pair_from_its_own_angle():
     result = run(instance_from_obj(obj), method="geometric").result
     assert result["angle"] == math.pi
     assert result["complex_pair"] == [-1.0, 0.0]
+
+
+def _same_axis_quarter_turns():
+    """The half-turn composites of a seeded axis sweep: two quarter turns
+    about one Gaussian random axis each, the first axis the one found first."""
+    yield [-0.10035013191106842, 0.3006758566800328, 0.9484323277045966]
+    rng = random.Random(3)
+    for _ in range(1000):
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        n = math.sqrt(sum(c * c for c in v))
+        yield [c / n for c in v]
+
+
+@pytest.mark.parametrize("method", ["algebraic", "both"])
+def test_a_composite_half_turn_solves_algebraically(method):
+    # (trace - 1)/2 can land one ulp above -1, where acos reads pi - 1.5e-8
+    for g in _same_axis_quarter_turns():
+        obj = {"kind": "sphere_compose", "G": g, "alpha": math.pi / 2, "H": g, "beta": math.pi / 2}
+        record = run(instance_from_obj(obj), method=method)
+        assert abs(record.result["angle"] - math.pi) <= 1e-9, g
+        assert record.residual <= 1e-9, g
+        assert record.diagnostics == [], g
+
+
+@pytest.mark.parametrize("t", [2e-9, 5e-9, 1e-7])
+def test_a_composite_small_turn_solves_algebraically(t):
+    # a = 1 exactly below about 1e-8, where acos reads 0 against a skew part of t
+    g = [0.0, 0.6, 0.8]
+    obj = {"kind": "sphere_compose", "G": g, "alpha": t, "H": g, "beta": 0.0}
+    record = run(instance_from_obj(obj), method="both")
+    assert record.result["angle"] == pytest.approx(t, rel=1e-9)
+    assert record.residual <= 1e-9
+    assert record.diagnostics == []

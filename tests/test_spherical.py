@@ -8,9 +8,11 @@ from isometry_lab import (
     AntipodalPoints,
     CoincidentPoints,
     DegenerateAxis,
+    Eig3Result,
     GreatCircle,
     IdenticalCircles,
     IdentityCorrespondence,
+    InternalCheckError,
     LengthMismatch,
     Mat3,
     NonUnitVector,
@@ -36,6 +38,7 @@ from isometry_lab import (
     rotation_angle_about_axis,
     rotation_matrix,
 )
+from isometry_lab.spherical import _axis_angle_from_eig
 
 Z = UnitVector3(0.0, 0.0, 1.0)
 Y = UnitVector3(0.0, 1.0, 0.0)
@@ -455,6 +458,14 @@ class TestAxisAngleFromMatrix:
             out = axis_angle_from_matrix(m)
             a, _ = eig3_rotation(m.m).complex_pair
             assert abs(out.angle - math.acos(max(-1.0, min(1.0, a)))) <= 1e-9
+
+
+    @pytest.mark.parametrize("angle, a", [(math.pi / 2, 0.5), (1e-6, 0.5)])
+    def test_a_trace_that_disagrees_with_the_skew_part_raises(self, angle, a):
+        # the angle is read by acos where the skew part is long, by atan2 where short
+        m = rotation_matrix(Rotation3(Z, angle))
+        with pytest.raises(InternalCheckError, match="disagrees with sin"):
+            _axis_angle_from_eig(m, Eig3Result(1.0, Z, (a, math.sqrt(1.0 - a * a))))
 
 
 def test_fixed_point_algebraic_solve_checks_lengths_once(monkeypatch):
