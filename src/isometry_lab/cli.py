@@ -254,11 +254,11 @@ def _solve_both_ways(method, tol, algebraic, geometric, pairs, apply, as_dict, n
     iso_g = geometric() if method != "algebraic" else None
     primary = iso_g if iso_a is None else iso_a
     images = [apply(primary, p) for p, _ in pairs]
-    residual = max((image - q).norm() for image, (_, q) in zip(images, pairs))
+    residual = max(image.dist(q) for image, (_, q) in zip(images, pairs))
     record = SolutionRecord(as_dict(primary), method, residual, notes(primary) if notes else [])
     if method == "both":
         # primary is iso_a here, so its images serve the discrepancy too
-        disc = max((image - apply(iso_g, p)).norm() for image, (p, _) in zip(images, pairs))
+        disc = max(image.dist(apply(iso_g, p)) for image, (p, _) in zip(images, pairs))
         record.result_geometric = as_dict(iso_g)
         record.discrepancy = disc
         if disc > tol:
@@ -304,10 +304,10 @@ def _run_plane_reflections(payload, method, tol):
     rot = Rotation2(payload["pivot"], payload["theta"])
     first, second = reflections_for_rotation(rot)
     recomposed = compose_reflections(first, second)
-    probes = tuple(rot.pivot + d for d in (Vec2(1.0, 0.0), *_PLANE_PROBE))
-    residual = max(
-        (apply_planar(recomposed, p) - apply_planar(rot, p)).norm() for p in probes
-    )
+    # pivot + d for each probe d: py + 0.0 turns a -0.0 into 0.0, as Vec2 addition does
+    px, py = rot.pivot.x, rot.pivot.y
+    probes = (Vec2(px + 1.0, py + 0.0), *(Vec2(px + d.x, py + d.y) for d in _PLANE_PROBE))
+    residual = max(apply_planar(recomposed, p).dist(apply_planar(rot, p)) for p in probes)
     result = {
         "type": "reflection_pair",
         "pivot": [rot.pivot.x, rot.pivot.y],
@@ -340,7 +340,7 @@ def _run_sphere_recover(payload, method, tol):
             lambda primary: _arcsin_notes(x, xp, primary),
         )
     except IdentityCorrespondence:
-        residual = max((x - xp).norm(), (y - yp).norm())
+        residual = max(x.dist(xp), y.dist(yp))
         record, rot = SolutionRecord({"type": "identity"}, method, residual), None
     return record, lambda: sphere_recovery_figure(x, xp, y, yp, rot)
 

@@ -101,6 +101,10 @@ class Vec2:
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
+    def dist(self, other: "Vec2") -> float:
+        """(self - other).norm(), bit for bit, without building the difference."""
+        return math.hypot(self.x - other.x, self.y - other.y)
+
     def perp(self) -> "Vec2":
         """Counterclockwise quarter turn."""
         return Vec2(-self.y, self.x)
@@ -143,6 +147,11 @@ class Vec3:
 
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
+
+    def dist(self, other: "Vec3") -> float:
+        """(self - other).norm(), bit for bit, without building the difference."""
+        dx, dy, dz = self.x - other.x, self.y - other.y, self.z - other.z
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
 
     def normalized(self) -> "Vec3":
         n = self.norm()

@@ -102,11 +102,11 @@ class Segment2:
         if not (_finite2(self.a) and _finite2(self.b)):
             raise ValueError("segment endpoints must be finite")
         scale = max(1.0, self.a.norm(), self.b.norm())
-        if (self.a - self.b).norm() <= COINCIDENT_RTOL * scale:
+        if self.a.dist(self.b) <= COINCIDENT_RTOL * scale:
             raise DegenerateSegment("segment endpoints coincide")
 
     def length(self) -> float:
-        return (self.a - self.b).norm()
+        return self.a.dist(self.b)
 
 
 def signed_angle(u: Vec2, v: Vec2) -> float:
@@ -117,9 +117,13 @@ def signed_angle(u: Vec2, v: Vec2) -> float:
 def apply_planar(iso: PlanarIsometry, p: Vec2) -> Vec2:
     """Evaluate an isometry at a point."""
     if isinstance(iso, Rotation2):
-        return iso.pivot + Mat2.rotation(iso.angle).mv(p - iso.pivot)
+        # pivot + Mat2.rotation(angle).mv(p - pivot), in its operation order
+        q = iso.pivot
+        c, s = math.cos(iso.angle), math.sin(iso.angle)
+        dx, dy = p.x - q.x, p.y - q.y
+        return Vec2(q.x + (c * dx - s * dy), q.y + (s * dx + c * dy))
     if isinstance(iso, Translation2):
-        return p + iso.v
+        return Vec2(p.x + iso.v.x, p.y + iso.v.y)
     if isinstance(iso, Reflection2):
         return reflect(iso.line, p)
     if isinstance(iso, Identity2):
@@ -146,20 +150,20 @@ def orientation_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
 
 def perpendicular_bisector(a: Vec2, b: Vec2) -> Line2:
     """Locus of points equidistant from a and b."""
-    chord = b - a
-    if chord.norm() == 0.0:
+    cx, cy = b.x - a.x, b.y - a.y
+    if cx == 0.0 and cy == 0.0:
         raise DegenerateBisector("coincident points have no perpendicular bisector")
-    return Line2((a + b) * 0.5, chord.perp())
+    return Line2(Vec2((a.x + b.x) * 0.5, (a.y + b.y) * 0.5), Vec2(-cy, cx))
 
 
 def _intersect_lines(l1: Line2, l2: Line2) -> Vec2 | None:
     """Intersection point, or None when the lines are parallel."""
-    m = Mat2(l1.direction.x, -l2.direction.x, l1.direction.y, -l2.direction.y)
+    p, d, q, e = l1.point, l1.direction, l2.point, l2.direction
     try:
-        ts = solve2(m, l2.point - l1.point)
+        t = solve2(Mat2(d.x, -e.x, d.y, -e.y), Vec2(q.x - p.x, q.y - p.y)).x
     except SingularMatrix:
         return None
-    return l1.point + l1.direction * ts.x
+    return Vec2(p.x + d.x * t, p.y + d.y * t)
 
 
 def _point_scale(*points: Vec2) -> float:
@@ -220,7 +224,7 @@ def _fixed_endpoints(src: Segment2, dst: Segment2, scale: float) -> tuple[bool, 
     """Whether src.a and src.b stay put, to COINCIDENT_RTOL of `scale`, the
     _point_scale of the four points."""
     cut = COINCIDENT_RTOL * scale
-    return (dst.a - src.a).norm() <= cut, (dst.b - src.b).norm() <= cut
+    return dst.a.dist(src.a) <= cut, dst.b.dist(src.b) <= cut
 
 
 def recover_pivot_geometric(src: Segment2, dst: Segment2) -> Vec2:
@@ -272,16 +276,15 @@ def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAU
     da = dst.a - src.a
     db = dst.b - src.b
     scale = _point_scale(src.a, src.b, dst.a, dst.b)
-    if (da - db).norm() <= ANGLE_MIN * src.length():
+    if da.dist(db) <= ANGLE_MIN * src.length():
         if da.norm() <= COINCIDENT_RTOL * scale:
             return Identity2()
         return Translation2(da)
     pivot = _pivot_geometric(src, dst, scale)
-    if (src.a - pivot).norm() > PIVOT_ARM_RTOL * scale:
-        theta = signed_angle(src.a - pivot, dst.a - pivot)
-    else:
-        theta = signed_angle(src.b - pivot, dst.b - pivot)
-    return Rotation2(pivot, theta)
+    p, q = (src.a, dst.a) if src.a.dist(pivot) > PIVOT_ARM_RTOL * scale else (src.b, dst.b)
+    # signed_angle(p - pivot, q - pivot), in its operation order
+    ux, uy, vx, vy = p.x - pivot.x, p.y - pivot.y, q.x - pivot.x, q.y - pivot.y
+    return Rotation2(pivot, math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
 
 
 def _anchored_form(iso: PlanarIsometry) -> tuple[float, Vec2, Vec2]:
@@ -337,8 +340,8 @@ def _compose_planar_geometric(outer: Rotation2, inner: Rotation2) -> PlanarIsome
     Introduction to Geometry, 1969, section 3.2): with l the line through
     both pivots, inner is n then l and outer l then m, for n through inner's
     pivot at -inner.angle/2 to l and m through outer's at +outer.angle/2."""
-    d = outer.pivot - inner.pivot
-    phi = math.atan2(d.y, d.x)  # 0, the x axis, when the pivots coincide
+    g, h = outer.pivot, inner.pivot
+    phi = math.atan2(g.y - h.y, g.x - h.x)  # 0, the x axis, when the pivots coincide
     a, b = phi - inner.angle / 2.0, phi + outer.angle / 2.0
     n = Line2(inner.pivot, Vec2(math.cos(a), math.sin(a)))
     m = Line2(outer.pivot, Vec2(math.cos(b), math.sin(b)))

@@ -124,7 +124,7 @@ class SphereSegment:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_unit(self.a))
         object.__setattr__(self, "b", _as_unit(self.b))
-        if (self.a - self.b).norm() <= SPHERE_CHORD_MIN:
+        if self.a.dist(self.b) <= SPHERE_CHORD_MIN:
             raise CoincidentPoints("segment endpoints coincide")
         if (self.a + self.b).norm() <= SPHERE_CHORD_MIN:
             raise AntipodalPoints("antipodal endpoints lie on infinitely many great circles")
@@ -235,7 +235,7 @@ def _axis_geometric(
     x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3
 ) -> UnitVector3:
     """recover_axis_geometric's construction, on arc lengths already checked."""
-    dx, dy = (x - xp).norm(), (y - yp).norm()
+    dx, dy = x.dist(xp), y.dist(yp)
     for cut in (COINCIDENT_RTOL, SPHERE_CHORD_MIN):
         if dx <= cut and dy <= cut:
             raise IdentityCorrespondence("both points are fixed; every axis works")
@@ -262,11 +262,19 @@ def rotation_angle_about_axis(axis: Vec3, x: Vec3, xp: Vec3) -> float:
     rotation's equator.
     """
     axis = _as_unit(axis)
-    u = x - axis * x.dot(axis)
-    v = xp - axis * xp.dot(axis)
-    if u.norm() < ON_AXIS_TOL or v.norm() < ON_AXIS_TOL:
+    ax, ay, az = axis.x, axis.y, axis.z
+    # u = x - axis (x . axis) and v likewise, in the vector expression's operation order
+    k, j = x.dot(axis), xp.dot(axis)
+    ux, uy, uz = x.x - ax * k, x.y - ay * k, x.z - az * k
+    vx, vy, vz = xp.x - ax * j, xp.y - ay * j, xp.z - az * j
+    if (math.sqrt(ux * ux + uy * uy + uz * uz) < ON_AXIS_TOL
+            or math.sqrt(vx * vx + vy * vy + vz * vz) < ON_AXIS_TOL):
         raise PointOnAxis("point lies on the rotation axis; its turn angle is undefined")
-    angle = math.atan2(axis.dot(cross(u, v)), u.dot(v))
+    # atan2(axis . (u x v), u . v)
+    angle = math.atan2(
+        ax * (uy * vz - uz * vy) + ay * (uz * vx - ux * vz) + az * (ux * vy - uy * vx),
+        ux * vx + uy * vy + uz * vz,
+    )
     return math.pi if angle <= -math.pi else angle
 
 
@@ -347,10 +355,7 @@ def recover_sphere_rotation(
     except PointOnAxis:
         angle = rotation_angle_about_axis(axis, y, yp)
     rot = Rotation3(axis, angle)
-    residual = max(
-        (apply_sphere(rot, x) - xp).norm(),
-        (apply_sphere(rot, y) - yp).norm(),
-    )
+    residual = max(apply_sphere(rot, x).dist(xp), apply_sphere(rot, y).dist(yp))
     if residual > tol:
         raise NotIsometric(
             f"no single rotation maps both points (residual {residual:.3g} > {tol:g})"

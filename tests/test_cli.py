@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from golden.make_corpus import METHODS, RANDOM
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from isometry_lab import (
     GeometryError,
     InternalCheckError,
+    Mat2,
     ParseError,
     Rotation2,
     SchemaError,
@@ -22,6 +25,7 @@ from isometry_lab import (
     UnitVector3,
     ValidationError,
     Vec2,
+    Vec3,
     apply_planar,
     recover_planar,
     recover_planar_geometric,
@@ -1065,3 +1069,28 @@ def test_a_composite_small_turn_solves_algebraically(t):
     assert record.result["angle"] == pytest.approx(t, rel=1e-9)
     assert record.residual <= 1e-9
     assert record.diagnostics == []
+
+
+# Vec2, Vec3 and Mat2 values built by one run() on the first instance of
+# each plane kind's corpus case: the float kernels build no intermediates
+_CONSTRUCTIONS = {
+    "plane_compose": {"Vec2": 28, "Mat2": 4},
+    "plane_recover": {"Vec2": 21, "Mat2": 4},
+    "plane_reflections": {"Vec2": 14, "Mat2": 1},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSTRUCTIONS))
+def test_a_plane_run_builds_few_vectors(monkeypatch, kind):
+    case = Path(__file__).resolve().parent / "golden" / "cases" / f"{kind}_both" / "input.json"
+    inst = instance_from_obj(json.loads(case.read_text(encoding="utf-8"))[0])
+    counts = Counter()
+    for cls in (Vec2, Vec3, Mat2):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    run(inst, method="both")
+    for name in ("Vec2", "Vec3", "Mat2"):
+        assert counts[name] <= _CONSTRUCTIONS[kind].get(name, 0), (name, dict(counts))
