@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from helpers import refuse_algebraic_routes
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import isometry_lab
 from isometry_lab import (
     GeometryError,
     InternalCheckError,
@@ -488,10 +490,13 @@ class TestMainOutput:
 def test_module_entry_point(tmp_path):
     p = tmp_path / "instance.json"
     p.write_text(json.dumps(P2_OBJ))
+    # the child imports the package this process imported, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(isometry_lab.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "isometry_lab", "plane-compose", "--input", str(p)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
