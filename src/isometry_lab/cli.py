@@ -24,7 +24,6 @@ from .errors import (
     DegenerateSegment,
     GeometryError,
     IdentityCorrespondence,
-    IdentityRotation,
     InternalCheckError,
     LengthMismatch,
     NonUnitVector,
@@ -40,8 +39,7 @@ from .figures import (
     sphere_compose_figure,
     sphere_recovery_figure,
 )
-from .linalg import ANGLE_MIN, ARCSIN_NOTE_TOL, DEFAULT_TOL
-from .linalg import Vec2, check_coords, check_tol, eig3_rotation, wrap_angle
+from .linalg import ARCSIN_NOTE_TOL, DEFAULT_TOL, Vec2, check_coords, check_tol
 from .planar import (
     Identity2,
     Rotation2,
@@ -57,15 +55,13 @@ from .planar import (
 )
 from .spherical import (
     Rotation3,
-    RotationMatrix3,
     SphereSegment,
     UnitVector3,
-    _axis_angle_from_eig,
     _compose_sphere_geometric,
     apply_sphere,
     chord_arcsin_angle,
+    compose_sphere_rotations,
     recover_sphere_rotation,
-    rotation_matrix,
 )
 
 __all__ = ["ProblemInstance", "SolutionRecord", "parse_instance", "run", "run_baseball"]
@@ -285,8 +281,6 @@ def _run_plane_compose(payload, method, tol):
     g, h = payload["g"], payload["h"]
     outer = Rotation2(g, payload["alpha"])
     inner = Rotation2(h, payload["beta"])
-    cancelled = abs(wrap_angle(outer.angle + inner.angle)) < ANGLE_MIN
-
     mid = tuple(apply_planar(inner, p) for p in _PLANE_PROBE)
     final = tuple(apply_planar(outer, p) for p in mid)
     pivots = [(p, apply_planar(outer, apply_planar(inner, p))) for p in (g, h)]
@@ -295,7 +289,7 @@ def _run_plane_compose(payload, method, tol):
         lambda: compose_rotations_planar(outer, inner),
         lambda: _compose_planar_geometric(outer, inner),
         (*pivots, *zip(_PLANE_PROBE, final)), apply_planar, _planar_iso_dict,
-        lambda _: [_NOTE_CANCELLED_ANGLES] if cancelled else [],
+        lambda primary: [] if isinstance(primary, Rotation2) else [_NOTE_CANCELLED_ANGLES],
     )
     return record, lambda: planar_compose_figure(g, h, primary, _PLANE_PROBE, mid, final)
 
@@ -360,26 +354,17 @@ def _run_baseball(payload, method, tol):
 def _run_sphere_compose(payload, method, tol):
     outer = Rotation3(payload["g"], payload["alpha"])
     inner = Rotation3(payload["h"], payload["beta"])
-    eig = None  # the algebraic route's eigenstructure, when it runs and finds a turn
-
-    def algebraic():
-        nonlocal eig
-        m = rotation_matrix(outer).m @ rotation_matrix(inner).m
-        try:
-            eig = eig3_rotation(m)
-        except IdentityRotation:
-            pass
-        return _axis_angle_from_eig(RotationMatrix3(m), eig)
-
     record, primary = _solve_both_ways(
-        method, tol, algebraic,
+        method, tol,
+        lambda: compose_sphere_rotations(outer, inner),
         lambda: _compose_sphere_geometric(outer, inner),
         [(p, apply_sphere(outer, apply_sphere(inner, p))) for p in _SPHERE_RESIDUAL_PROBES],
         apply_sphere, _sphere_rot_dict,
     )
-    # a from the eigensolve, else from the primary answer's angle; b by eig3_rotation's formula
-    a = math.cos(primary.angle) if eig is None else eig.complex_pair[0]
-    record.result["complex_pair"] = [a, math.sqrt(max(0.0, 1.0 - a * a))]
+    # the eigenvalues cos t +- i sin t of the reported angle t in [0, pi];
+    # pi - t is exact past pi/2, so a half turn gets b = 0.0, not sin(pi)
+    t = primary.angle
+    record.result["complex_pair"] = [math.cos(t), math.sin(min(t, math.pi - t))]
     return record, lambda: sphere_compose_figure(payload["g"], payload["h"], primary)
 
 

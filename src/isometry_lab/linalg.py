@@ -4,8 +4,8 @@ Everything is plain arithmetic on immutable values sized for 2D and 3D
 geometry; no external numerics are involved. The eigensolver handles only
 proper rotation matrices, whose structure makes the characteristic cubic
 unnecessary: the real eigenvalue is known to be +1, the complex pair is
-read from the trace, and the eigenvector comes from the null space of
-(M - I).
+read from the trace and the skew part, and the eigenvector comes from the
+null space of (M - I).
 
 The hot kernels (`apply_planar`, `a.dist(b)` for `(a - b).norm()`, and
 the leaf constructions of `planar` and `spherical`) work on floats and
@@ -321,10 +321,12 @@ def eig3_rotation(m: Mat3) -> Eig3Result:
 
     The real eigenvalue of any such matrix is +1 (the complex pair
     contributes a^2 + b^2 > 0 to the determinant, which equals +1), so no
-    cubic is solved. The complex pair is a = (trace - 1) / 2 with
-    b = sqrt(1 - a^2), and the +1 eigenvector is taken from the null space
-    of (m - I) as the largest cross product among its row pairs, which
-    avoids conditioning problems when one row is nearly degenerate.
+    cubic is solved. The complex pair is a = (trace - 1) / 2 with b the
+    length of the skew part (m - m^T) / 2, which keeps the digits that
+    sqrt(1 - a^2) loses near a turn of 0 or pi. The +1 eigenvector is
+    taken from the null space of (m - I) as the largest cross product
+    among its row pairs, which avoids conditioning problems when one row
+    is nearly degenerate.
 
     Raises NotARotation for inputs failing the orthogonality/determinant
     check, and IdentityRotation when m is the identity, where every
@@ -335,7 +337,9 @@ def eig3_rotation(m: Mat3) -> Eig3Result:
         raise IdentityRotation("matrix is the identity; every direction is fixed")
 
     a = clamp((m.trace() - 1.0) / 2.0, -1.0, 1.0)
-    b = math.sqrt(max(0.0, 1.0 - a * a))
+    r = m.rows
+    sx, sy, sz = (r[2][1] - r[1][2]) / 2.0, (r[0][2] - r[2][0]) / 2.0, (r[1][0] - r[0][1]) / 2.0
+    b = math.sqrt(sx * sx + sy * sy + sz * sz)
 
     r0 = m.row(0) - Vec3(1.0, 0.0, 0.0)
     r1 = m.row(1) - Vec3(0.0, 1.0, 0.0)

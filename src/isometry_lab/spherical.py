@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import (
     ACOS_SINE_MIN, ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL,
-    SKEW_CHECK_TOL, SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Eig3Result, Mat3, Vec3, check_tol, clamp,
+    SKEW_CHECK_TOL, SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Mat3, Vec3, check_tol, clamp,
     cross, eig3_rotation, require_rotation, wrap_angle,
 )
 
@@ -400,18 +400,9 @@ def axis_angle_from_matrix(rm: RotationMatrix3) -> Rotation3:
     try:
         eig = eig3_rotation(rm.m)
     except IdentityRotation:
-        eig = None
-    return _axis_angle_from_eig(rm, eig)
-
-
-def _axis_angle_from_eig(rm: RotationMatrix3, eig: Eig3Result | None) -> Rotation3:
-    """axis_angle_from_matrix given eig3_rotation(rm.m), or None where that
-    raised IdentityRotation."""
-    if eig is None:
         return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
-    m = rm.m
     a, _ = eig.complex_pair
-    r = m.rows
+    r = rm.m.rows
     skew = Vec3(
         (r[2][1] - r[1][2]) / 2.0,
         (r[0][2] - r[2][0]) / 2.0,

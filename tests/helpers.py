@@ -68,7 +68,7 @@ def refuse_algebraic_routes(monkeypatch) -> None:
     for module in (linalg, planar, spherical, cli):
         for name in (
             "recover_planar", "compose_planar", "compose_rotations_planar", "rotation_matrix",
-            "eig3_rotation", "_axis_cross", "recover_sphere_rotation",
+            "eig3_rotation", "_axis_cross", "recover_sphere_rotation", "compose_sphere_rotations",
         ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

@@ -45,6 +45,7 @@ from isometry_lab.cli import (
     run,
     run_baseball,
 )
+from isometry_lab.linalg import ANGLE_MIN
 
 P2_OBJ = {
     "kind": "plane_compose",
@@ -1074,6 +1075,40 @@ def test_a_composite_small_turn_solves_algebraically(t):
     assert record.result["angle"] == pytest.approx(t, rel=1e-9)
     assert record.residual <= 1e-9
     assert record.diagnostics == []
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "turn",
+    [1e-3, 1e-5, 1e-7, 3e-8, 1e-8, 3e-9,
+     math.pi - 1e-6, math.pi - 1e-8, math.pi - 1e-9, math.pi],
+)
+def test_sphere_compose_complex_pair_is_cos_and_sin_of_its_angle(turn, method):
+    # sqrt(1 - a^2) read 0.0 for a 1e-8 turn and 1.5e-8 for a half turn;
+    # 2**-52 allows for sin(pi) = 1.2e-16, pi's own rounding error
+    g = [-0.10035013191106842, 0.3006758566800328, 0.9484323277045966]
+    obj = {"kind": "sphere_compose", "G": g, "alpha": turn / 2, "H": g, "beta": turn / 2}
+    result = run(instance_from_obj(obj), method=method).result
+    t = result["angle"]
+    a, b = result["complex_pair"]
+    assert a == math.cos(t)
+    assert abs(b - math.sin(t)) <= 1e-12 * math.sin(t) + 2.0**-52
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cancelled_angle_note_comes_with_a_non_rotation(method):
+    # alpha + beta within 1e-14 relative of +-ANGLE_MIN, where the routes
+    # decide rotation or translation each from its own angle
+    rng = random.Random(11)
+    for _ in range(4000):
+        g = [rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)]
+        h = [rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)]
+        alpha = rng.uniform(-math.pi, math.pi)
+        total = rng.choice((-1.0, 1.0)) * ANGLE_MIN * (1.0 + rng.uniform(-1e-14, 1e-14))
+        obj = {"kind": "plane_compose", "G": g, "alpha": alpha, "H": h, "beta": total - alpha}
+        record = run(instance_from_obj(obj), method=method)
+        noted = any("angle sum is 0 mod 2pi" in d for d in record.diagnostics)
+        assert noted == (record.result["type"] != "rotation"), obj
 
 
 # Vec2, Vec3 and Mat2 values built by one run() on the first instance of

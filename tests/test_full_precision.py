@@ -44,9 +44,9 @@ CORPUS_DIGESTS = {
     "plane_reflections/algebraic": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/both": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/geometric": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
-    "sphere_compose/algebraic": "802dfe55bcaaa6ce9ca408f9a63727693984e515673ed783a5e15272d59d56c7",
-    "sphere_compose/both": "0322f418f2e277d6007af6bc31a9ecf9b803870137911c6416711ec6e7621c5d",
-    "sphere_compose/geometric": "3dd4f8ef922e6c7f7a474236ab82300504c272f13a3671f7182a95aa23a32336",
+    "sphere_compose/algebraic": "86120791785730daf9b429c1ebaf79e65ab3afff1ac845f34ffb0d590bd95fd3",
+    "sphere_compose/both": "0b29ea2c1fd491744e001576e243ab0545dc5a1c850d7e70c85c081ff6c002be",
+    "sphere_compose/geometric": "da9aa17706222467d2ecb8e428e42bd56891bc80bfcf7ab312c7441559291923",
     "sphere_recover/algebraic": "fdd194ac761a6add6e10a9c844a46a45e84a32ec6cdaf0d147d86285e87a5d1c",
     "sphere_recover/both": "b5b10135c948379b69a67d31e4c942afa6375cf0a3076ad615fd33634151cee1",
     "sphere_recover/geometric": "d4720458f98c9002c9cd64149f3be96f997d10073d5a038a291fa49f48b9c6c5",
@@ -65,9 +65,9 @@ RANDOM_DIGESTS = {
     "plane_reflections/algebraic": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
     "plane_reflections/both": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
     "plane_reflections/geometric": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
-    "sphere_compose/algebraic": "d040d12e716115490088a9f00b273db79d34c0b8638f4dfcaf042bbc62795cd1",
-    "sphere_compose/both": "c5f147412d50ac869b8a1428e6cf2da87bfee3cb80abf0d5e632b878d05ce87e",
-    "sphere_compose/geometric": "cb7af15182dd7787fd469e4fb1f98e6451c1f1b989effe14da830c2be84e9aaf",
+    "sphere_compose/algebraic": "aec0b3629dc11c0aee1e1bcc3ad72e838155b5cb080d892cbb7fa4c588db7a3c",
+    "sphere_compose/both": "d714b4b570c48b7c7711c7efd20cc6c17d7bcc24e50fe1e4cb44a04ca6e1f5e7",
+    "sphere_compose/geometric": "c4a96c42f19202b54fa18cb890de3fb62182b5a9be6d2e160da252fdb5a55900",
     "sphere_recover/algebraic": "bb904079ed5df69e65041c63a6415c874afee7e48d44fddb03f87a08712709ac",
     "sphere_recover/both": "6359e1cf29b5eec936478696da97215408c3327ca0c5fe3f80bbc2eca916f110",
     "sphere_recover/geometric": "f1fb682ed041a30bfd2a216b5abe78742cf91e5e30c122b16f0764187389862d",

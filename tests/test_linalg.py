@@ -215,6 +215,12 @@ class TestEig3Rotation:
             assert (m.mv(eig.axis) - eig.axis).norm() <= 1e-9
             assert abs(eig.axis.norm() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("theta", [1e-8, 1e-6, math.pi - 1e-8])
+    def test_b_keeps_its_digits_near_a_turn_of_zero_or_pi(self, theta):
+        # sqrt(1 - a^2) reads 0.0 at 1e-8 and at pi - 1e-8, and is 4e-5 off at 1e-6
+        _, b = eig3_rotation(rotation_matrix(_rot_z(theta)).m).complex_pair
+        assert b == pytest.approx(math.sin(theta), rel=1e-12, abs=0.0)
+
 
 def _rot_z(theta):
     return Rotation3(UnitVector3(0, 0, 1), theta)
@@ -270,6 +276,33 @@ def test_every_name_in_the_linalg_table_is_read_somewhere():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(node.targets[0].id for node in table if node.targets[0].id not in read) == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names the module at `path` imports but neither reads nor lists in `__all__`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if alias.name != "*"
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                and isinstance(node.value, ast.List)):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used_or_exported():
+    # no linter runs on the package: a deletion must not leave its imports behind
+    src = Path(isometry_lab.__file__).parent
+    unused = {path.name: found for path in sorted(src.glob("*.py")) if (found := _unused_imports(path))}
+    assert unused == {}
 
 
 # Segments of lengths 1 and 2; arcs of pi/2 and 0.927 (x fixed): no isometry exists.
