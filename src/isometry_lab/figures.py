@@ -165,8 +165,12 @@ class _PlanarMapper:
 
 
 def _polyline(points: list[tuple[float, float]], stroke: str, cls: str) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
     return f'<polyline class="{cls}" points="{coords}" fill="none"{stroke}/>'
+
+
+def _label(x: float, y: float, text: str) -> str:
+    return f'<text class="label" x="{_fmt(x)}" y="{_fmt(y)}" stroke="none">{text}</text>'
 
 
 def render_svg(spec: FigureSpec) -> bytes:
@@ -201,7 +205,7 @@ def _marker_svg(px: float, py: float, el: Marker, hidden: bool = False) -> list[
     else:
         out.append(f'<circle class="point" cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" fill="{fill}"{stroke}/>')
     if el.label:
-        out.append(f'<text class="label" x="{_fmt(px + 6)}" y="{_fmt(py - 6)}" stroke="none">{el.label}</text>')
+        out.append(_label(px + 6, py - 6, el.label))
     return out
 
 
@@ -219,10 +223,7 @@ def _render_planar(spec: FigureSpec) -> list[str]:
                 f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"{_STROKES[el.style]}/>'
             )
             if el.label:
-                out.append(
-                    f'<text class="label" x="{_fmt((x1 + x2) / 2 + 5)}" '
-                    f'y="{_fmt((y1 + y2) / 2 - 5)}" stroke="none">{el.label}</text>'
-                )
+                out.append(_label((x1 + x2) / 2 + 5, (y1 + y2) / 2 - 5, el.label))
         elif isinstance(el, LineElement):
             clipped = mapper.clip_line(el.line)
             if clipped is None:
@@ -233,9 +234,7 @@ def _render_planar(spec: FigureSpec) -> list[str]:
                 f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"{_STROKES[el.style]}/>'
             )
             if el.label:
-                out.append(
-                    f'<text class="label" x="{_fmt(x2 - 20)}" y="{_fmt(y2 - 6)}" stroke="none">{el.label}</text>'
-                )
+                out.append(_label(x2 - 20, y2 - 6, el.label))
         elif isinstance(el, ArcElement):
             a0, a1 = el.start, el.end
             if a1 < a0:
@@ -254,83 +253,84 @@ def _render_planar(spec: FigureSpec) -> list[str]:
                     el.radius * 1.25
                 )
                 mx, my = mapper.to_px(mid)
-                out.append(f'<text class="label" x="{_fmt(mx)}" y="{_fmt(my)}" stroke="none">{el.label}</text>')
+                out.append(_label(mx, my, el.label))
     return out
 
 
 _CIRCLE_SAMPLES = 96
 _ARC_SAMPLES = 32
+# cos and sin of the great-circle sample angles, as the Vec3 sampler computed them
+_CIRCLE_CS = tuple(
+    (math.cos(2.0 * math.pi * k / _CIRCLE_SAMPLES), math.sin(2.0 * math.pi * k / _CIRCLE_SAMPLES))
+    for k in range(_CIRCLE_SAMPLES + 1)
+)
 
 
 def _render_sphere(spec: FigureSpec) -> list[str]:
-    half = 1.18
-    scale = min(spec.width, spec.height) / (2.0 * half)
+    scale = min(spec.width, spec.height) / (2.0 * 1.18)
+    # seen from +z: +x points up the page and +y to the left
+    cx, cy = spec.width / 2.0, spec.height / 2.0
+    out = [f'<circle class="sphere-outline" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(scale)}" '
+           'fill="none"/>']
 
-    def to_px(p: Vec3) -> tuple[float, float, float]:
-        # seen from +z: +x points up the page and +y to the left
-        return spec.width / 2.0 - p.y * scale, spec.height / 2.0 - p.x * scale, p.z
-
-    out: list[str] = [
-        f'<circle class="sphere-outline" cx="{_fmt(spec.width / 2)}" '
-        f'cy="{_fmt(spec.height / 2)}" r="{_fmt(scale)}" fill="none"/>'
-    ]
-
-    def emit_sampled(points: list[Vec3], cls: str) -> None:
+    def emit_sampled(points: list[tuple[float, float, float]], cls: str) -> None:
         """Split a sampled curve into visible and hidden runs."""
         runs: list[tuple[bool, list[tuple[float, float]]]] = []
-        for p in points:
-            x, y, depth = to_px(p)
-            front = depth >= 0.0
+        for x, y, z in points:
+            front = z >= 0.0
             if runs and runs[-1][0] == front:
-                runs[-1][1].append((x, y))
+                runs[-1][1].append((cx - y * scale, cy - x * scale))
             else:
-                runs.append((front, [(x, y)]))
+                runs.append((front, [(cx - y * scale, cy - x * scale)]))
         for front, pts in runs:
-            if len(pts) < 2:
-                continue
-            stroke = _STROKES["solid" if front else "dashed"]
-            out.append(_polyline(pts, stroke, cls))
+            if len(pts) > 1:
+                out.append(_polyline(pts, _STROKES["solid" if front else "dashed"], cls))
 
     for el in spec.elements:
         if isinstance(el, Marker):
-            x, y, depth = to_px(el.at)
-            out.extend(_marker_svg(x, y, el, hidden=depth < 0.0))
+            p = el.at
+            out.extend(_marker_svg(cx - p.y * scale, cy - p.x * scale, el, hidden=p.z < 0.0))
         elif isinstance(el, SegmentElement):
             samples = _geodesic_samples(el.a, el.b)
             emit_sampled(samples, "arc-segment")
             if el.label:
-                mx, my, _ = to_px(samples[len(samples) // 2])
-                out.append(
-                    f'<text class="label" x="{_fmt(mx + 5)}" y="{_fmt(my - 5)}" stroke="none">{el.label}</text>'
-                )
+                x, y, _ = samples[len(samples) // 2]
+                out.append(_label(cx - y * scale + 5, cy - x * scale - 5, el.label))
         elif isinstance(el, GreatCircleElement):
-            n = el.normal.normalized()
-            e1 = cross(n, Vec3(0.0, 0.0, 1.0) if abs(n.z) < 0.9 else Vec3(1.0, 0.0, 0.0))
-            e1 = e1.normalized()
-            e2 = cross(n, e1)
-            pts = [
-                e1 * math.cos(2.0 * math.pi * k / _CIRCLE_SAMPLES)
-                + e2 * math.sin(2.0 * math.pi * k / _CIRCLE_SAMPLES)
-                for k in range(_CIRCLE_SAMPLES + 1)
-            ]
+            pts = _circle_samples(el.normal)
             if el.label:
-                x, y, _ = to_px(pts[0])
-                out.append(f'<text class="label" x="{_fmt(x + 5)}" y="{_fmt(y - 5)}" stroke="none">{el.label}</text>')
+                x, y, _ = pts[0]
+                out.append(_label(cx - y * scale + 5, cy - x * scale - 5, el.label))
             emit_sampled(pts, "great-circle")
     return out
 
 
-def _geodesic_samples(a: Vec3, b: Vec3) -> list[Vec3]:
+def _circle_samples(normal: Vec3) -> list[tuple[float, float, float]]:
+    """e1 * cos(2 pi k / 96) + e2 * sin(2 pi k / 96), k = 0..96, with e1 and e2 spanning the
+    circle's plane: (x, y, z) floats in that Vec3 expression's operation order."""
+    n = normal.normalized()
+    e1 = cross(n, Vec3(0.0, 0.0, 1.0) if abs(n.z) < 0.9 else Vec3(1.0, 0.0, 0.0)).normalized()
+    e2 = cross(n, e1)
+    ax, ay, az, bx, by, bz = e1.x, e1.y, e1.z, e2.x, e2.y, e2.z
+    return [(ax * c + bx * s, ay * c + by * s, az * c + bz * s) for c, s in _CIRCLE_CS]
+
+
+def _geodesic_samples(a: Vec3, b: Vec3) -> list[tuple[float, float, float]]:
+    """(a * sin((1.0 - t) * omega) + b * sin(t * omega)) * (1.0 / sin(omega)) at
+    t = k / _ARC_SAMPLES for the normalized endpoints, in that Vec3 expression's
+    operation order; just the endpoints of an arc shorter than FIGURE_MIN_ARC."""
     a = a.normalized()
     b = b.normalized()
+    ax, ay, az, bx, by, bz = a.x, a.y, a.z, b.x, b.y, b.z
     omega = math.acos(max(-1.0, min(1.0, a.dot(b))))
     if omega < FIGURE_MIN_ARC:
-        return [a, b]
-    so = math.sin(omega)
-    return [
-        (a * math.sin((1.0 - t) * omega) + b * math.sin(t * omega)) * (1.0 / so)
-        for t in (k / _ARC_SAMPLES for k in range(_ARC_SAMPLES + 1))
-    ]
+        return [(ax, ay, az), (bx, by, bz)]
+    inv = 1.0 / math.sin(omega)
+    out = []
+    for t in (k / _ARC_SAMPLES for k in range(_ARC_SAMPLES + 1)):
+        sa, sb = math.sin((1.0 - t) * omega), math.sin(t * omega)
+        out.append(((ax * sa + bx * sb) * inv, (ay * sa + by * sb) * inv, (az * sa + bz * sb) * inv))
+    return out
 
 
 def planar_recovery_figure(src, dst, iso) -> FigureSpec:

@@ -7,11 +7,12 @@ unnecessary: the real eigenvalue is known to be +1, the complex pair is
 read from the trace and the skew part, and the eigenvector comes from the
 null space of (M - I).
 
-The hot kernels (`apply_planar`, `a.dist(b)` for `(a - b).norm()`, and
-the leaf constructions of `planar` and `spherical`) work on floats and
-build no intermediate vectors, in the operation order of the vector
-expression each replaces, so every result keeps its bits; the
-full-precision digests of the test suite hold them to that.
+The hot kernels (`apply_planar`, `a.dist(b)` for `(a - b).norm()`, the
+leaf constructions of `planar` and `spherical`, and the sphere samplers
+of `figures`) work on floats and build no intermediate vectors, in the
+operation order of the vector expression each replaces, so every result
+keeps its bits; the full-precision digests and the golden corpus of the
+test suite hold them to that.
 """
 
 from __future__ import annotations

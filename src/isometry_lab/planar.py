@@ -176,16 +176,16 @@ def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) ->
     Angles below ANGLE_MIN give the translation by `translation()`, or the
     identity when that vector is negligible against the scale of `points`.
     Any other angle gives the rotation whose pivot p solves
-    (I - R) p = pivot_rhs(R).
+    (I - R) p = pivot_rhs(c, s), R = Mat2.rotation(theta) = [[c, -s], [s, c]];
+    pivot_rhs applies R on floats, in the operation order of Mat2.mv.
     """
     if abs(theta) < ANGLE_MIN:
         v = translation()
         if v.norm() <= COINCIDENT_RTOL * _point_scale(*points):
             return Identity2()
         return Translation2(v)
-    r = Mat2.rotation(theta)
-    lhs = Mat2(1.0 - r.m00, -r.m01, -r.m10, 1.0 - r.m11)
-    return Rotation2(solve2(lhs, pivot_rhs(r)), theta)
+    c, s = math.cos(theta), math.sin(theta)
+    return Rotation2(solve2(Mat2(1.0 - c, s, -s, 1.0 - c), pivot_rhs(c, s)), theta)
 
 
 def _check_lengths(src: Segment2, dst: Segment2, tol: float) -> None:
@@ -215,8 +215,12 @@ def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) ->
     except SingularMatrix as exc:
         raise DegenerateSegment("source segment endpoints coincide") from exc
     theta = math.atan2(cs.y, cs.x)
+    p, q = src.a, dst.a
     return _isometry(
-        theta, lambda: dst.a - src.a, lambda r: dst.a - r.mv(src.a), (src.a, src.b, dst.a, dst.b)
+        theta,
+        lambda: q - p,
+        lambda c, s: Vec2(q.x - (c * p.x - s * p.y), q.y - (s * p.x + c * p.y)),  # q - R p
+        (src.a, src.b, dst.a, dst.b),
     )
 
 
@@ -323,11 +327,14 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
         raise ValueError("mixed reflection composites are orientation-reversing")
     t1, p1, q1 = _anchored_form(outer)
     t2, p2, q2 = _anchored_form(inner)
-    r1 = Mat2.rotation(t1)
+    c1, s1 = math.cos(t1), math.sin(t1)
     return _isometry(
         wrap_angle(t1 + t2),
-        lambda: (q1 - p2) - r1.mv(p1 - q2),
-        lambda r: q1 + r1.mv(q2) - r.mv(p2) - r1.mv(p1),
+        lambda: (q1 - p2) - Mat2.rotation(t1).mv(p1 - q2),
+        lambda c, s: Vec2(  # q1 + R1 q2 - R p2 - R1 p1
+            q1.x + (c1 * q2.x - s1 * q2.y) - (c * p2.x - s * p2.y) - (c1 * p1.x - s1 * p1.y),
+            q1.y + (s1 * q2.x + c1 * q2.y) - (s * p2.x + c * p2.y) - (s1 * p1.x + c1 * p1.y),
+        ),
         (p1, q1, p2, q2),
     )
 

@@ -1114,8 +1114,8 @@ def test_cancelled_angle_note_comes_with_a_non_rotation(method):
 # Vec2, Vec3 and Mat2 values built by one run() on the first instance of
 # each plane kind's corpus case: the float kernels build no intermediates
 _CONSTRUCTIONS = {
-    "plane_compose": {"Vec2": 28, "Mat2": 4},
-    "plane_recover": {"Vec2": 21, "Mat2": 4},
+    "plane_compose": {"Vec2": 23, "Mat2": 2},
+    "plane_recover": {"Vec2": 20, "Mat2": 3},
     "plane_reflections": {"Vec2": 14, "Mat2": 1},
 }
 

@@ -1,12 +1,17 @@
+import hashlib
+import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import isometry_lab.cli as cli
 from isometry_lab import (
     Line2, Rotation2, Rotation3, Segment2, UnitVector3, Vec2, Vec3, recover_pivot_geometric,
 )
 from isometry_lab.figures import (
+    _geodesic_samples,
     FigureSpec,
     GreatCircleElement,
     LineElement,
@@ -162,3 +167,71 @@ class TestFigureBuilders:
         texts = {t.text for t in _all(root, "text")}
         assert {"X", "X'", "Y", "Y'", "P", "P'"} <= texts
         assert len(_all(root, "polyline")) >= 3  # two arcs + circles
+
+
+# Sphere elements that no figure builder emits, so the golden corpus never
+# draws them. The digests pin the bytes the Vec3 samplers drew.
+_SHORT = (Vec3(0.6, 0.0, -0.8), Vec3(0.6, 1e-10, -0.8))
+_SPHERE_SCENES = {
+    # shorter than FIGURE_MIN_ARC: drawn as its two endpoints, labelled at the second
+    "short_labelled_segment": (
+        (SegmentElement(*_SHORT, label="s"),),
+        "a6fb5d130a55d23aeb6955830005b22d677aa97fbb90d8d6c95441d3da78396d",
+    ),
+    # one visible and one hidden run
+    "labelled_geodesic_across_z0": (
+        (SegmentElement(Vec3(0.6, 0.0, 0.8), Vec3(0.0, -0.6, -0.8), label="g"),),
+        "8ad8595740ce5cfed0defebe28771ec2617f19635f326fef7f547df957eba533",
+    ),
+    # one circle framed from the z axis, one (|n.z| >= 0.9) from the x axis
+    "labelled_great_circles": (
+        (GreatCircleElement(Vec3(0.3, -0.4, 0.5), label="c"),
+         GreatCircleElement(Vec3(-0.0, 0.1, -2.0), label="d")),
+        "c1b9cebe327cf87a172c23ddada45f0a2f9778286e195baa4853216a38a10a1f",
+    ),
+}
+
+
+def test_the_short_segment_takes_the_endpoint_branch():
+    assert len(_geodesic_samples(*_SHORT)) == 2
+
+
+@pytest.mark.parametrize("name", sorted(_SPHERE_SCENES))
+def test_unbuilt_sphere_scenes_keep_their_bytes(name):
+    elements, digest = _SPHERE_SCENES[name]
+    data = render_svg(FigureSpec("orthographic_sphere", elements))
+    labels = {el.label for el in elements}
+    assert {t.text for t in _all(_root(data), "text")} == labels
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Vec3 values built by one render_svg of each corpus --svg batch instance:
+# the sphere samplers build none per sample. A great circle costs 5 (its
+# frame), a geodesic arc 2 (its normalized endpoints).
+_SPHERE_RENDER_VEC3 = {"sphere_recover": 16, "baseball": 16, "sphere_compose": 5}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPHERE_RENDER_VEC3))
+def test_a_sphere_render_builds_few_vectors(monkeypatch, tmp_path, kind):
+    case = Path(__file__).resolve().parent / "golden" / "cases" / f"{kind}_svg_batch"
+    items = json.loads((case / "input.json").read_text(encoding="utf-8"))
+    counts = []
+    real_init, real_render = Vec3.__init__, cli.render_svg
+
+    def counted(self, *args):
+        counts[-1] += 1
+        real_init(self, *args)
+
+    def render(spec):
+        counts.append(0)
+        monkeypatch.setattr(Vec3, "__init__", counted)
+        try:
+            return real_render(spec)
+        finally:
+            monkeypatch.setattr(Vec3, "__init__", real_init)
+
+    monkeypatch.setattr(cli, "render_svg", render)
+    for i, obj in enumerate(items):
+        cli.run(cli.instance_from_obj(obj), svg_path=str(tmp_path / f"{i}.svg"))
+    assert len(counts) == len(items)
+    assert max(counts) <= _SPHERE_RENDER_VEC3[kind], counts
