@@ -11,12 +11,12 @@ from isometry_lab import (
     Line2, Rotation2, Rotation3, Segment2, UnitVector3, Vec2, Vec3, recover_pivot_geometric,
 )
 from isometry_lab.figures import (
-    _geodesic_samples,
     FigureSpec,
     GreatCircleElement,
     LineElement,
     Marker,
     SegmentElement,
+    _geodesic_samples,
     planar_recovery_figure,
     reflection_pair_figure,
     render_svg,

@@ -384,9 +384,10 @@ def test_recover_planar_is_its_matrix_body(a, b, pivot, angle):
 
 
 _signed = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+_mixed = st.one_of(_signed, generic)
 signed_vec3s = st.one_of(  # +-0.0 components, axes and diagonals
     st.builds(Vec3, _signed, _signed, _signed),
-    st.builds(Vec3, st.one_of(_signed, generic), st.one_of(_signed, generic), st.one_of(_signed, generic)),
+    st.builds(Vec3, _mixed, _mixed, _mixed),
 )
 
 
