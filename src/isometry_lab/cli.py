@@ -58,6 +58,8 @@ from .spherical import (
     SphereSegment,
     UnitVector3,
     _compose_sphere_geometric,
+    _dist_xyz,
+    _image_xyz,
     apply_sphere,
     chord_arcsin_angle,
     compose_sphere_rotations,
@@ -236,25 +238,26 @@ def _arcsin_notes(x: UnitVector3, xp: UnitVector3, rot: Rotation3) -> list[str]:
     return []
 
 
-def _solve_both_ways(method, tol, algebraic, geometric, pairs, apply, as_dict, notes=None):
+def _solve_both_ways(method, tol, algebraic, geometric, pairs, apply, as_dict, notes=None,
+                     dist=Vec2.dist):
     """Run the routes `method` asks for and build the record.
 
     The algebraic answer is primary unless only the geometric route runs.
     `pairs` holds (point, expected image) probes: the residual is the
     primary answer's worst miss on them and, with "both", the discrepancy
     is the worst distance between the two answers' images of the same
-    points. `notes(primary)` supplies diagnostics about the primary answer.
-    Returns the record and the primary answer.
+    points, both as `dist` measures them. `notes(primary)` supplies
+    diagnostics about the primary answer. Returns the record and the primary answer.
     """
     iso_a = algebraic() if method != "geometric" else None
     iso_g = geometric() if method != "algebraic" else None
     primary = iso_g if iso_a is None else iso_a
     images = [apply(primary, p) for p, _ in pairs]
-    residual = max(image.dist(q) for image, (_, q) in zip(images, pairs))
+    residual = max(dist(image, q) for image, (_, q) in zip(images, pairs))
     record = SolutionRecord(as_dict(primary), method, residual, notes(primary) if notes else [])
     if method == "both":
         # primary is iso_a here, so its images serve the discrepancy too
-        disc = max(image.dist(apply(iso_g, p)) for image, (p, _) in zip(images, pairs))
+        disc = max(dist(image, apply(iso_g, p)) for image, (p, _) in zip(images, pairs))
         record.result_geometric = as_dict(iso_g)
         record.discrepancy = disc
         if disc > tol:
@@ -330,8 +333,8 @@ def _run_sphere_recover(payload, method, tol):
     try:
         record, rot = _solve_both_ways(
             method, tol, route("algebraic"), route("geometric"),
-            ((x, xp), (y, yp)), apply_sphere, _sphere_rot_dict,
-            lambda primary: _arcsin_notes(x, xp, primary),
+            ((x, (xp.x, xp.y, xp.z)), (y, (yp.x, yp.y, yp.z))), _image_xyz, _sphere_rot_dict,
+            lambda primary: _arcsin_notes(x, xp, primary), _dist_xyz,
         )
     except IdentityCorrespondence:
         residual = max(x.dist(xp), y.dist(yp))
@@ -358,8 +361,8 @@ def _run_sphere_compose(payload, method, tol):
         method, tol,
         lambda: compose_sphere_rotations(outer, inner),
         lambda: _compose_sphere_geometric(outer, inner),
-        [(p, apply_sphere(outer, apply_sphere(inner, p))) for p in _SPHERE_RESIDUAL_PROBES],
-        apply_sphere, _sphere_rot_dict,
+        [(p, _image_xyz(outer, apply_sphere(inner, p))) for p in _SPHERE_RESIDUAL_PROBES],
+        _image_xyz, _sphere_rot_dict, dist=_dist_xyz,
     )
     # the eigenvalues cos t +- i sin t of the reported angle t in [0, pi];
     # pi - t is exact past pi/2, so a half turn gets b = 0.0, not sin(pi)

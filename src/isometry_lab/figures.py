@@ -26,18 +26,30 @@ _STROKES = {
 }
 
 
+class _Styled:
+    """An element whose `style` must be one of its class's STYLES."""
+
+    STYLES = tuple(_STROKES)
+
+    def __post_init__(self):
+        if self.style not in self.STYLES:
+            raise ValueError(f"unknown {type(self).__name__} style {self.style!r}")
+
+
 @dataclass(frozen=True)
-class Marker:
+class Marker(_Styled):
     """Labeled point; style 'dot' or 'pivot' (drawn as a crosshair)."""
 
+    STYLES = ("dot", "pivot")
     at: Vec2 | Vec3
     label: str = ""
     style: str = "dot"
 
 
 @dataclass(frozen=True)
-class SegmentElement:
-    """Straight segment in the plane, geodesic arc on the sphere."""
+class SegmentElement(_Styled):
+    """Straight segment in the plane, geodesic arc on the sphere. A sphere
+    segment is drawn solid in front and dashed behind, whatever its style."""
 
     a: Vec2 | Vec3
     b: Vec2 | Vec3
@@ -46,7 +58,7 @@ class SegmentElement:
 
 
 @dataclass(frozen=True)
-class LineElement:
+class LineElement(_Styled):
     """Infinite planar line, clipped to the drawing window."""
 
     line: Line2

@@ -8,11 +8,12 @@ read from the trace and the skew part, and the eigenvector comes from the
 null space of (M - I).
 
 The hot kernels (`apply_planar`, `a.dist(b)` for `(a - b).norm()`, the
-leaf constructions of `planar` and `spherical`, and the sphere samplers
-of `figures`) work on floats and build no intermediate vectors, in the
-operation order of the vector expression each replaces, so every result
-keeps its bits; the full-precision digests and the golden corpus of the
-test suite hold them to that.
+leaf constructions of `planar` and `spherical`, the sphere solve's axis
+constructions, residual, rotation check and eigensolve, and the sphere
+samplers of `figures`) work on floats and build no intermediate vectors,
+in the operation order of the vector expression each replaces, so every
+result keeps its bits; the full-precision digests and the golden corpus
+of the test suite hold them to that.
 """
 
 from __future__ import annotations
@@ -218,11 +219,8 @@ def solve2(m: Mat2, b: Vec2) -> Vec2:
     )
 
 
-Rows3 = tuple[
-    tuple[float, float, float],
-    tuple[float, float, float],
-    tuple[float, float, float],
-]
+Xyz = tuple[float, float, float]
+Rows3 = tuple[Xyz, Xyz, Xyz]
 
 
 @dataclass(frozen=True)
@@ -254,16 +252,6 @@ class Mat3:
             for a0, a1, a2 in self.rows
         ]))
 
-    def transpose(self) -> "Mat3":
-        r = self.rows
-        return Mat3(
-            (
-                (r[0][0], r[1][0], r[2][0]),
-                (r[0][1], r[1][1], r[2][1]),
-                (r[0][2], r[1][2], r[2][2]),
-            )
-        )
-
     def trace(self) -> float:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
 
@@ -274,9 +262,6 @@ class Mat3:
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
-
-    def row(self, i: int) -> Vec3:
-        return Vec3(*self.rows[i])
 
 
 @dataclass(frozen=True)
@@ -292,29 +277,22 @@ class Eig3Result:
     complex_pair: tuple[float, float]
 
 
-def _identity_gap(m: Mat3) -> float:
-    """Largest |m - I| entry, taken row by row."""
-    (a, b, c), (d, e, f), (g, h, i) = m.rows
-    return max(abs(a - 1.0), abs(b), abs(c), abs(d), abs(e - 1.0), abs(f),
-               abs(g), abs(h), abs(i - 1.0))
-
-
 def require_rotation(m: Mat3) -> None:
     """Raise NotARotation unless m is orthogonal with determinant +1."""
-    dev = _identity_gap(m.transpose() @ m)
+    # MtM's entries (i, j) = (j, i), each summed from 0.0 as Mat3.__matmul__ sums it
+    (a, b, c), (d, e, f), (g, h, i) = m.rows
+    xx = 0.0 + a * a + d * d + g * g
+    xy = 0.0 + a * b + d * e + g * h
+    xz = 0.0 + a * c + d * f + g * i
+    yy = 0.0 + b * b + e * e + h * h
+    yz = 0.0 + b * c + e * f + h * i
+    zz = 0.0 + c * c + f * f + i * i
+    dev = max(abs(xx - 1.0), abs(xy), abs(xz), abs(yy - 1.0), abs(yz), abs(zz - 1.0))
     if dev > ROTATION_TOL:
         raise NotARotation(f"matrix is not orthogonal (max |MtM - I| = {dev:.3g})")
     det = m.det()
     if abs(det - 1.0) > ROTATION_TOL:
         raise NotARotation(f"matrix determinant {det:.9g} is not +1")
-
-
-def _canonical_axis_sign(v: Vec3) -> Vec3:
-    """Flip so the first component above AXIS_SIGN_TOL in magnitude is positive."""
-    for c in (v.x, v.y, v.z):
-        if abs(c) > AXIS_SIGN_TOL:
-            return v if c > 0.0 else -v
-    return v
 
 
 def eig3_rotation(m: Mat3) -> Eig3Result:
@@ -334,18 +312,26 @@ def eig3_rotation(m: Mat3) -> Eig3Result:
     direction is an eigenvector and the caller must handle angle zero.
     """
     require_rotation(m)
-    if _identity_gap(m) < IDENTITY_TOL:
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m.rows
+    r0, r1, r2 = (a0 - 1.0, a1, a2), (b0, b1 - 1.0, b2), (c0, c1, c2 - 1.0)  # m - I
+    if max(abs(v) for r in (r0, r1, r2) for v in r) < IDENTITY_TOL:
         raise IdentityRotation("matrix is the identity; every direction is fixed")
 
     a = clamp((m.trace() - 1.0) / 2.0, -1.0, 1.0)
-    r = m.rows
-    sx, sy, sz = (r[2][1] - r[1][2]) / 2.0, (r[0][2] - r[2][0]) / 2.0, (r[1][0] - r[0][1]) / 2.0
+    sx, sy, sz = (c1 - b2) / 2.0, (a2 - c0) / 2.0, (b0 - a1) / 2.0
     b = math.sqrt(sx * sx + sy * sy + sz * sz)
 
-    r0 = m.row(0) - Vec3(1.0, 0.0, 0.0)
-    r1 = m.row(1) - Vec3(0.0, 1.0, 0.0)
-    r2 = m.row(2) - Vec3(0.0, 0.0, 1.0)
-    candidates = (cross(r0, r1), cross(r0, r2), cross(r1, r2))
-    best = max(candidates, key=lambda v: v.dot(v))
-    axis = _canonical_axis_sign(best.normalized())
-    return Eig3Result(1.0, axis, (a, b))
+    # the longest cross product of two rows, normalized
+    x, y, z = max(
+        [(p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+         for (p0, p1, p2), (q0, q1, q2) in ((r0, r1), (r0, r2), (r1, r2))],
+        key=lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2],
+    )
+    n = math.sqrt(x * x + y * y + z * z)
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    x, y, z = x / n, y / n, z / n
+    # flip so the first component above AXIS_SIGN_TOL in magnitude is positive
+    if next((c for c in (x, y, z) if abs(c) > AXIS_SIGN_TOL), 1.0) < 0.0:
+        x, y, z = -x, -y, -z
+    return Eig3Result(1.0, Vec3(x, y, z), (a, b))

@@ -29,8 +29,8 @@ from .errors import (
 )
 from .linalg import (
     ACOS_SINE_MIN, ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL,
-    SKEW_CHECK_TOL, SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Mat3, Vec3, check_tol, clamp,
-    cross, eig3_rotation, require_rotation, wrap_angle,
+    SKEW_CHECK_TOL, SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Mat3, Vec3, Xyz, check_tol, clamp,
+    eig3_rotation, require_rotation, wrap_angle,
 )
 
 __all__ = [
@@ -42,21 +42,26 @@ __all__ = [
 ]
 
 
+def _unit_xyz(x: float, y: float, z: float) -> Xyz:
+    """The coordinates UnitVector3(x, y, z) holds: divided once by their norm unless it is 1.0."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise NonUnitVector("components must be finite")
+    n = math.sqrt(x * x + y * y + z * z)
+    if abs(n - 1.0) > UNIT_TOL:
+        raise NonUnitVector(f"|v| = {n:.9g} is not within {UNIT_TOL:g} of 1")
+    return (x / n, y / n, z / n) if n != 1.0 else (x, y, z)
+
+
 @dataclass(frozen=True)
 class UnitVector3(Vec3):
     """Point on the unit sphere; renormalized on construction."""
 
     def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise NonUnitVector("components must be finite")
-        n = math.sqrt(x * x + y * y + z * z)
-        if abs(n - 1.0) > UNIT_TOL:
-            raise NonUnitVector(f"|v| = {n:.9g} is not within {UNIT_TOL:g} of 1")
-        if n != 1.0:
-            object.__setattr__(self, "x", x / n)
-            object.__setattr__(self, "y", y / n)
-            object.__setattr__(self, "z", z / n)
+        x, y, z = _unit_xyz(self.x, self.y, self.z)
+        if x is not self.x:  # divided: _unit_xyz hands back the same floats otherwise
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "z", z)
 
     @classmethod
     def from_vec(cls, v: Vec3) -> "UnitVector3":
@@ -126,20 +131,36 @@ class SphereSegment:
         object.__setattr__(self, "b", _as_unit(self.b))
         if self.a.dist(self.b) <= SPHERE_CHORD_MIN:
             raise CoincidentPoints("segment endpoints coincide")
-        if (self.a + self.b).norm() <= SPHERE_CHORD_MIN:
+        if _antipodal(self.a, self.b):
             raise AntipodalPoints("antipodal endpoints lie on infinitely many great circles")
 
     def length(self) -> float:
         return angular_distance(self.a, self.b)
 
 
+def _antipodal(a: Vec3, b: Vec3) -> bool:
+    """(a + b).norm() <= SPHERE_CHORD_MIN, on floats."""
+    sx, sy, sz = a.x + b.x, a.y + b.y, a.z + b.z
+    return math.sqrt(sx * sx + sy * sy + sz * sz) <= SPHERE_CHORD_MIN
+
+
 def angular_distance(p: Vec3, q: Vec3) -> float:
     """Great-circle distance between two unit vectors, in [0, pi], as
     atan2(|p x q|, p . q): unlike acos(p . q), accurate on short arcs (W. Kahan, 2006)."""
-    px, py, pz = p.x, p.y, p.z
-    qx, qy, qz = q.x, q.y, q.z
+    return _arc((p.x, p.y, p.z), (q.x, q.y, q.z))
+
+
+def _arc(p: Xyz, q: Xyz) -> float:
+    """angular_distance on (x, y, z) floats."""
+    (px, py, pz), (qx, qy, qz) = p, q
     cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
     return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), px * qx + py * qy + pz * qz)
+
+
+def _dist_xyz(a: Xyz, b: Xyz) -> float:
+    """Vec3.dist on (x, y, z) floats."""
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def rotation_matrix(rot: Rotation3) -> RotationMatrix3:
@@ -161,15 +182,23 @@ def rotation_matrix(rot: Rotation3) -> RotationMatrix3:
 
 def apply_sphere(rot: Rotation3, p: Vec3) -> UnitVector3:
     """Rotate a sphere point. Both poles +/- axis stay fixed."""
-    p = _as_unit(p)
-    px, py, pz = p.x, p.y, p.z
+    p, a = _as_unit(p), rot.axis
+    return UnitVector3(*_turned((a.x, a.y, a.z), rot.angle, (p.x, p.y, p.z)))
+
+
+def _image_xyz(rot: Rotation3, p: UnitVector3) -> Xyz:
+    """The coordinates of apply_sphere(rot, p), without building it."""
     a = rot.axis
-    ax, ay, az = a.x, a.y, a.z
-    c = math.cos(rot.angle)
-    s = math.sin(rot.angle)
-    # p c + (a x p) s + a (a . p)(1 - c), term by term on floats
+    return _unit_xyz(*_turned((a.x, a.y, a.z), rot.angle, (p.x, p.y, p.z)))
+
+
+def _turned(axis: Xyz, angle: float, p: Xyz) -> Xyz:
+    """p c + (a x p) s + a (a . p)(1 - c), term by term on floats, not renormalized."""
+    (ax, ay, az), (px, py, pz) = axis, p
+    c = math.cos(angle)
+    s = math.sin(angle)
     k = (ax * px + ay * py + az * pz) * (1.0 - c)
-    return UnitVector3(
+    return (
         px * c + (ay * pz - az * py) * s + ax * k,
         py * c + (az * px - ax * pz) * s + ay * k,
         pz * c + (ax * py - ay * px) * s + az * k,
@@ -202,17 +231,18 @@ def recover_axis_cross(
     return _axis_cross(x, xp, y, yp)
 
 
-def _axis_cross(
-    x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3
-) -> UnitVector3:
-    """recover_axis_cross's construction, on arc lengths already checked."""
-    u = cross(x - xp, y - yp)
-    n = u.norm()
+def _axis_cross(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3) -> UnitVector3:
+    """recover_axis_cross's construction, on arc lengths already checked:
+    cross(x - xp, y - yp) over its norm, on floats."""
+    ax, ay, az = x.x - xp.x, x.y - xp.y, x.z - xp.z
+    bx, by, bz = y.x - yp.x, y.y - yp.y, y.z - yp.z
+    ux, uy, uz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    n = math.sqrt(ux * ux + uy * uy + uz * uz)
     if n < PARALLEL_TOL:
         raise DegenerateAxis(
             "displacement chords are parallel or zero; no unique axis from the cross product"
         )
-    return UnitVector3(u.x / n, u.y / n, u.z / n)
+    return UnitVector3(ux / n, uy / n, uz / n)
 
 
 def recover_axis_geometric(
@@ -231,9 +261,8 @@ def recover_axis_geometric(
     return _axis_geometric(x, xp, y, yp)
 
 
-def _axis_geometric(
-    x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3
-) -> UnitVector3:
+def _axis_geometric(x: UnitVector3, xp: UnitVector3, y: UnitVector3,
+                    yp: UnitVector3) -> UnitVector3:
     """recover_axis_geometric's construction, on arc lengths already checked."""
     dx, dy = x.dist(xp), y.dist(yp)
     for cut in (COINCIDENT_RTOL, SPHERE_CHORD_MIN):
@@ -243,15 +272,15 @@ def _axis_geometric(
             return x
         if dy <= cut:
             return y
-    cx = bisector_great_circle(x, xp)
-    cy = bisector_great_circle(y, yp)
+    # the bisector circles' normals, as GreatCircle holds them, and their intersection
+    nx = _unit_xyz(*_bisector_normal(x, xp))
+    ny = _unit_xyz(*_bisector_normal(y, yp))
     try:
-        pole, _ = intersect_great_circles(cx, cy)
+        return UnitVector3(*_pole(nx, ny))
     except IdenticalCircles as exc:
         raise DegenerateAxis(
             "bisector circles coincide; pick a second point off the shared bisector"
         ) from exc
-    return pole
 
 
 def rotation_angle_about_axis(axis: Vec3, x: Vec3, xp: Vec3) -> float:
@@ -287,7 +316,8 @@ def chord_arcsin_angle(x: Vec3, xp: Vec3) -> float:
     restricted shortcut; use rotation_angle_about_axis for the general
     case (a half turn on the equator comes out as 0 here instead of pi).
     """
-    s = cross(x, xp).norm() / (x.norm() * xp.norm())
+    cx, cy, cz = x.y * xp.z - x.z * xp.y, x.z * xp.x - x.x * xp.z, x.x * xp.y - x.y * xp.x
+    s = math.sqrt(cx * cx + cy * cy + cz * cz) / (x.norm() * xp.norm())
     return math.asin(clamp(s, 0.0, 1.0))
 
 
@@ -297,27 +327,36 @@ def bisector_great_circle(a: Vec3, b: Vec3) -> GreatCircle:
     Its plane is normal to the chord a - b: a point z has z . a = z . b
     exactly when z . (a - b) = 0.
     """
-    a, b = _as_unit(a), _as_unit(b)
-    chord = a - b
-    n = chord.norm()
+    return GreatCircle(UnitVector3(*_bisector_normal(_as_unit(a), _as_unit(b))))
+
+
+def _bisector_normal(a: UnitVector3, b: UnitVector3) -> Xyz:
+    """The chord a - b over its length, on floats, before UnitVector3 renormalizes it."""
+    cx, cy, cz = a.x - b.x, a.y - b.y, a.z - b.z
+    n = math.sqrt(cx * cx + cy * cy + cz * cz)
     if n <= SPHERE_CHORD_MIN:
         raise CoincidentPoints("coincident points have no unique bisector circle")
-    if (a + b).norm() <= SPHERE_CHORD_MIN:
+    if _antipodal(a, b):
         raise AntipodalPoints("antipodal points are equidistant from every great circle "
                               "through their polar plane")
-    return GreatCircle(UnitVector3(chord.x / n, chord.y / n, chord.z / n))
+    return cx / n, cy / n, cz / n
 
 
-def intersect_great_circles(
-    c1: GreatCircle, c2: GreatCircle
-) -> tuple[UnitVector3, UnitVector3]:
+def intersect_great_circles(c1: GreatCircle, c2: GreatCircle) -> tuple[UnitVector3, UnitVector3]:
     """The two (antipodal) intersection points of distinct great circles."""
-    u = cross(c1.normal, c2.normal)
-    n = u.norm()
-    if n < PARALLEL_TOL:
-        raise IdenticalCircles("great circles coincide")
-    p = UnitVector3(u.x / n, u.y / n, u.z / n)
+    n, m = c1.normal, c2.normal
+    p = UnitVector3(*_pole((n.x, n.y, n.z), (m.x, m.y, m.z)))
     return p, -p
+
+
+def _pole(n: Xyz, m: Xyz) -> Xyz:
+    """n x m over its length, on floats, before UnitVector3 renormalizes it."""
+    (nx, ny, nz), (mx, my, mz) = n, m
+    ux, uy, uz = ny * mz - nz * my, nz * mx - nx * mz, nx * my - ny * mx
+    s = math.sqrt(ux * ux + uy * uy + uz * uz)
+    if s < PARALLEL_TOL:
+        raise IdenticalCircles("great circles coincide")
+    return ux / s, uy / s, uz / s
 
 
 def recover_sphere_rotation(
@@ -355,7 +394,8 @@ def recover_sphere_rotation(
     except PointOnAxis:
         angle = rotation_angle_about_axis(axis, y, yp)
     rot = Rotation3(axis, angle)
-    residual = max(apply_sphere(rot, x).dist(xp), apply_sphere(rot, y).dist(yp))
+    residual = max(_dist_xyz(_image_xyz(rot, x), (xp.x, xp.y, xp.z)),
+                   _dist_xyz(_image_xyz(rot, y), (yp.x, yp.y, yp.z)))
     if residual > tol:
         raise NotIsometric(
             f"no single rotation maps both points (residual {residual:.3g} > {tol:g})"
@@ -376,16 +416,30 @@ def _compose_sphere_geometric(outer: Rotation3, inner: Rotation3) -> Rotation3:
     -inner.angle/2 about inner's axis and m = c turned by +outer.angle/2
     about outer's. Below ANGLE_MIN it is the identity, angle 0 about z."""
     g, h = outer.axis, inner.axis
-    c = cross(g, h - g if g.dot(h) >= 0.0 else h + g)  # g x h, accurate for h near +-g
-    if c.norm() < PARALLEL_TOL:  # one axis: any circle through it
-        c = max(cross(g, Vec3(1.0, 0.0, 0.0)), cross(g, Vec3(0.0, 1.0, 0.0)), key=Vec3.norm)
-    c = c.normalized()
-    n = apply_sphere(Rotation3(h, -inner.angle / 2.0), c)
-    m = apply_sphere(Rotation3(g, outer.angle / 2.0), c)
-    angle = 2.0 * angular_distance(n, m)
+    gx, gy, gz, hx, hy, hz = g.x, g.y, g.z, h.x, h.y, h.z
+    # c = g x d for d = h - g (h + g when g . h < 0): g x h, accurate for h near +-g
+    if gx * hx + gy * hy + gz * hz >= 0.0:
+        dx, dy, dz = hx - gx, hy - gy, hz - gz
+    else:
+        dx, dy, dz = hx + gx, hy + gy, hz + gz
+    cx, cy, cz = gy * dz - gz * dy, gz * dx - gx * dz, gx * dy - gy * dx
+    cn = math.sqrt(cx * cx + cy * cy + cz * cz)
+    if cn < PARALLEL_TOL:  # one axis: any circle through it, the longer of g x x and g x y
+        cx, cy, cz = gy * 0.0 - gz * 0.0, gz - gx * 0.0, gx * 0.0 - gy
+        ex, ey, ez = gy * 0.0 - gz, gz * 0.0 - gx * 0.0, gx - gy * 0.0
+        cn, en = math.sqrt(cx * cx + cy * cy + cz * cz), math.sqrt(ex * ex + ey * ey + ez * ez)
+        if en > cn:
+            cx, cy, cz, cn = ex, ey, ez, en
+    c = _unit_xyz(cx / cn, cy / cn, cz / cn)  # as apply_sphere makes c a UnitVector3
+    # n and m as apply_sphere gives them; Rotation3(h, -half) folds to half about -h for half > 0
+    half = inner.angle / 2.0
+    inner_turn = (_unit_xyz(-hx, -hy, -hz), half) if half > 0.0 else ((hx, hy, hz), -half)
+    n = _unit_xyz(*_turned(*inner_turn, c))
+    m = _unit_xyz(*_turned((gx, gy, gz), outer.angle / 2.0, c))
+    angle = 2.0 * _arc(n, m)
     if abs(wrap_angle(angle)) < ANGLE_MIN:
         return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
-    return Rotation3(intersect_great_circles(GreatCircle(n), GreatCircle(m))[0], angle)
+    return Rotation3(UnitVector3(*_pole(n, m)), angle)
 
 
 def axis_angle_from_matrix(rm: RotationMatrix3) -> Rotation3:
@@ -403,19 +457,15 @@ def axis_angle_from_matrix(rm: RotationMatrix3) -> Rotation3:
         return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
     a, _ = eig.complex_pair
     r = rm.m.rows
-    skew = Vec3(
-        (r[2][1] - r[1][2]) / 2.0,
-        (r[0][2] - r[2][0]) / 2.0,
-        (r[1][0] - r[0][1]) / 2.0,
-    )
-    sn = skew.norm()
+    sx, sy, sz = (r[2][1] - r[1][2]) / 2.0, (r[0][2] - r[2][0]) / 2.0, (r[1][0] - r[0][1]) / 2.0
+    sn = math.sqrt(sx * sx + sy * sy + sz * sz)
     # Near a turn of 0 or pi, a one ulp from +-1 moves acos(a) by 1.5e-8
     angle = math.acos(clamp(a, -1.0, 1.0)) if sn >= ACOS_SINE_MIN else math.atan2(sn, a)
     if abs(sn - math.sin(angle)) > SKEW_CHECK_TOL:
         raise InternalCheckError(
             f"skew magnitude {sn:.12g} disagrees with sin(angle) {math.sin(angle):.12g}"
         )
-    axis = eig.axis
-    if sn > SKEW_TOL and axis.dot(skew) < 0.0:
-        axis = -axis
-    return Rotation3(UnitVector3(axis.x, axis.y, axis.z), angle)
+    ax, ay, az = eig.axis.x, eig.axis.y, eig.axis.z
+    if sn > SKEW_TOL and ax * sx + ay * sy + az * sz < 0.0:
+        ax, ay, az = -ax, -ay, -az
+    return Rotation3(UnitVector3(ax, ay, az), angle)

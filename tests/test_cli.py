@@ -45,7 +45,7 @@ from isometry_lab.cli import (
     run,
     run_baseball,
 )
-from isometry_lab.linalg import ANGLE_MIN
+from isometry_lab.linalg import ANGLE_MIN, Mat3
 
 P2_OBJ = {
     "kind": "plane_compose",
@@ -1120,17 +1120,59 @@ _CONSTRUCTIONS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_CONSTRUCTIONS))
-def test_a_plane_run_builds_few_vectors(monkeypatch, kind):
+def _corpus_instances(kind):
     case = Path(__file__).resolve().parent / "golden" / "cases" / f"{kind}_both" / "input.json"
-    inst = instance_from_obj(json.loads(case.read_text(encoding="utf-8"))[0])
+    return [instance_from_obj(obj) for obj in json.loads(case.read_text(encoding="utf-8"))]
+
+
+def _counting(monkeypatch, classes) -> Counter:
+    """Count the values of each class built from now on, by class name."""
     counts = Counter()
-    for cls in (Vec2, Vec3, Mat2):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+    for cls in classes:
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             counts[_name] += 1
-            _init(self, *args)
+            _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", sorted(_CONSTRUCTIONS))
+def test_a_plane_run_builds_few_vectors(monkeypatch, kind):
+    inst = _corpus_instances(kind)[0]
+    counts = _counting(monkeypatch, (Vec2, Vec3, Mat2))
     run(inst, method="both")
     for name in ("Vec2", "Vec3", "Mat2"):
         assert counts[name] <= _CONSTRUCTIONS[kind].get(name, 0), (name, dict(counts))
+
+
+# UnitVector3, Vec3 and Mat3 values built by one run() on any instance of
+# each sphere kind's corpus case: the answers (an axis, and its negation
+# where Rotation3 folds the angle), sphere_compose's three matrices and
+# eigenvector, and its expected probe images; the solves, residual and
+# discrepancy compute on floats
+_SPHERE_CONSTRUCTIONS = {
+    "baseball": {"UnitVector3": 4},
+    "sphere_compose": {"UnitVector3": 7, "Vec3": 1, "Mat3": 3},
+    "sphere_recover": {"UnitVector3": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SPHERE_CONSTRUCTIONS))
+def test_a_sphere_run_builds_few_vectors(monkeypatch, kind):
+    instances = _corpus_instances(kind)
+    counts = _counting(monkeypatch, (UnitVector3, Vec3, Mat3))
+    for inst in instances:
+        counts.clear()
+        run(inst, method="both")
+        for name in ("UnitVector3", "Vec3", "Mat3"):
+            assert counts[name] <= _SPHERE_CONSTRUCTIONS[kind].get(name, 0), (name, dict(counts))
+
+
+def test_a_geometric_sphere_compose_builds_no_matrix(monkeypatch):
+    instances = _corpus_instances("sphere_compose")
+    refuse_algebraic_routes(monkeypatch)
+    counts = _counting(monkeypatch, (Mat3,))
+    for inst in instances:
+        assert run(inst, method="geometric").result["type"] == "rotation"
+    assert counts["Mat3"] == 0

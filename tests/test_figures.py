@@ -101,6 +101,28 @@ class TestRenderSvg:
         with pytest.raises(ValueError):
             FigureSpec("planar", (), width=0)
 
+    def test_a_marker_refuses_an_unknown_style(self):
+        with pytest.raises(ValueError, match="Marker style 'bogus'"):
+            Marker(Vec2(0, 0), "X", style="bogus")
+        with pytest.raises(ValueError, match="Marker style 'solid'"):
+            Marker(Vec2(0, 0), "X", style="solid")  # a stroke, not a marker style
+
+    def test_a_segment_refuses_an_unknown_style(self):
+        with pytest.raises(ValueError, match="SegmentElement style 'bogus'"):
+            SegmentElement(Vec2(0, 0), Vec2(1, 0), style="bogus")
+        with pytest.raises(ValueError, match="SegmentElement style 'bogus'"):
+            SegmentElement(Vec3(1, 0, 0), Vec3(0, 1, 0), style="bogus")
+
+    def test_a_line_refuses_an_unknown_style(self):
+        with pytest.raises(ValueError, match="LineElement style 'pivot'"):
+            LineElement(Line2(Vec2(0, 0), Vec2(1, 0)), style="pivot")
+
+    def test_a_sphere_segment_is_drawn_the_same_in_every_style(self):
+        a, b = UnitVector3(0.6, 0.0, 0.8), UnitVector3(0.0, 0.6, -0.8)
+        drawn = {render_svg(FigureSpec("orthographic_sphere", (SegmentElement(a, b, style),)))
+                 for style in ("solid", "dashed", "faint")}
+        assert len(drawn) == 1
+
     def test_sphere_scene_has_outline_and_split_circle(self):
         # a great circle tilted against the view spans both hemispheres, so
         # rendering splits it into solid (front) and dashed (back) runs

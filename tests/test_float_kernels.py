@@ -7,6 +7,7 @@ bit. The replaced expressions live on here as oracles and are compared
 through their IEEE 754 bit patterns: `==` would let a -0.0 pass for 0.0.
 """
 
+import itertools
 import math
 import struct
 
@@ -16,33 +17,59 @@ from hypothesis import strategies as st
 import isometry_lab.cli as cli
 import isometry_lab.figures as figures
 import isometry_lab.planar as planar
+import isometry_lab.spherical as spherical
 from isometry_lab import (
+    AntipodalPoints,
+    CoincidentPoints,
+    DegenerateAxis,
     DegenerateBisector,
     DegenerateSegment,
+    Eig3Result,
     GeometryError,
+    GreatCircle,
+    IdenticalCircles,
+    IdentityCorrespondence,
+    IdentityRotation,
+    InternalCheckError,
     Line2,
     Mat2,
+    Mat3,
+    NonUnitVector,
+    NotARotation,
     PointOnAxis,
     Rotation2,
+    Rotation3,
+    RotationMatrix3,
     Segment2,
     SingularMatrix,
+    SphereSegment,
     Translation2,
     UnitVector3,
     Vec2,
     Vec3,
     apply_planar,
+    apply_sphere,
+    axis_angle_from_matrix,
+    bisector_great_circle,
+    chord_arcsin_angle,
     compose_planar,
     cross,
+    eig3_rotation,
+    intersect_great_circles,
     perpendicular_bisector,
     recover_planar,
     recover_planar_geometric,
+    recover_sphere_rotation,
     rotation_angle_about_axis,
+    rotation_matrix,
     signed_angle,
     solve2,
     wrap_angle,
 )
 from isometry_lab.linalg import (
-    ANGLE_MIN, COINCIDENT_RTOL, FIGURE_MIN_ARC, MAX_COORD, ON_AXIS_TOL, PIVOT_ARM_RTOL,
+    ACOS_SINE_MIN, ANGLE_MIN, AXIS_SIGN_TOL, COINCIDENT_RTOL, FIGURE_MIN_ARC, IDENTITY_TOL,
+    MAX_COORD, ON_AXIS_TOL, PARALLEL_TOL, PIVOT_ARM_RTOL, ROTATION_TOL, SKEW_CHECK_TOL, SKEW_TOL,
+    SPHERE_CHORD_MIN, UNIT_TOL, require_rotation,
 )
 
 _EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300, 1.0, -1.0,
@@ -102,7 +129,7 @@ def _bits(value):
 def _outcome(fn, *args):
     try:
         return _bits(fn(*args))
-    except (GeometryError, ArithmeticError, ValueError) as exc:
+    except (GeometryError, InternalCheckError, ArithmeticError, ValueError) as exc:
         return _bits(exc)
 
 
@@ -432,3 +459,338 @@ def test_geodesic_samples_are_the_vec3_expression_on_short_and_antipodal_arcs(a,
 @example(Vec3(0.0, -0.0, 0.0), Vec3(1.0, 0.0, 0.0))  # no direction: both raise
 def test_geodesic_samples_are_the_vec3_expression(a, b):
     assert _outcome(figures._geodesic_samples, a, b) == _outcome(_geodesic_oracle, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the sphere solve: the replaced expressions, then the kernels
+
+
+def _unit_oracle(x, y, z):
+    """The fields UnitVector3.__post_init__ set."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise NonUnitVector("components must be finite")
+    n = math.sqrt(x * x + y * y + z * z)
+    if abs(n - 1.0) > UNIT_TOL:
+        raise NonUnitVector(f"|v| = {n:.9g} is not within {UNIT_TOL:g} of 1")
+    if n != 1.0:
+        return x / n, y / n, z / n
+    return x, y, z
+
+
+def _as_unit(v):
+    return v if isinstance(v, UnitVector3) else UnitVector3(v.x, v.y, v.z)
+
+
+def _apply_sphere_oracle(rot, p):
+    p = _as_unit(p)
+    a, c, s = rot.axis, math.cos(rot.angle), math.sin(rot.angle)
+    k = (a.x * p.x + a.y * p.y + a.z * p.z) * (1.0 - c)
+    return UnitVector3(
+        p.x * c + (a.y * p.z - a.z * p.y) * s + a.x * k,
+        p.y * c + (a.z * p.x - a.x * p.z) * s + a.y * k,
+        p.z * c + (a.x * p.y - a.y * p.x) * s + a.z * k,
+    )
+
+
+def _angular_distance_oracle(p, q):
+    return math.atan2(cross(p, q).norm(), p.dot(q))
+
+
+def _axis_cross_oracle(x, xp, y, yp):
+    u = cross(x - xp, y - yp)
+    n = u.norm()
+    if n < PARALLEL_TOL:
+        raise DegenerateAxis(
+            "displacement chords are parallel or zero; no unique axis from the cross product"
+        )
+    return UnitVector3(u.x / n, u.y / n, u.z / n)
+
+
+def _bisector_circle_oracle(a, b):
+    a, b = _as_unit(a), _as_unit(b)
+    chord = a - b
+    n = chord.norm()
+    if n <= SPHERE_CHORD_MIN:
+        raise CoincidentPoints("coincident points have no unique bisector circle")
+    if (a + b).norm() <= SPHERE_CHORD_MIN:
+        raise AntipodalPoints("antipodal points are equidistant from every great circle "
+                              "through their polar plane")
+    return GreatCircle(UnitVector3(chord.x / n, chord.y / n, chord.z / n))
+
+
+def _intersect_circles_oracle(c1, c2):
+    u = cross(c1.normal, c2.normal)
+    n = u.norm()
+    if n < PARALLEL_TOL:
+        raise IdenticalCircles("great circles coincide")
+    p = UnitVector3(u.x / n, u.y / n, u.z / n)
+    return p, -p
+
+
+def _axis_geometric_oracle(x, xp, y, yp):
+    dx, dy = (x - xp).norm(), (y - yp).norm()
+    for cut in (COINCIDENT_RTOL, SPHERE_CHORD_MIN):
+        if dx <= cut and dy <= cut:
+            raise IdentityCorrespondence("both points are fixed; every axis works")
+        if dx <= cut:
+            return x
+        if dy <= cut:
+            return y
+    cx, cy = _bisector_circle_oracle(x, xp), _bisector_circle_oracle(y, yp)
+    try:
+        return _intersect_circles_oracle(cx, cy)[0]
+    except IdenticalCircles as exc:
+        raise DegenerateAxis(
+            "bisector circles coincide; pick a second point off the shared bisector"
+        ) from exc
+
+
+def _segment_ends(a, b):
+    segment = SphereSegment(a, b)
+    return segment.a, segment.b
+
+
+def _segment_oracle(a, b):
+    a, b = _as_unit(a), _as_unit(b)
+    if (a - b).norm() <= SPHERE_CHORD_MIN:
+        raise CoincidentPoints("segment endpoints coincide")
+    if (a + b).norm() <= SPHERE_CHORD_MIN:
+        raise AntipodalPoints("antipodal endpoints lie on infinitely many great circles")
+    return a, b
+
+
+def _chord_arcsin_oracle(x, xp):
+    s = cross(x, xp).norm() / (x.norm() * xp.norm())
+    return math.asin(max(0.0, min(1.0, s)))
+
+
+def _compose_sphere_geometric_oracle(outer, inner):
+    g, h = outer.axis, inner.axis
+    c = cross(g, h - g if g.dot(h) >= 0.0 else h + g)
+    if c.norm() < PARALLEL_TOL:
+        c = max(cross(g, Vec3(1.0, 0.0, 0.0)), cross(g, Vec3(0.0, 1.0, 0.0)), key=Vec3.norm)
+    c = c.normalized()
+    n = _apply_sphere_oracle(Rotation3(h, -inner.angle / 2.0), c)
+    m = _apply_sphere_oracle(Rotation3(g, outer.angle / 2.0), c)
+    angle = 2.0 * _angular_distance_oracle(n, m)
+    if abs(wrap_angle(angle)) < ANGLE_MIN:
+        return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
+    return Rotation3(_intersect_circles_oracle(GreatCircle(n), GreatCircle(m))[0], angle)
+
+
+def _identity_gap_oracle(m):
+    (a, b, c), (d, e, f), (g, h, i) = m.rows
+    return max(abs(a - 1.0), abs(b), abs(c), abs(d), abs(e - 1.0), abs(f),
+               abs(g), abs(h), abs(i - 1.0))
+
+
+def _require_rotation_oracle(m):
+    dev = _identity_gap_oracle(Mat3(tuple(zip(*m.rows))) @ m)
+    if dev > ROTATION_TOL:
+        raise NotARotation(f"matrix is not orthogonal (max |MtM - I| = {dev:.3g})")
+    det = m.det()
+    if abs(det - 1.0) > ROTATION_TOL:
+        raise NotARotation(f"matrix determinant {det:.9g} is not +1")
+
+
+def _eig3_oracle(m):
+    _require_rotation_oracle(m)
+    if _identity_gap_oracle(m) < IDENTITY_TOL:
+        raise IdentityRotation("matrix is the identity; every direction is fixed")
+    a = max(-1.0, min(1.0, (m.trace() - 1.0) / 2.0))
+    r = m.rows
+    skew = Vec3((r[2][1] - r[1][2]) / 2.0, (r[0][2] - r[2][0]) / 2.0, (r[1][0] - r[0][1]) / 2.0)
+    r0 = Vec3(*r[0]) - Vec3(1.0, 0.0, 0.0)
+    r1 = Vec3(*r[1]) - Vec3(0.0, 1.0, 0.0)
+    r2 = Vec3(*r[2]) - Vec3(0.0, 0.0, 1.0)
+    axis = max((cross(r0, r1), cross(r0, r2), cross(r1, r2)), key=lambda v: v.dot(v)).normalized()
+    for c in (axis.x, axis.y, axis.z):
+        if abs(c) > AXIS_SIGN_TOL:
+            axis = axis if c > 0.0 else -axis
+            break
+    return Eig3Result(1.0, axis, (a, skew.norm()))
+
+
+def _axis_angle_oracle(m):
+    _require_rotation_oracle(m)  # RotationMatrix3(m)
+    try:
+        eig = _eig3_oracle(m)
+    except IdentityRotation:
+        return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
+    a, _ = eig.complex_pair
+    r = m.rows
+    skew = Vec3((r[2][1] - r[1][2]) / 2.0, (r[0][2] - r[2][0]) / 2.0, (r[1][0] - r[0][1]) / 2.0)
+    sn = skew.norm()
+    angle = math.acos(max(-1.0, min(1.0, a))) if sn >= ACOS_SINE_MIN else math.atan2(sn, a)
+    if abs(sn - math.sin(angle)) > SKEW_CHECK_TOL:
+        raise InternalCheckError(
+            f"skew magnitude {sn:.12g} disagrees with sin(angle) {math.sin(angle):.12g}"
+        )
+    axis = eig.axis
+    if sn > SKEW_TOL and axis.dot(skew) < 0.0:
+        axis = -axis
+    return Rotation3(UnitVector3(axis.x, axis.y, axis.z), angle)
+
+
+def _unit_of(v):
+    n = v.norm()
+    return UnitVector3(v.x / n, v.y / n, v.z / n) if 1e-3 < n < 1e3 else None
+
+
+# sphere points with +-0.0 components, on the axes and the diagonals, or generic
+sphere_points = st.one_of(units, signed_vec3s.map(_unit_of).filter(lambda u: u is not None))
+# vectors off unit length, on both sides of UNIT_TOL
+off_units = st.builds(lambda u, d: Vec3(u.x * (1.0 + d), u.y * (1.0 + d), u.z * (1.0 + d)),
+                      sphere_points, st.floats(-1.5e-6, 1.5e-6))
+turns = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2.0 * math.pi / 3, 1e-9, 2e-9,
+                     ACOS_SINE_MIN, math.pi - 1e-9]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+sphere_rotations = st.builds(Rotation3, sphere_points, turns)
+
+
+def _near(u, eps):
+    return _unit_of(Vec3(u.x + eps[0], u.y + eps[1], u.z + eps[2])) or u
+
+
+# axis pairs: independent, equal, opposite, or within 1e-12 of either
+small = st.tuples(*[generic.map(lambda x: x * 1e-12)] * 3)
+axis_pairs = st.one_of(
+    st.tuples(sphere_points, sphere_points),
+    sphere_points.map(lambda g: (g, g)),
+    sphere_points.map(lambda g: (g, -g)),
+    st.builds(lambda g, e, s: (g, _near(g if s else -g, e)), sphere_points, small, st.booleans()),
+)
+
+# rotation matrices: of sphere rotations; signed permutations, whose rows of
+# m - I tie in their cross products; near the identity, across IDENTITY_TOL;
+# and rotations moved off orthogonality across ROTATION_TOL
+def _signed_permutations():
+    """The 24 rotations that permute the axes, flipping signs."""
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = Mat3(tuple(tuple(signs[i] if j == perm[i] else 0.0 for j in range(3))
+                           for i in range(3)))
+            if m.det() == 1.0:
+                yield m
+
+
+_gaps = st.sampled_from([0.0, -0.0, 5e-10, -5e-10, IDENTITY_TOL, -IDENTITY_TOL,
+                         math.nextafter(IDENTITY_TOL, 0.0), 2e-9])
+matrices = st.one_of(
+    st.builds(lambda rot: rotation_matrix(rot).m, sphere_rotations),
+    st.sampled_from(list(_signed_permutations())),
+    st.builds(lambda a, b, c: Mat3(((1.0, a, b), (-a, 1.0, c), (-b, -c, 1.0))),
+              _gaps, _gaps, _gaps),
+    st.builds(lambda rot, d: Mat3(tuple(tuple(v + d * (i + j) for j, v in enumerate(row))
+                                        for i, row in enumerate(rotation_matrix(rot).m.rows))),
+              sphere_rotations, st.sampled_from([1e-10, 3e-10, 6e-10, 1e-9])),
+)
+
+
+@given(st.one_of(off_units, signed_vec3s, vec3s))
+@example(Vec3(0.6, -0.0, 0.8))
+@example(Vec3(1.0 + UNIT_TOL, 0.0, 0.0))
+@example(Vec3(math.inf, 0.0, 0.0))
+def test_a_unit_vector_divides_once_by_its_norm(v):
+    want = _outcome(_unit_oracle, v.x, v.y, v.z)
+    assert _outcome(spherical._unit_xyz, v.x, v.y, v.z) == want
+    assert _outcome(UnitVector3, v.x, v.y, v.z) == want
+
+
+@given(sphere_rotations, st.one_of(sphere_points, off_units))
+@example(Rotation3(UnitVector3(0.0, -0.0, 1.0), -0.0), UnitVector3(-0.0, 1.0, 0.0))
+def test_a_sphere_image_is_apply_sphere(rot, p):
+    want = _outcome(_apply_sphere_oracle, rot, p)
+    assert _outcome(apply_sphere, rot, p) == want
+    try:
+        p = _as_unit(p)  # as apply_sphere takes it
+    except NonUnitVector:
+        return
+    assert _outcome(spherical._image_xyz, rot, p) == want
+
+
+@given(vec3s, vec3s)
+@example(Vec3(0.0, -0.0, 5e-324), Vec3(-0.0, 0.0, -5e-324))
+def test_dist_xyz_is_the_norm_of_the_difference(a, b):
+    got = spherical._dist_xyz((a.x, a.y, a.z), (b.x, b.y, b.z))
+    assert _bits(got) == _bits((a - b).norm())
+
+
+@given(sphere_points, sphere_points, sphere_rotations)
+def test_the_residual_and_discrepancy_are_the_vector_distances(x, y, rot):
+    # the sphere residual and discrepancy run() reports, against apply_sphere and Vec3.dist
+    try:
+        before = SphereSegment(x, y)
+        after = SphereSegment(apply_sphere(rot, x), apply_sphere(rot, y))
+        record, _ = cli._run_sphere_recover({"before": before, "after": after}, "both", 1e-9)
+        rot_a = recover_sphere_rotation(x, after.a, y, after.b, method="algebraic")
+        rot_g = recover_sphere_rotation(x, after.a, y, after.b, method="geometric")
+    except GeometryError:
+        return
+    pairs = ((x, after.a), (y, after.b))
+    residual = max(apply_sphere(rot_a, p).dist(q) for p, q in pairs)
+    disc = max(apply_sphere(rot_a, p).dist(apply_sphere(rot_g, p)) for p, _ in pairs)
+    assert _bits((record.residual, record.discrepancy)) == _bits((residual, disc))
+
+
+@given(sphere_points, sphere_points, st.one_of(sphere_rotations, st.none()))
+@example(UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), None)
+def test_the_axis_constructions_are_their_vector_bodies(x, y, rot):
+    # xp, yp the images under rot, or free points; x fixed when rot is None
+    if rot:
+        xp, yp = apply_sphere(rot, x), apply_sphere(rot, y)
+    else:
+        xp, yp = x, _near(y, (1e-3, 0.0, 0.0))
+    for kernel, oracle in ((spherical._axis_cross, _axis_cross_oracle),
+                           (spherical._axis_geometric, _axis_geometric_oracle)):
+        assert _outcome(kernel, x, xp, y, yp) == _outcome(oracle, x, xp, y, yp)
+
+
+@given(st.one_of(sphere_points, off_units), st.one_of(sphere_points, off_units), small)
+@example(UnitVector3(0.6, -0.0, 0.8), UnitVector3(-0.6, 0.0, -0.8), (0.0, 0.0, 0.0))
+@example(UnitVector3(0.0, 1.0, -0.0), UnitVector3(0.0, 1.0, 0.0), (0.0, 0.0, 0.0))
+# |a + b| = 1e-9 exactly, at the antipodal cut
+@example(UnitVector3(1.0, 0.0, 0.0), UnitVector3(-1.0, 1e-9, 0.0), (0.0, 0.0, 0.0))
+# a normal that a second normalization would move by an ulp
+@example(_unit_of(Vec3(1.0, -3.0, -2.0)), _unit_of(Vec3(-5.0, 5.0, -5.0)), (0.0, 0.0, 0.0))
+def test_a_bisector_normal_and_a_segment_are_their_vector_bodies(a, b, eps):
+    for b in (b, _near(Vec3(-a.x, -a.y, -a.z), eps)):  # and a nearly antipodal b
+        assert _outcome(bisector_great_circle, a, b) == _outcome(_bisector_circle_oracle, a, b)
+        assert _outcome(_segment_ends, a, b) == _outcome(_segment_oracle, a, b)
+
+
+@given(sphere_points, sphere_points)
+@example(UnitVector3(0.0, 0.0, 1.0), UnitVector3(-0.0, 0.0, 1.0))
+def test_a_great_circle_intersection_is_the_vector_construction(n, m):
+    c1, c2 = GreatCircle(n), GreatCircle(m)
+    assert _outcome(intersect_great_circles, c1, c2) == _outcome(_intersect_circles_oracle, c1, c2)
+
+
+@given(st.one_of(sphere_points, vec3s), st.one_of(sphere_points, vec3s))
+def test_chord_arcsin_angle_is_the_vector_expression(x, xp):
+    assert _outcome(chord_arcsin_angle, x, xp) == _outcome(_chord_arcsin_oracle, x, xp)
+
+
+@given(axis_pairs, turns, turns)
+@example((UnitVector3(0.0, 0.0, 1.0), UnitVector3(0.0, 0.0, 1.0)), math.pi / 2, math.pi / 2)
+@example((UnitVector3(1.0, -0.0, 0.0), UnitVector3(-1.0, 0.0, -0.0)), 0.0, -0.0)
+@example((UnitVector3(0.0, 0.0, 1.0), UnitVector3(0.0, -1.0, 0.0)), 0.5, 0.0)  # inner angle 0
+@example((UnitVector3(1.0, 0.0, 0.0), UnitVector3(1.0, 0.0, -0.0)), 0.0, 0.5)  # the g x y circle
+def test_compose_sphere_geometric_is_its_vector_body(axes, alpha, beta):
+    outer, inner = Rotation3(axes[0], alpha), Rotation3(axes[1], beta)
+    assert _outcome(spherical._compose_sphere_geometric, outer, inner) == _outcome(
+        _compose_sphere_geometric_oracle, outer, inner
+    )
+
+
+@given(matrices)
+@example(Mat3(((1.0, 1e-9, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))  # m - I of rank 1
+@example(Mat3(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))))  # three tied cross products
+@example(Mat3(((-1.0, 0.0, 0.0), (0.0, 1.0, -0.0), (0.0, 0.0, -1.0))))  # a half turn about y
+def test_the_rotation_check_and_eigensolve_are_their_matrix_bodies(m):
+    assert _outcome(require_rotation, m) == _outcome(_require_rotation_oracle, m)
+    assert _outcome(eig3_rotation, m) == _outcome(_eig3_oracle, m)
+    assert _outcome(lambda: axis_angle_from_matrix(RotationMatrix3(m))) == _outcome(
+        _axis_angle_oracle, m)

@@ -4,11 +4,12 @@ The golden corpus and the benchmark compare output rounded to 10
 significant digits. This test hashes `repr(run(inst, method=m).to_dict())`,
 which shows every bit of every float, for all three methods over two input
 sets: the corpus inputs, and 1000 seeded random instances per kind from the
-corpus generator's plain-`math` builders. A solve error contributes its
-type and message instead. Each set keeps one digest per (kind, method), so
-a failure names the outputs that moved. A change that means to alter
-unrounded output must say so and record the new digests of those pairs
-only.
+corpus generator's plain-`math` builders. The random set also hashes
+`repr` of each built figure, before the SVG rounds it to 2 decimals. A
+solve error contributes its type and message instead. Each set keeps one
+digest per (kind, method), so a failure names the outputs that moved. A
+change that means to alter unrounded output must say so and record the
+new digests of those pairs only.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from golden.make_corpus import METHODS, RANDOM
 
-from isometry_lab.cli import instance_from_obj, run
+from isometry_lab.cli import _KINDS, instance_from_obj, run
 from isometry_lab.errors import GeometryError, InternalCheckError, SchemaError, ValidationError
 
 CASES = Path(__file__).resolve().parent / "golden" / "cases"
@@ -74,6 +75,29 @@ RANDOM_DIGESTS = {
 }
 
 
+# repr(figure()) per random instance: every bit of the built scene
+FIGURE_DIGESTS = {
+    "baseball/algebraic": "91440f4177009ababe04785908329f397e9e6088ff0a5e44802c75f16567fe72",
+    "baseball/both": "91440f4177009ababe04785908329f397e9e6088ff0a5e44802c75f16567fe72",
+    "baseball/geometric": "26bf73343f2136b64994415625e94a2aafd09817280c2a57c2d8b0f13e52f137",
+    "plane_compose/algebraic": "91108c09ebe916eb495e99b613f71c08a2687fc29092285251dcdecc6e6db27c",
+    "plane_compose/both": "91108c09ebe916eb495e99b613f71c08a2687fc29092285251dcdecc6e6db27c",
+    "plane_compose/geometric": "aee67fd26d4640f8005770b1aa3bd0dbae145f6d7ce11c16bf8b8ed266f146b1",
+    "plane_recover/algebraic": "5e084c773225a95da355688398d69be3bea80ae706532b3ecde23d7821f11366",
+    "plane_recover/both": "5e084c773225a95da355688398d69be3bea80ae706532b3ecde23d7821f11366",
+    "plane_recover/geometric": "ea7ad6fc5967b912baac7050eaddc068142789253ffe80153803a55101535d56",
+    "plane_reflections/algebraic": "e3582f1160e477536aa5b15287a003e8335442d7dfe322ec0f32f9e2aa747d50",
+    "plane_reflections/both": "e3582f1160e477536aa5b15287a003e8335442d7dfe322ec0f32f9e2aa747d50",
+    "plane_reflections/geometric": "e3582f1160e477536aa5b15287a003e8335442d7dfe322ec0f32f9e2aa747d50",
+    "sphere_compose/algebraic": "3570e824b8afd943aed81be8149248c9f6a7991b19ca80f931735000f8ead6f9",
+    "sphere_compose/both": "3570e824b8afd943aed81be8149248c9f6a7991b19ca80f931735000f8ead6f9",
+    "sphere_compose/geometric": "d8f1367d776b5898d6463a739322f869889958179a60b244beffd9e01df7cbe4",
+    "sphere_recover/algebraic": "8d8651dbcd9d8e6b91de5fb6defa4f4785d597fabbcb98e0d0d45b096f28c599",
+    "sphere_recover/both": "8d8651dbcd9d8e6b91de5fb6defa4f4785d597fabbcb98e0d0d45b096f28c599",
+    "sphere_recover/geometric": "ffad8b659f15936b2e759e9a6d65dc4917acb43febcde74df9f76a28bef4ab70",
+}
+
+
 def _outcome(obj, method: str, tol: float) -> str:
     try:
         return repr(run(instance_from_obj(obj), method=method, tolerance=tol).to_dict())
@@ -81,13 +105,22 @@ def _outcome(obj, method: str, tol: float) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _digests(items) -> dict[str, str]:
+def _figure(obj, method: str, tol: float) -> str:
+    inst = instance_from_obj(obj)
+    try:
+        _, figure = _KINDS[inst.kind].solve(inst.payload, method, tol)
+        return repr(figure())
+    except (ValidationError, GeometryError, InternalCheckError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _digests(items, outcome=_outcome) -> dict[str, str]:
     """One SHA-256 per "kind/method", over that pair's outcomes in input order."""
     hashes = {}
     for obj, tol in items:
         for method in METHODS:
             h = hashes.setdefault(f"{obj['kind']}/{method}", hashlib.sha256())
-            h.update(_outcome(obj, method, tol).encode("utf-8"))
+            h.update(outcome(obj, method, tol).encode("utf-8"))
             h.update(b"\n")
     return {key: h.hexdigest() for key, h in sorted(hashes.items())}
 
@@ -128,3 +161,7 @@ def test_corpus_inputs_keep_every_bit():
 
 def test_random_instances_keep_every_bit():
     assert _digests(_random_items()) == RANDOM_DIGESTS
+
+
+def test_random_figures_keep_every_bit():
+    assert _digests(_random_items(), _figure) == FIGURE_DIGESTS
