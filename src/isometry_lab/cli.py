@@ -164,10 +164,12 @@ def _unit3(name: str, value) -> UnitVector3:
 
 
 _READERS = {"angle": _num, "vec2": _vec2, "vec3": _unit3}
+_DEGREE_READERS = {**_READERS, "angle": lambda name, v: math.radians(_num(name, v))}
 
 
-def instance_from_obj(obj) -> ProblemInstance:
-    """Validate one decoded JSON object into a ProblemInstance."""
+def instance_from_obj(obj, *, expected: str | None = None, degrees: bool = False) -> ProblemInstance:
+    """Validate one decoded JSON object into a ProblemInstance: its kind (`expected`,
+    if given), then its fields, then their values, angles in degrees if `degrees`."""
     if not isinstance(obj, dict):
         raise SchemaError("an instance must be a JSON object")
     kind = obj.get("kind")
@@ -175,6 +177,11 @@ def instance_from_obj(obj) -> ProblemInstance:
         raise SchemaError("missing field 'kind'")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
+    if expected is not None and kind != expected:
+        raise SchemaError(
+            f"instance kind {kind!r} does not match subcommand "
+            f"{expected.replace('_', '-')!r} (expected {expected!r})"
+        )
     schema = _KINDS[kind].schema
     extra = sorted(set(obj) - set(schema) - {"kind"})
     if extra:
@@ -182,7 +189,8 @@ def instance_from_obj(obj) -> ProblemInstance:
     missing = sorted(set(schema) - set(obj))
     if missing:
         raise SchemaError(f"missing fields for kind {kind!r}: {missing}")
-    values = {name: _READERS[t](name, obj[name]) for name, t in schema.items()}
+    readers = _DEGREE_READERS if degrees else _READERS
+    values = {name: readers[t](name, obj[name]) for name, t in schema.items()}
     try:
         payload = _KINDS[kind].payload(values)
     except (DegenerateSegment, CoincidentPoints, AntipodalPoints) as exc:
@@ -505,43 +513,26 @@ _ANGLE_KEYS = ("angle", "angle_between_lines")
 def _to_degrees_record(d: dict) -> dict:
     out = dict(d)
     for section in ("result", "result_geometric"):
-        block = out.get(section)
-        if isinstance(block, dict):
-            block = dict(block)
-            for key in _ANGLE_KEYS:
-                if key in block:
-                    block[key] = math.degrees(block[key])
-            out[section] = block
+        if isinstance(out.get(section), dict):
+            out[section] = {k: math.degrees(v) if k in _ANGLE_KEYS else v
+                            for k, v in out[section].items()}
     return out
 
 
-def _degrees_to_radians_obj(obj):
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in _KINDS:
-        return obj
-    converted = dict(obj)
-    for name, t in _KINDS[kind].schema.items():
-        v = converted.get(name)
-        if t == "angle" and isinstance(v, (int, float)) and not isinstance(v, bool):
-            converted[name] = math.radians(_num(name, v))
-    return converted
+# The exit-code contract, one row per code, first match first: LengthMismatch
+# is a GeometryError that exits 3. main catches exactly these; the rest map to 1.
+_EXIT_CODES = (
+    ((ParseError, SchemaError, OSError), 2),  # OSError: an --svg file that cannot be written
+    ((ValidationError, LengthMismatch), 3),
+    ((InternalCheckError,), 5),
+    ((GeometryError,), 4),
+)
+_CATCHABLE = tuple(t for types, _ in _EXIT_CODES for t in types)
 
 
 def exit_code_for(exc: BaseException) -> int:
     """Map an error to the CLI exit-code contract."""
-    if isinstance(exc, (ParseError, SchemaError, OSError)):
-        return 2
-    if isinstance(exc, (ValidationError, LengthMismatch)):
-        return 3
-    if isinstance(exc, InternalCheckError):
-        return 5
-    if isinstance(exc, GeometryError):
-        return 4
-    return 1
-
-
-# OSError: an --svg file that cannot be written
-_CATCHABLE = (ParseError, SchemaError, ValidationError, GeometryError, InternalCheckError, OSError)
+    return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), 1)
 
 
 def _error_payload(exc: BaseException) -> dict:
@@ -613,12 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     code = 0
     for i, item in enumerate(obj if batch else [obj]):
         try:
-            inst = instance_from_obj(_degrees_to_radians_obj(item) if args.degrees else item)
-            if inst.kind != expected:
-                raise SchemaError(
-                    f"instance kind {inst.kind!r} does not match subcommand "
-                    f"{args.command!r} (expected {expected!r})"
-                )
+            inst = instance_from_obj(item, expected=expected, degrees=args.degrees)
             svg = _svg_path_for(args.svg, i, batch)
             record = run(inst, method=args.method, svg_path=svg, tolerance=args.tolerance)
         except _CATCHABLE as exc:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AntipodalPoints, CoincidentPoints
+from .errors import CoincidentPoints
 from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, Vec2, Vec3, cross
 from .planar import Line2, Rotation2, _fixed_endpoints, _point_scale, perpendicular_bisector
-from .spherical import UnitVector3, bisector_great_circle
+from .spherical import UnitVector3, _antipodal, bisector_great_circle
 
 __all__ = ["FigureSpec", "render_svg"]
 
@@ -397,8 +397,8 @@ def reflection_pair_figure(rot, first, second) -> FigureSpec:
 def sphere_recovery_figure(x, xp, y, yp, rot) -> FigureSpec:
     """Moved points, their bisector great circles, and the two poles.
 
-    Bisectors that do not exist (a fixed point, or an antipodal pair) are
-    simply left out of the scene.
+    A pair's arc and bisector are left out when no unique arc joins it: a
+    fixed point has no bisector, an antipodal pair a bisector but no arc.
     """
     elements: list[FigureElement] = [
         Marker(x, "X"),
@@ -408,9 +408,11 @@ def sphere_recovery_figure(x, xp, y, yp, rot) -> FigureSpec:
     ]
     circles = []
     for a, b, label in ((x, xp, "lX"), (y, yp, "lY")):
+        if _antipodal(a, b):
+            continue
         try:
             circles.append((a, b, GreatCircleElement(bisector_great_circle(a, b).normal, label)))
-        except (CoincidentPoints, AntipodalPoints):
+        except CoincidentPoints:
             continue
     elements.extend(SegmentElement(a, b, style="solid") for a, b, _ in circles)
     elements.extend(circle for _, _, circle in circles)

@@ -325,7 +325,7 @@ def bisector_great_circle(a: Vec3, b: Vec3) -> GreatCircle:
     """Great circle of points angularly equidistant from a and b.
 
     Its plane is normal to the chord a - b: a point z has z . a = z . b
-    exactly when z . (a - b) = 0.
+    exactly when z . (a - b) = 0. For a and -a that is a's equator.
     """
     return GreatCircle(UnitVector3(*_bisector_normal(_as_unit(a), _as_unit(b))))
 
@@ -336,9 +336,6 @@ def _bisector_normal(a: UnitVector3, b: UnitVector3) -> Xyz:
     n = math.sqrt(cx * cx + cy * cy + cz * cz)
     if n <= SPHERE_CHORD_MIN:
         raise CoincidentPoints("coincident points have no unique bisector circle")
-    if _antipodal(a, b):
-        raise AntipodalPoints("antipodal points are equidistant from every great circle "
-                              "through their polar plane")
     return cx / n, cy / n, cz / n
 
 

@@ -203,6 +203,25 @@ ERRORS = {
 }
 
 
+# A half turn about an axis in X's equator: X lands on its antipode, and
+# neither marked point is fixed.
+_HALF_TURN_AXIS = [0.0, 0.6, 0.8]
+_HALF_TURN_Y = _unit([0.3, -0.5, 0.8])
+HALF_TURN_ONTO_ANTIPODE = _recover(
+    "baseball", [1.0, 0.0, 0.0], _HALF_TURN_Y,
+    _rot3([1.0, 0.0, 0.0], _HALF_TURN_AXIS, math.pi), _rot3(_HALF_TURN_Y, _HALF_TURN_AXIS, math.pi))
+
+# Inputs with two faults: the exit code is that of the first check, kind,
+# then fields, then values, with or without --degrees.
+PRECEDENCE = {
+    "exit2_degrees_extra_field_and_overflow": ("plane-compose", ["--degrees"], (
+        b'{"kind": "plane_compose", "G": [0, 0], "alpha": 1' + b"0" * 400
+        + b', "H": [1, 0], "beta": 30, "junk": 1}')),
+    "exit2_kind_mismatch_non_finite": ("sphere-compose", [], (
+        b'{"kind": "plane_compose", "G": [0, 0], "alpha": NaN, "H": [1, 0], "beta": 0.5}')),
+}
+
+
 def _degrees(obj):
     out = dict(obj)
     for name in ("alpha", "beta", "theta"):
@@ -234,6 +253,12 @@ def cases() -> dict[str, tuple[list[str], str | None, bytes]]:
             add(f"edge_{name}_{method}", [sub, "--method", method], "fig.svg", obj)
     for name, (sub, doc) in ERRORS.items():
         add(name, [sub], None, doc)
+    # Cases added later draw nothing from rng, so the cases above keep their inputs.
+    for name, (sub, flags, doc) in PRECEDENCE.items():
+        add(name, [sub, *flags], None, doc)
+    for method in METHODS:
+        add(f"baseball_half_turn_onto_antipode_{method}", ["baseball", "--method", method],
+            "fig.svg" if method == "both" else None, HALF_TURN_ONTO_ANTIPODE)
     return out
 
 

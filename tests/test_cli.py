@@ -9,15 +9,17 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from golden.make_corpus import METHODS, RANDOM
+from golden.make_corpus import HALF_TURN_ONTO_ANTIPODE, METHODS, RANDOM
 from helpers import refuse_algebraic_routes
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import isometry_lab
 from isometry_lab import (
+    DegenerateAxis,
     GeometryError,
     InternalCheckError,
+    LengthMismatch,
     Mat2,
     ParseError,
     Rotation2,
@@ -33,6 +35,7 @@ from isometry_lab import (
     recover_planar_geometric,
 )
 from isometry_lab.cli import (
+    _CATCHABLE,
     ProblemInstance,
     _block,
     _error_payload,
@@ -390,6 +393,17 @@ class TestExitCodes:
         from isometry_lab import InternalCheckError
 
         assert exit_code_for(InternalCheckError("routes disagree")) == 5
+
+    @pytest.mark.parametrize("exc, code", [
+        (SchemaError("missing field 'kind'"), 2),
+        (LengthMismatch("arcs differ"), 3),
+        (InternalCheckError("routes disagree"), 5),
+        (DegenerateAxis("chords are parallel"), 4),
+        (ZeroDivisionError("not an error of the contract"), 1),
+    ])
+    def test_exit_code_mapping_one_case_per_table_row(self, exc, code):
+        assert exit_code_for(exc) == code
+        assert isinstance(exc, _CATCHABLE) == (code != 1)
 
 
 class TestMainOutput:
@@ -798,6 +812,57 @@ def test_an_integer_beyond_the_float_range_exits_3_like_1e400(tmp_path, capsys, 
     assert err.startswith("error:")
     as_float = _OVERFLOWING[field].replace(_BEYOND_FLOAT, "1e400")
     assert _main_on(tmp_path, capsys, "plane-compose", as_float, *flags)[:2] == (code, out)
+
+
+_TWO_FAULTS = {
+    "unexpected field, overflowing angle": (
+        _plane_compose_text(alpha=_BEYOND_FLOAT)[:-1] + ', "junk": 1}',
+        "unexpected fields for kind 'plane_compose': ['junk']",
+    ),
+    "missing field, NaN angle": (
+        '{"kind": "plane_compose", "G": [0, 0], "alpha": NaN, "H": [1, 0]}',
+        "missing fields for kind 'plane_compose': ['beta']",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("--degrees",)])
+@pytest.mark.parametrize("name", sorted(_TWO_FAULTS))
+def test_a_schema_fault_wins_over_a_bad_value_with_and_without_degrees(tmp_path, capsys, name,
+                                                                       flags):
+    text, message = _TWO_FAULTS[name]
+    code, out, err = _main_on(tmp_path, capsys, "plane-compose", text, *flags)
+    assert (code, out["error"]) == (2, {"type": "SchemaError", "message": message})
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--degrees",)])
+def test_a_kind_mismatch_wins_over_a_non_finite_value(tmp_path, capsys, flags):
+    text = _plane_compose_text(alpha="NaN")
+    code, out, _ = _main_on(tmp_path, capsys, "sphere-compose", text, *flags)
+    assert (code, out["error"]) == (2, {
+        "type": "SchemaError",
+        "message": "instance kind 'plane_compose' does not match subcommand 'sphere-compose' "
+                   "(expected 'sphere_compose')",
+    })
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["sphere_recover", "baseball"])
+def test_a_half_turn_onto_the_antipode_solves_by_every_route(tmp_path, capsys, kind, method):
+    # X goes to -X and neither point is fixed: X's bisector is its equator
+    obj = dict(HALF_TURN_ONTO_ANTIPODE, kind=kind)
+    code, out, err = _main_on(tmp_path, capsys, kind.replace("_", "-"), json.dumps(obj),
+                              "--method", method)
+    assert code == 0
+    assert "disagree" not in err
+    assert out["residual"] <= 1e-9
+    results = [out["result"], out.get("result_geometric", out["result"])]
+    for result in results:
+        assert result["angle"] == pytest.approx(math.pi, abs=1e-9)
+        assert abs(abs(Vec3(*result["axis"]).dot(Vec3(0.0, 0.6, 0.8))) - 1.0) <= 1e-9
+    if method == "both":
+        assert out["discrepancy"] <= 1e-9
 
 
 @pytest.mark.parametrize("field", sorted(_OVERFLOWING))

@@ -190,6 +190,18 @@ class TestFigureBuilders:
         assert {"X", "X'", "Y", "Y'", "P", "P'"} <= texts
         assert len(_all(root, "polyline")) >= 3  # two arcs + circles
 
+    def test_sphere_recovery_figure_leaves_out_an_antipodal_pair(self):
+        # X goes to -X: its bisector is X's equator, but no unique arc joins them
+        from isometry_lab import apply_sphere
+
+        rot = Rotation3(UnitVector3(0.0, 0.6, 0.8), math.pi)
+        x, y = UnitVector3(1, 0, 0), UnitVector3(0, 0, 1)
+        yp = apply_sphere(rot, y)
+        fig = sphere_recovery_figure(x, apply_sphere(rot, x), y, yp, rot)
+        circles = [e.label for e in fig.elements if isinstance(e, GreatCircleElement)]
+        arcs = [(e.a, e.b) for e in fig.elements if isinstance(e, SegmentElement)]
+        assert (circles, arcs) == (["lY"], [(y, yp)])
+
 
 # Sphere elements that no figure builder emits, so the golden corpus never
 # draws them. The digests pin the bytes the Vec3 samplers drew.

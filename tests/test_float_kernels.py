@@ -512,9 +512,7 @@ def _bisector_circle_oracle(a, b):
     n = chord.norm()
     if n <= SPHERE_CHORD_MIN:
         raise CoincidentPoints("coincident points have no unique bisector circle")
-    if (a + b).norm() <= SPHERE_CHORD_MIN:
-        raise AntipodalPoints("antipodal points are equidistant from every great circle "
-                              "through their polar plane")
+    # for antipodal a and b: a's equator, normal to the chord 2a
     return GreatCircle(UnitVector3(chord.x / n, chord.y / n, chord.z / n))
 
 
@@ -737,6 +735,9 @@ def test_the_residual_and_discrepancy_are_the_vector_distances(x, y, rot):
 
 @given(sphere_points, sphere_points, st.one_of(sphere_rotations, st.none()))
 @example(UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), None)
+# a half turn that takes x to its antipode: x's bisector is its equator
+@example(UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 0.0, 1.0),
+         Rotation3(UnitVector3(0.0, 0.6, 0.8), math.pi))
 def test_the_axis_constructions_are_their_vector_bodies(x, y, rot):
     # xp, yp the images under rot, or free points; x fixed when rot is None
     if rot:

@@ -213,9 +213,10 @@ class TestBisectorGreatCircle:
         with pytest.raises(CoincidentPoints):
             bisector_great_circle(Z, Z)
 
-    def test_antipodal_rejected(self):
-        with pytest.raises(AntipodalPoints):
-            bisector_great_circle(Z, -Z)
+    def test_antipodal_pair_bisects_along_the_equator(self):
+        # the points equidistant from Z and -Z are Z's equator
+        n = bisector_great_circle(Z, -Z).normal
+        assert (n.x, n.y, abs(n.z)) == (0.0, 0.0, 1.0)
 
     def test_sampled_points_equidistant(self):
         rng = random.Random(23)
