@@ -87,8 +87,6 @@ class GreatCircleElement:
 
 FigureElement = Marker | SegmentElement | LineElement | ArcElement | GreatCircleElement
 
-_PLANAR_ONLY = (LineElement, ArcElement)
-
 
 @dataclass(frozen=True)
 class FigureSpec:
@@ -104,76 +102,68 @@ class FigureSpec:
             raise ValueError(f"unknown projection {self.projection!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("viewport must be positive")
-        if self.projection == "planar":
-            for el in self.elements:
-                if isinstance(el, GreatCircleElement):
-                    raise ValueError("great circles need the sphere projection")
-        else:
-            for el in self.elements:
-                if isinstance(el, _PLANAR_ONLY):
-                    raise ValueError(f"{type(el).__name__} is planar-only")
+        # every point is a Vec2 in the plane and a Vec3 on the sphere
+        kind = Vec2 if self.projection == "planar" else Vec3
+        for el in self.elements:
+            match el:
+                case SegmentElement(a=a, b=b):
+                    points = (a, b)
+                case (Marker(at=p) | ArcElement(center=p) | GreatCircleElement(normal=p)
+                      | LineElement(line=Line2(point=p))):
+                    points = (p,)
+                case _:
+                    raise ValueError(f"not a figure element: {el!r}")
+            for p in points:
+                if not isinstance(p, kind):
+                    raise ValueError(f"{type(el).__name__} needs {kind.__name__} points "
+                                     f"under {self.projection!r}")
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-class _PlanarMapper:
-    """World-to-pixel transform with uniform scale and a y flip."""
+def _window(spec: FigureSpec) -> tuple[float, float, float]:
+    """Centre (cx, cy) and span of a planar figure's square window: 1.25 times
+    the extent of its markers, segment ends and arc boxes, floored at
+    FIGURE_MIN_SPAN, or of [-1, 1] without them. Lines are clipped to the
+    window and do not widen it."""
+    pts: list[tuple[float, float]] = []
+    for el in spec.elements:
+        if isinstance(el, Marker):
+            pts.append((el.at.x, el.at.y))
+        elif isinstance(el, SegmentElement):
+            pts += ((el.a.x, el.a.y), (el.b.x, el.b.y))
+        elif isinstance(el, ArcElement):
+            c, r = el.center, el.radius
+            pts += ((c.x + r, c.y + r), (c.x - r, c.y - r))
+    if not pts:
+        pts = [(-1.0, -1.0), (1.0, 1.0)]
+    xs, ys = zip(*pts)
+    cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
+    return cx, cy, max(max(xs) - min(xs), max(ys) - min(ys), FIGURE_MIN_SPAN) * 1.25
 
-    def __init__(self, spec: FigureSpec):
-        pts: list[Vec2] = []
-        for el in spec.elements:
-            if isinstance(el, Marker):
-                pts.append(el.at)
-            elif isinstance(el, SegmentElement):
-                pts.extend((el.a, el.b))
-            # infinite lines do not influence the window; they are clipped
-            elif isinstance(el, ArcElement):
-                r = el.radius
-                pts.extend(
-                    (el.center + Vec2(r, r), el.center - Vec2(r, r))
-                )
-        if not pts:
-            pts = [Vec2(-1.0, -1.0), Vec2(1.0, 1.0)]
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
-        span = max(max(xs) - min(xs), max(ys) - min(ys), FIGURE_MIN_SPAN) * 1.25
-        self.cx, self.cy = cx, cy
-        self.scale = min(spec.width, spec.height) / span
-        self.w, self.h = spec.width, spec.height
-        half = span / 2.0
-        self.window = (cx - half, cx + half, cy - half, cy + half)
 
-    def to_px(self, p: Vec2) -> tuple[float, float]:
-        return (
-            self.w / 2.0 + (p.x - self.cx) * self.scale,
-            self.h / 2.0 - (p.y - self.cy) * self.scale,
-        )
-
-    def clip_line(self, line: Line2) -> tuple[Vec2, Vec2] | None:
-        """Portion of an infinite line inside the window, if any."""
-        xmin, xmax, ymin, ymax = self.window
-        p, d = line.point, line.direction
-        tmin, tmax = -math.inf, math.inf
-        for origin, direction, lo, hi in (
-            (p.x, d.x, xmin, xmax),
-            (p.y, d.y, ymin, ymax),
-        ):
-            if abs(direction) < FIGURE_CLIP_TOL:
-                if origin < lo or origin > hi:
-                    return None
-                continue
-            t1 = (lo - origin) / direction
-            t2 = (hi - origin) / direction
-            if t1 > t2:
-                t1, t2 = t2, t1
-            tmin = max(tmin, t1)
-            tmax = min(tmax, t2)
-        if tmin >= tmax or not math.isfinite(tmin) or not math.isfinite(tmax):
-            return None
-        return p + d * tmin, p + d * tmax
+def _clip_line(line: Line2, cx: float, cy: float, span: float):
+    """Ends ((x1, y1), (x2, y2)) of the part of a line inside the window, if any."""
+    half = span / 2.0
+    p, d = line.point, line.direction
+    tmin, tmax = -math.inf, math.inf
+    for origin, direction, lo, hi in ((p.x, d.x, cx - half, cx + half),
+                                      (p.y, d.y, cy - half, cy + half)):
+        if abs(direction) < FIGURE_CLIP_TOL:
+            if origin < lo or origin > hi:
+                return None
+            continue
+        t1 = (lo - origin) / direction
+        t2 = (hi - origin) / direction
+        if t1 > t2:
+            t1, t2 = t2, t1
+        tmin = max(tmin, t1)
+        tmax = min(tmax, t2)
+    if tmin >= tmax or not math.isfinite(tmin) or not math.isfinite(tmax):
+        return None
+    return (p.x + d.x * tmin, p.y + d.y * tmin), (p.x + d.x * tmax, p.y + d.y * tmax)
 
 
 def _polyline(points: list[tuple[float, float]], stroke: str, cls: str) -> str:
@@ -222,50 +212,43 @@ def _marker_svg(px: float, py: float, el: Marker, hidden: bool = False) -> list[
 
 
 def _render_planar(spec: FigureSpec) -> list[str]:
-    mapper = _PlanarMapper(spec)
+    cx, cy, span = _window(spec)
+    scale = min(spec.width, spec.height) / span
+    w, h = spec.width, spec.height
+
+    def px(x: float, y: float) -> tuple[float, float]:
+        """World to pixels, uniform scale, y up."""
+        return w / 2.0 + (x - cx) * scale, h / 2.0 - (y - cy) * scale
+
     out: list[str] = []
     for el in spec.elements:
         if isinstance(el, Marker):
-            px, py = mapper.to_px(el.at)
-            out.extend(_marker_svg(px, py, el))
-        elif isinstance(el, SegmentElement):
-            (x1, y1), (x2, y2) = mapper.to_px(el.a), mapper.to_px(el.b)
-            out.append(
-                f'<line class="segment" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"{_STROKES[el.style]}/>'
-            )
-            if el.label:
-                out.append(_label((x1 + x2) / 2 + 5, (y1 + y2) / 2 - 5, el.label))
-        elif isinstance(el, LineElement):
-            clipped = mapper.clip_line(el.line)
-            if clipped is None:
+            out.extend(_marker_svg(*px(el.at.x, el.at.y), el))
+        elif isinstance(el, (SegmentElement, LineElement)):
+            segment = isinstance(el, SegmentElement)
+            ends = (((el.a.x, el.a.y), (el.b.x, el.b.y)) if segment
+                    else _clip_line(el.line, cx, cy, span))
+            if ends is None:
                 continue
-            (x1, y1), (x2, y2) = mapper.to_px(clipped[0]), mapper.to_px(clipped[1])
-            out.append(
-                f'<line class="line" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"{_STROKES[el.style]}/>'
-            )
+            (x1, y1), (x2, y2) = px(*ends[0]), px(*ends[1])
+            out.append(f'<line class="{"segment" if segment else "line"}" x1="{_fmt(x1)}" '
+                       f'y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"{_STROKES[el.style]}/>')
             if el.label:
-                out.append(_label(x2 - 20, y2 - 6, el.label))
+                at = ((x1 + x2) / 2 + 5, (y1 + y2) / 2 - 5) if segment else (x2 - 20, y2 - 6)
+                out.append(_label(*at, el.label))
         elif isinstance(el, ArcElement):
-            a0, a1 = el.start, el.end
-            if a1 < a0:
-                a0, a1 = a1, a0
-            p0 = el.center + Vec2(math.cos(a0), math.sin(a0)) * el.radius
-            p1 = el.center + Vec2(math.cos(a1), math.sin(a1)) * el.radius
-            (x0, y0), (x1, y1) = mapper.to_px(p0), mapper.to_px(p1)
-            r = el.radius * mapper.scale
+            a0, a1 = (el.end, el.start) if el.end < el.start else (el.start, el.end)
+            c, r = el.center, el.radius
+            x0, y0 = px(c.x + math.cos(a0) * r, c.y + math.sin(a0) * r)
+            x1, y1 = px(c.x + math.cos(a1) * r, c.y + math.sin(a1) * r)
             large = 1 if (a1 - a0) > math.pi else 0
-            out.append(
-                f'<path class="arc" d="M {_fmt(x0)} {_fmt(y0)} '
-                f'A {_fmt(r)} {_fmt(r)} 0 {large} 0 {_fmt(x1)} {_fmt(y1)}" fill="none"/>'
-            )
+            rs = _fmt(r * scale)
+            out.append(f'<path class="arc" d="M {_fmt(x0)} {_fmt(y0)} A {rs} {rs} 0 {large} 0 '
+                       f'{_fmt(x1)} {_fmt(y1)}" fill="none"/>')
             if el.label:
-                mid = el.center + Vec2(math.cos((a0 + a1) / 2), math.sin((a0 + a1) / 2)) * (
-                    el.radius * 1.25
-                )
-                mx, my = mapper.to_px(mid)
-                out.append(_label(mx, my, el.label))
+                mid, rl = (a0 + a1) / 2, r * 1.25
+                lx, ly = px(c.x + math.cos(mid) * rl, c.y + math.sin(mid) * rl)
+                out.append(_label(lx, ly, el.label))
     return out
 
 

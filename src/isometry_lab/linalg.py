@@ -10,10 +10,10 @@ null space of (M - I).
 The hot kernels (`apply_planar`, `a.dist(b)` for `(a - b).norm()`, the
 leaf constructions of `planar` and `spherical`, the sphere solve's axis
 constructions, residual, rotation check and eigensolve, and the sphere
-samplers of `figures`) work on floats and build no intermediate vectors,
-in the operation order of the vector expression each replaces, so every
-result keeps its bits; the full-precision digests and the golden corpus
-of the test suite hold them to that.
+samplers and planar renderer of `figures`) work on floats and build no
+intermediate vectors, in the operation order of the vector expression
+each replaces, so every result keeps its bits; the full-precision
+digests and the golden corpus of the test suite hold them to that.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from isometry_lab import (
     Line2, Rotation2, Rotation3, Segment2, UnitVector3, Vec2, Vec3, recover_pivot_geometric,
 )
 from isometry_lab.figures import (
+    ArcElement,
     FigureSpec,
     GreatCircleElement,
     LineElement,
@@ -96,6 +97,24 @@ class TestRenderSvg:
                 "orthographic_sphere",
                 (LineElement(Line2(Vec2(0, 0), Vec2(1, 0))),),
             )
+
+    def test_a_sphere_figure_refuses_a_plane_point(self):
+        # it used to fail only when drawn, on the missing z
+        with pytest.raises(ValueError, match="Marker needs Vec3 points"):
+            FigureSpec("orthographic_sphere", (Marker(Vec2(0.0, 0.0)),))
+        with pytest.raises(ValueError, match="SegmentElement needs Vec3 points"):
+            FigureSpec("orthographic_sphere", (SegmentElement(Vec3(1, 0, 0), Vec2(0, 1)),))
+
+    def test_a_planar_figure_refuses_a_sphere_point(self):
+        # it used to be drawn with its z dropped
+        with pytest.raises(ValueError, match="Marker needs Vec2 points"):
+            FigureSpec("planar", (Marker(Vec3(0.0, 0.0, 1.0)),))
+        with pytest.raises(ValueError, match="ArcElement needs Vec2 points"):
+            FigureSpec("planar", (ArcElement(UnitVector3(0, 0, 1), 1.0, 0.0, 1.0),))
+
+    def test_rejects_a_value_that_is_no_element(self):
+        with pytest.raises(ValueError, match="not a figure element"):
+            FigureSpec("planar", (Vec2(0.0, 0.0),))
 
     def test_rejects_empty_viewport(self):
         with pytest.raises(ValueError):
@@ -239,18 +258,66 @@ def test_unbuilt_sphere_scenes_keep_their_bytes(name):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-# Vec3 values built by one render_svg of each corpus --svg batch instance:
-# the sphere samplers build none per sample. A great circle costs 5 (its
-# frame), a geodesic arc 2 (its normalized endpoints).
-_SPHERE_RENDER_VEC3 = {"sphere_recover": 16, "baseball": 16, "sphere_compose": 5}
+# Planar elements that no figure builder emits, each with the labels it
+# draws. The digests pin the bytes the Vec2 renderer drew.
+_PLANAR_SCENES = {
+    # no points: the default [-1, 1] window
+    "empty": ((), set(), "7c785ec79e46f96d2ec5c1ac3b40ae9278eb463020e84d1467c167ee65078ba9"),
+    # a line does not widen the window: one just past its top edge, at
+    # y = 1.25, is clipped away, label and all
+    "labelled_line_outside_window": (
+        (LineElement(Line2(Vec2(0.0, 1.2500001), Vec2(1.0, 0.0)), label="l"),),
+        set(),
+        "7c785ec79e46f96d2ec5c1ac3b40ae9278eb463020e84d1467c167ee65078ba9",
+    ),
+    # direction x below FIGURE_CLIP_TOL: clipped on y alone
+    "labelled_vertical_line": (
+        (SegmentElement(Vec2(-1.5, 0.5), Vec2(2.0, -3.0), label="s"),
+         LineElement(Line2(Vec2(0.3, 7.0), Vec2(-0.0, -1.0)), style="faint", label="v")),
+        {"s", "v"},
+        "060c6585ca17409e298d9be1f6d7d1ad18387aac10d6b997d681970e30e2a2a2",
+    ),
+    # end < start is swapped; a sweep over pi takes the large-arc flag
+    "labelled_wide_arc_reversed": (
+        (ArcElement(Vec2(1.0, 2.0), 0.75, 4.0, 0.5, label="a"),
+         Marker(Vec2(1.0, 2.0), "P", style="pivot")),
+        {"a", "P"},
+        "b0e50a731177496fc295873716322ec61b557adae7721b38fa80f1f93ee14efb",
+    ),
+    # closer than FIGURE_MIN_SPAN: the window keeps the floor's span
+    "markers_below_the_span_floor": (
+        (Marker(Vec2(3.0, 4.0), "A"), Marker(Vec2(3.0 + 1e-7, 4.0 - 2e-7), "B")),
+        {"A", "B"},
+        "ce43bdb2c740bdfceb884af9bf1835791127e8af38ac511b24cae37e9eeba3a7",
+    ),
+}
 
 
-@pytest.mark.parametrize("kind", sorted(_SPHERE_RENDER_VEC3))
+@pytest.mark.parametrize("name", sorted(_PLANAR_SCENES))
+def test_unbuilt_planar_scenes_keep_their_bytes(name):
+    elements, labels, digest = _PLANAR_SCENES[name]
+    data = render_svg(FigureSpec("planar", elements))
+    assert {t.text for t in _all(_root(data), "text")} == labels
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Vectors built by one render_svg of each corpus --svg batch instance: the
+# samplers and the planar window build none per point. A great circle costs
+# 5 Vec3 (its frame), a geodesic arc 2 (its normalized endpoints); a planar
+# render builds no Vec2.
+_RENDER_VECTORS = {
+    "sphere_recover": (Vec3, 16), "baseball": (Vec3, 16), "sphere_compose": (Vec3, 5),
+    "plane_recover": (Vec2, 0), "plane_compose": (Vec2, 0), "plane_reflections": (Vec2, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RENDER_VECTORS))
 def test_a_sphere_render_builds_few_vectors(monkeypatch, tmp_path, kind):
     case = Path(__file__).resolve().parent / "golden" / "cases" / f"{kind}_svg_batch"
     items = json.loads((case / "input.json").read_text(encoding="utf-8"))
+    cls, limit = _RENDER_VECTORS[kind]
     counts = []
-    real_init, real_render = Vec3.__init__, cli.render_svg
+    real_init, real_render = cls.__init__, cli.render_svg
 
     def counted(self, *args):
         counts[-1] += 1
@@ -258,14 +325,14 @@ def test_a_sphere_render_builds_few_vectors(monkeypatch, tmp_path, kind):
 
     def render(spec):
         counts.append(0)
-        monkeypatch.setattr(Vec3, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
         try:
             return real_render(spec)
         finally:
-            monkeypatch.setattr(Vec3, "__init__", real_init)
+            monkeypatch.setattr(cls, "__init__", real_init)
 
     monkeypatch.setattr(cli, "render_svg", render)
     for i, obj in enumerate(items):
         cli.run(cli.instance_from_obj(obj), svg_path=str(tmp_path / f"{i}.svg"))
     assert len(counts) == len(items)
-    assert max(counts) <= _SPHERE_RENDER_VEC3[kind], counts
+    assert max(counts) <= limit, counts

@@ -67,7 +67,8 @@ from isometry_lab import (
     wrap_angle,
 )
 from isometry_lab.linalg import (
-    ACOS_SINE_MIN, ANGLE_MIN, AXIS_SIGN_TOL, COINCIDENT_RTOL, FIGURE_MIN_ARC, IDENTITY_TOL,
+    ACOS_SINE_MIN, ANGLE_MIN, AXIS_SIGN_TOL, COINCIDENT_RTOL, FIGURE_CLIP_TOL, FIGURE_MIN_ARC,
+    FIGURE_MIN_SPAN, IDENTITY_TOL,
     MAX_COORD, ON_AXIS_TOL, PARALLEL_TOL, PIVOT_ARM_RTOL, ROTATION_TOL, SKEW_CHECK_TOL, SKEW_TOL,
     SPHERE_CHORD_MIN, UNIT_TOL, require_rotation,
 )
@@ -459,6 +460,185 @@ def test_geodesic_samples_are_the_vec3_expression_on_short_and_antipodal_arcs(a,
 @example(Vec3(0.0, -0.0, 0.0), Vec3(1.0, 0.0, 0.0))  # no direction: both raise
 def test_geodesic_samples_are_the_vec3_expression(a, b):
     assert _outcome(figures._geodesic_samples, a, b) == _outcome(_geodesic_oracle, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the planar renderer: the replaced Vec2 mapper and render body, then the kernels
+
+
+class _Vec2MapperOracle:
+    """World-to-pixel transform with uniform scale and a y flip."""
+
+    def __init__(self, spec):
+        pts = []
+        for el in spec.elements:
+            if isinstance(el, figures.Marker):
+                pts.append(el.at)
+            elif isinstance(el, figures.SegmentElement):
+                pts.extend((el.a, el.b))
+            elif isinstance(el, figures.ArcElement):
+                r = el.radius
+                pts.extend((el.center + Vec2(r, r), el.center - Vec2(r, r)))
+        if not pts:
+            pts = [Vec2(-1.0, -1.0), Vec2(1.0, 1.0)]
+        xs = [p.x for p in pts]
+        ys = [p.y for p in pts]
+        cx, cy = (min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0
+        span = max(max(xs) - min(xs), max(ys) - min(ys), FIGURE_MIN_SPAN) * 1.25
+        self.cx, self.cy, self.span = cx, cy, span
+        self.scale = min(spec.width, spec.height) / span
+        self.w, self.h = spec.width, spec.height
+        half = span / 2.0
+        self.window = (cx - half, cx + half, cy - half, cy + half)
+
+    def to_px(self, p):
+        return (
+            self.w / 2.0 + (p.x - self.cx) * self.scale,
+            self.h / 2.0 - (p.y - self.cy) * self.scale,
+        )
+
+    def clip_line(self, line):
+        xmin, xmax, ymin, ymax = self.window
+        p, d = line.point, line.direction
+        tmin, tmax = -math.inf, math.inf
+        for origin, direction, lo, hi in ((p.x, d.x, xmin, xmax), (p.y, d.y, ymin, ymax)):
+            if abs(direction) < FIGURE_CLIP_TOL:
+                if origin < lo or origin > hi:
+                    return None
+                continue
+            t1 = (lo - origin) / direction
+            t2 = (hi - origin) / direction
+            if t1 > t2:
+                t1, t2 = t2, t1
+            tmin = max(tmin, t1)
+            tmax = min(tmax, t2)
+        if tmin >= tmax or not math.isfinite(tmin) or not math.isfinite(tmax):
+            return None
+        return p + d * tmin, p + d * tmax
+
+
+def _render_planar_oracle(spec):
+    fmt, label, mapper, out = figures._fmt, figures._label, _Vec2MapperOracle(spec), []
+    for el in spec.elements:
+        if isinstance(el, figures.Marker):
+            out.extend(figures._marker_svg(*mapper.to_px(el.at), el))
+        elif isinstance(el, figures.SegmentElement):
+            (x1, y1), (x2, y2) = mapper.to_px(el.a), mapper.to_px(el.b)
+            out.append(f'<line class="segment" x1="{fmt(x1)}" y1="{fmt(y1)}" '
+                       f'x2="{fmt(x2)}" y2="{fmt(y2)}"{figures._STROKES[el.style]}/>')
+            if el.label:
+                out.append(label((x1 + x2) / 2 + 5, (y1 + y2) / 2 - 5, el.label))
+        elif isinstance(el, figures.LineElement):
+            clipped = mapper.clip_line(el.line)
+            if clipped is None:
+                continue
+            (x1, y1), (x2, y2) = mapper.to_px(clipped[0]), mapper.to_px(clipped[1])
+            out.append(f'<line class="line" x1="{fmt(x1)}" y1="{fmt(y1)}" '
+                       f'x2="{fmt(x2)}" y2="{fmt(y2)}"{figures._STROKES[el.style]}/>')
+            if el.label:
+                out.append(label(x2 - 20, y2 - 6, el.label))
+        elif isinstance(el, figures.ArcElement):
+            a0, a1 = el.start, el.end
+            if a1 < a0:
+                a0, a1 = a1, a0
+            p0 = el.center + Vec2(math.cos(a0), math.sin(a0)) * el.radius
+            p1 = el.center + Vec2(math.cos(a1), math.sin(a1)) * el.radius
+            (x0, y0), (x1, y1) = mapper.to_px(p0), mapper.to_px(p1)
+            r = el.radius * mapper.scale
+            large = 1 if (a1 - a0) > math.pi else 0
+            out.append(f'<path class="arc" d="M {fmt(x0)} {fmt(y0)} '
+                       f'A {fmt(r)} {fmt(r)} 0 {large} 0 {fmt(x1)} {fmt(y1)}" fill="none"/>')
+            if el.label:
+                mid = el.center + Vec2(math.cos((a0 + a1) / 2), math.sin((a0 + a1) / 2)) * (
+                    el.radius * 1.25)
+                out.append(label(*mapper.to_px(mid), el.label))
+    return out
+
+
+def _line(point, direction):
+    try:
+        return Line2(point, direction)
+    except ValueError:  # a zero or non-finite direction
+        return None
+
+
+# directions on both sides of FIGURE_CLIP_TOL, axis-parallel with either zero,
+# and any other
+directions = st.one_of(
+    st.sampled_from([Vec2(1.0, 0.0), Vec2(-1.0, -0.0), Vec2(0.0, 1.0), Vec2(-0.0, -1.0),
+                     Vec2(1e-16, 1.0), Vec2(-9.9e-16, -1.0), Vec2(FIGURE_CLIP_TOL, 1.0),
+                     Vec2(1.0, -1.1e-15), Vec2(1.0, 5e-324)]),
+    st.floats(-4.0, 4.0).map(lambda t: Vec2(math.cos(t), math.sin(t))),
+    vec2s,
+)
+lines = st.builds(_line, vec2s, directions).filter(lambda line: line is not None)
+labels = st.sampled_from(["", "l"])
+planar_elements = st.one_of(
+    st.builds(figures.Marker, vec2s, labels, st.sampled_from(figures.Marker.STYLES)),
+    st.builds(figures.SegmentElement, vec2s, vec2s, st.sampled_from(figures._Styled.STYLES),
+              labels),
+    st.builds(figures.LineElement, lines, st.sampled_from(figures._Styled.STYLES), labels),
+    st.builds(figures.ArcElement, vec2s, coords.map(abs), angles, angles, labels),
+)
+
+
+def _tight(p, offsets):
+    """Markers at p and offsets within FIGURE_MIN_SPAN of it: the span floor."""
+    return tuple(figures.Marker(Vec2(p.x + dx, p.y + dy)) for dx, dy in ((0.0, 0.0), *offsets))
+
+
+_offset = st.floats(-FIGURE_MIN_SPAN, FIGURE_MIN_SPAN)
+planar_specs = st.builds(
+    lambda els, size: figures.FigureSpec("planar", tuple(els), *size),
+    st.one_of(st.lists(planar_elements, max_size=6),  # empty: the default window
+              st.builds(_tight, vec2s, st.lists(st.tuples(_offset, _offset), max_size=3))),
+    st.sampled_from([(480, 480), (300, 200), (1, 999)]),
+)
+_SIGNED_ZEROS = figures.FigureSpec("planar", (
+    figures.Marker(Vec2(0.0, -0.0)),
+    figures.SegmentElement(Vec2(-0.0, 0.0), Vec2(0.0, 0.0)),
+    figures.ArcElement(Vec2(-0.0, -0.0), 0.0, -0.0, 0.0),
+))
+
+
+@given(planar_specs)
+@example(figures.FigureSpec("planar", ()))
+@example(_SIGNED_ZEROS)
+# a zero-radius arc at -0.0: its box is (0.0, 0.0) then (-0.0, -0.0), and min
+# and max keep the first of equal values
+@example(figures.FigureSpec("planar", (figures.ArcElement(Vec2(-0.0, -0.0), 0.0, 0.0, 1.0),)))
+@example(figures.FigureSpec("planar", _tight(Vec2(MAX_COORD, -MAX_COORD), [(0.0, 0.0)])))
+def test_the_planar_window_is_the_mapper_window(spec):
+    m = _Vec2MapperOracle(spec)
+    assert _bits(figures._window(spec)) == _bits((m.cx, m.cy, m.span))
+
+
+@given(planar_specs, lines)
+@example(figures.FigureSpec("planar", ()), Line2(Vec2(0.0, 1.25), Vec2(1.0, 0.0)))  # on an edge
+@example(figures.FigureSpec("planar", ()), Line2(Vec2(1.25, 1.25), Vec2(1.0, -1.0)))  # a corner
+@example(figures.FigureSpec("planar", ()), Line2(Vec2(-0.0, 0.0), Vec2(1e-16, 1.0)))
+# direction x at FIGURE_CLIP_TOL, from the window's right edge: the x range cuts t at 0
+@example(figures.FigureSpec("planar", ()), Line2(Vec2(1.25, 0.0), Vec2(FIGURE_CLIP_TOL, 1.0)))
+@example(_SIGNED_ZEROS, Line2(Vec2(0.0, -0.0), Vec2(-1.0, 1.0)))
+@example(figures.FigureSpec("planar", _tight(Vec2(3.0, 4.0), [(1e-7, -2e-7)])),
+         Line2(Vec2(3.0, 4.0), Vec2(FIGURE_CLIP_TOL, 1.0)))
+def test_clip_line_is_the_mapper_clip(spec, line):
+    window = figures._window(spec)
+    assert (_outcome(figures._clip_line, line, *window)
+            == _outcome(_Vec2MapperOracle(spec).clip_line, line))
+
+
+@given(planar_specs)
+@example(_SIGNED_ZEROS)
+@example(figures.FigureSpec("planar", (figures.ArcElement(Vec2(0.5, -2.0), 1.5, 4.0, 0.5, "a"),)))
+def test_a_planar_render_is_the_mapper_render(spec):
+    # every float written in full, so the pixels compare bit for bit
+    real = figures._fmt
+    figures._fmt = float.hex
+    try:
+        assert figures._render_planar(spec) == _render_planar_oracle(spec)
+    finally:
+        figures._fmt = real
 
 
 # ---------------------------------------------------------------------------
