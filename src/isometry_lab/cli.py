@@ -545,6 +545,8 @@ def _svg_path_for(svg: str | None, index: int, batch: bool) -> str | None:
     if not batch:
         return svg
     p = Path(svg)
+    if p.name in ("", ".."):  # "/", "." or "..": there is no file name to number
+        raise IsADirectoryError(f"--svg {svg!r} names a directory, not a file")
     return str(p.with_name(f"{p.stem}.{index}{p.suffix}"))
 
 
@@ -582,20 +584,14 @@ def main(argv: list[str] | None = None) -> int:
     expected = args.command.replace("-", "_")
 
     try:
-        if args.input == "-":
-            text = sys.stdin.buffer.read()
-        else:
-            text = Path(args.input).read_bytes()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        print(json.dumps(_error_payload(ParseError(str(exc)))))
-        return 2
-
-    try:
+        try:
+            text = sys.stdin.buffer.read() if args.input == "-" else Path(args.input).read_bytes()
+        except OSError as exc:
+            raise ParseError(f"cannot read {args.input}: {exc}") from exc
         obj = _loads(text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps(_error_payload(exc)))
+        print(_write(_error_payload(exc)))
         return exit_code_for(exc)
 
     batch = isinstance(obj, list)

@@ -76,6 +76,10 @@ class ArcElement:
     end: float
     label: str = ""
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.radius, self.start, self.end))) or self.radius < 0.0:
+            raise ValueError("an arc needs a finite, non-negative radius and finite angles")
+
 
 @dataclass(frozen=True)
 class GreatCircleElement:
@@ -172,6 +176,7 @@ def _polyline(points: list[tuple[float, float]], stroke: str, cls: str) -> str:
 
 
 def _label(x: float, y: float, text: str) -> str:
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return f'<text class="label" x="{_fmt(x)}" y="{_fmt(y)}" stroke="none">{text}</text>'
 
 

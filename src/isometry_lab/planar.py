@@ -170,6 +170,11 @@ def _point_scale(*points: Vec2) -> float:
     return max(1.0, *(p.norm() for p in points))
 
 
+def _translation(v: Vec2, scale: float) -> Translation2 | Identity2:
+    """The translation by v, or the identity when v is negligible against `scale`."""
+    return Identity2() if v.norm() <= COINCIDENT_RTOL * scale else Translation2(v)
+
+
 def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) -> PlanarIsometry:
     """The orientation-preserving isometry with angle `theta`.
 
@@ -180,10 +185,7 @@ def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) ->
     pivot_rhs applies R on floats, in the operation order of Mat2.mv.
     """
     if abs(theta) < ANGLE_MIN:
-        v = translation()
-        if v.norm() <= COINCIDENT_RTOL * _point_scale(*points):
-            return Identity2()
-        return Translation2(v)
+        return _translation(translation(), _point_scale(*points))
     c, s = math.cos(theta), math.sin(theta)
     return Rotation2(solve2(Mat2(1.0 - c, s, -s, 1.0 - c), pivot_rhs(c, s)), theta)
 
@@ -281,14 +283,15 @@ def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAU
     db = dst.b - src.b
     scale = _point_scale(src.a, src.b, dst.a, dst.b)
     if da.dist(db) <= ANGLE_MIN * src.length():
-        if da.norm() <= COINCIDENT_RTOL * scale:
-            return Identity2()
-        return Translation2(da)
+        return _translation(da, scale)
     pivot = _pivot_geometric(src, dst, scale)
     p, q = (src.a, dst.a) if src.a.dist(pivot) > PIVOT_ARM_RTOL * scale else (src.b, dst.b)
     # signed_angle(p - pivot, q - pivot), in its operation order
     ux, uy, vx, vy = p.x - pivot.x, p.y - pivot.y, q.x - pivot.x, q.y - pivot.y
-    return Rotation2(pivot, math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
+    cross, dot = ux * vy - uy * vx, ux * vx + uy * vy
+    if not (math.isfinite(cross) and math.isfinite(dot)):
+        raise ParallelBisectors(f"the pivot {pivot} is too far away to read the angle at it")
+    return Rotation2(pivot, math.atan2(cross, dot))
 
 
 def _anchored_form(iso: PlanarIsometry) -> tuple[float, Vec2, Vec2]:
@@ -366,10 +369,8 @@ def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsomet
     angle = wrap_angle(2.0 * signed_angle(first.line.direction, second.line.direction))
     if abs(angle) < ANGLE_MIN:
         n = second.line.direction.perp()
-        offset = (second.line.point - first.line.point).dot(n)
-        if abs(offset) <= COINCIDENT_RTOL * _point_scale(first.line.point, second.line.point):
-            return Identity2()
-        return Translation2(n * (2.0 * offset))
+        v = n * (2.0 * (second.line.point - first.line.point).dot(n))
+        return _translation(v, _point_scale(first.line.point, second.line.point))
     return Rotation2(_intersect_lines(first.line, second.line), angle)
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from golden.make_corpus import HALF_TURN_ONTO_ANTIPODE, METHODS, RANDOM
+from golden.make_corpus import HALF_TURN_ONTO_ANTIPODE, METHODS, RANDOM, _rot2, _rot3, _unit, _unit3
 from helpers import refuse_algebraic_routes
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -383,11 +383,15 @@ class TestExitCodes:
         }
 
     def test_unreadable_input_is_2(self, tmp_path, capsys):
-        code = main(["plane-compose", "--input", str(tmp_path / "missing.json")])
+        path = str(tmp_path / "missing.json")
+        code = main(["plane-compose", "--input", path])
         captured = capsys.readouterr()
         assert code == 2
-        assert json.loads(captured.out)["error"]["type"] == "ParseError"
-        assert captured.err.startswith("error: cannot read")
+        out = json.loads(captured.out)
+        assert out["error"]["type"] == "ParseError"
+        assert out["error"]["message"].startswith(f"cannot read {path}: ")
+        assert captured.err == f"error: {out['error']['message']}\n"
+        assert captured.out == _write(out) + "\n"  # the layout of every other answer
 
     def test_exit_code_mapping_for_internal_check(self):
         from isometry_lab import InternalCheckError
@@ -1241,3 +1245,106 @@ def test_a_geometric_sphere_compose_builds_no_matrix(monkeypatch):
     for inst in instances:
         assert run(inst, method="geometric").result["type"] == "rotation"
     assert counts["Mat3"] == 0
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs: every instance gets an answer or an error of the contract
+
+# nearly parallel bisectors put the geometric pivot about 7e158 away, too far
+# for floats to read the angle at it; the algebraic route answers
+_FAR_PIVOT = {
+    "kind": "plane_recover", "X": [7.644093100308962e+149, 1e+150],
+    "Y": [-1.9632816781237744e+149, -338923.1136305022],
+    "Xp": [2.0881373936567181e+148, 9.597939461793449e+149],
+    "Yp": [-9.398561029067065e+149, -4.020605478139271e+148],
+}
+_PLANE_SCALES = (1e-9, 1.0, 1e6, 1e75, 1e150, 1.5e150)
+
+
+def _hostile_angle(rng, turn):
+    """An angle for a full turn of `turn`: zero, a half turn, huge, tiny or plain."""
+    return rng.choice([0.0, -0.0, turn / 2, -turn / 2, turn, 1e300, -1e300, 5e-324,
+                       rng.uniform(-1e-9, 1e-9) * turn, rng.uniform(-turn, turn)])
+
+
+def _hostile_sphere_point(rng, near):
+    """A random unit vector, or one within 1e-6 to 1e-12 of `near` or of its antipode."""
+    e, sign = rng.choice([1e-6, 1e-9, 1e-12]), rng.choice([1.0, -1.0])
+    return rng.choice([_unit3(rng), _unit([sign * c + rng.uniform(-e, e) for c in near])])
+
+
+def _hostile_instance(rng, kind, degrees):
+    turn = 360.0 if degrees else 2 * math.pi
+    scale = rng.choice(_PLANE_SCALES)
+
+    def plane_point(rng):
+        return [rng.uniform(-scale, scale), rng.uniform(-scale, scale)]
+
+    if kind == "plane_recover":
+        # a turn about a pivot, then a translation: a tiny turn about a near
+        # pivot with a far translation is a tiny turn about a far pivot
+        x, y, pivot, d = (plane_point(rng) for _ in range(4))
+        d = rng.choice([d, [0.0, 0.0]])
+        t = rng.choice([_hostile_angle(rng, 2 * math.pi), rng.uniform(1e-9, 1e-8)])
+        xp, yp = ([a + b for a, b in zip(_rot2(p, pivot, t), d)] for p in (x, y))
+        return {"kind": kind, "X": x, "Y": y, "Xp": xp, "Yp": yp}
+    if kind in ("plane_compose", "sphere_compose"):
+        point = plane_point if kind == "plane_compose" else _unit3
+        g, alpha = point(rng), _hostile_angle(rng, turn)
+        h = rng.choice([point(rng), g])
+        if kind == "sphere_compose":
+            h = rng.choice([h, _hostile_sphere_point(rng, g)])
+        # a sum that cancels, or nearly, to zero or a whole turn
+        beta = rng.choice([_hostile_angle(rng, turn), rng.choice([0.0, turn]) - alpha,
+                           -alpha + rng.choice([1e-12, -1e-10, 5e-324]) * turn])
+        return {"kind": kind, "G": g, "alpha": alpha, "H": h, "beta": beta}
+    if kind == "plane_reflections":
+        return {"kind": kind, "P": plane_point(rng), "theta": _hostile_angle(rng, turn)}
+    x = _unit3(rng)
+    y = _hostile_sphere_point(rng, x)
+    axis = rng.choice([_unit3(rng), x, y])
+    t = _hostile_angle(rng, 2 * math.pi)
+    return {"kind": kind, "X": x, "Y": y, "Xp": _rot3(x, axis, t), "Yp": _rot3(y, axis, t)}
+
+
+def _hostile_instances(seed, per_kind):
+    """The far-pivot instance, then `per_kind` seeded instances of each kind,
+    a quarter of them in degrees, each with its `degrees` flag."""
+    rng = random.Random(seed)
+    yield _FAR_PIVOT, False
+    for kind in RANDOM:
+        for _ in range(per_kind):
+            degrees = rng.random() < 0.25
+            yield _hostile_instance(rng, kind, degrees), degrees
+
+
+def test_hostile_instances_get_an_answer_or_a_documented_error():
+    escaped = []
+    for obj, degrees in _hostile_instances(1515, 400):
+        for method in METHODS:
+            try:
+                run(instance_from_obj(obj, degrees=degrees), method=method)
+            except _CATCHABLE:
+                pass
+            except Exception as exc:  # outside the exit-code table: a traceback and exit 1
+                escaped.append((obj, degrees, method, repr(exc)))
+    assert escaped == []
+
+
+@pytest.mark.parametrize("method, code", [("algebraic", 0), ("geometric", 4), ("both", 4)])
+def test_a_geometric_pivot_too_far_for_floats_exits_4(tmp_path, capsys, method, code):
+    got, out, _ = _main_on(tmp_path, capsys, "plane-recover", json.dumps(_FAR_PIVOT),
+                           "--method", method)
+    assert got == code
+    if code:
+        assert out["error"]["type"] == "ParallelBisectors"
+        assert "too far away" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("svg", ["/", ".", "{tmp}/.."])
+def test_a_batch_svg_path_that_names_no_file_fails_each_item(tmp_path, capsys, svg):
+    code, out, err = _main_on(tmp_path, capsys, "plane-compose", json.dumps([P2_OBJ] * 2),
+                              "--svg", svg.format(tmp=tmp_path))
+    assert code == 2
+    assert [o["error"]["type"] for o in out] == ["IsADirectoryError"] * 2
+    assert err.count("error:") == 2

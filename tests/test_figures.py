@@ -336,3 +336,24 @@ def test_a_sphere_render_builds_few_vectors(monkeypatch, tmp_path, kind):
         cli.run(cli.instance_from_obj(obj), svg_path=str(tmp_path / f"{i}.svg"))
     assert len(counts) == len(items)
     assert max(counts) <= limit, counts
+
+
+@pytest.mark.parametrize("projection, at", [("planar", Vec2(0.5, -0.5)),
+                                            ("orthographic_sphere", Vec3(0.6, 0.0, 0.8))])
+def test_label_text_is_escaped(projection, at):
+    label = "a<b & c>"
+    data = render_svg(FigureSpec(projection, (Marker(at, label),)))
+    assert [t.text for t in _all(_root(data), "text")] == [label]
+
+
+def test_every_golden_svg_parses():
+    svgs = sorted((Path(__file__).resolve().parent / "golden" / "cases").glob("*/out/*.svg"))
+    assert svgs
+    for path in svgs:
+        assert _root(path.read_bytes()).tag == f"{SVG_NS}svg", path
+
+
+@pytest.mark.parametrize("radius, start", [(math.nan, 0.0), (-1.0, 0.0), (1.0, math.nan)])
+def test_an_arc_needs_a_finite_non_negative_radius_and_finite_angles(radius, start):
+    with pytest.raises(ValueError, match="arc"):
+        ArcElement(Vec2(0.0, 0.0), radius, start, 1.0)

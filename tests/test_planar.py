@@ -393,6 +393,15 @@ class TestComposeReflections:
         second = Reflection2(Line2(Vec2(0.0, 1.0), Vec2(1.0, 0.0)))
         assert compose_reflections(first, second) == Translation2(Vec2(0.0, 2.0))
 
+    def test_parallel_lines_below_the_cut_translate_like_every_plane_composite(self):
+        # a gap of 0.75e-12 translates by 1.5e-12, above the identity cut of
+        # COINCIDENT_RTOL at unit scale, though the gap itself is below it
+        first = Reflection2(Line2(Vec2(0.0, 0.0), Vec2(1.0, 0.0)))
+        second = Reflection2(Line2(Vec2(0.0, 0.75e-12), Vec2(1.0, 0.0)))
+        out = compose_reflections(first, second)
+        assert isinstance(out, Translation2)
+        assert (out.v.x, out.v.y) == (0.0, 1.5e-12)
+
     def test_matches_double_reflection_pointwise(self):
         rng = random.Random(59)
         for _ in range(200):
