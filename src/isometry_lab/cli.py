@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -39,7 +39,7 @@ from .figures import (
     sphere_compose_figure,
     sphere_recovery_figure,
 )
-from .linalg import ARCSIN_NOTE_TOL, DEFAULT_TOL, Vec2, check_coords, check_tol
+from .linalg import ARCSIN_NOTE_TOL, DEFAULT_TOL, Vec2, _value, check_coords, check_tol
 from .planar import (
     Identity2,
     Rotation2,
@@ -74,7 +74,7 @@ _NOTE_CANCELLED_ANGLES = (
 )
 
 
-@dataclass(frozen=True)
+@_value
 class ProblemInstance:
     """A validated problem: its kind plus typed payload values."""
 
@@ -86,7 +86,7 @@ class ProblemInstance:
             raise SchemaError(f"unknown kind {self.kind!r}")
 
 
-@dataclass
+@_value(frozen=False)
 class SolutionRecord:
     """Solver outcome: the primary result, how it was obtained, the
     recomputed mapping residual, and any warnings."""
@@ -94,7 +94,7 @@ class SolutionRecord:
     result: dict
     method: str
     residual: float
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[str]
     result_geometric: dict | None = None
     discrepancy: float | None = None
 
@@ -346,7 +346,7 @@ def _run_sphere_recover(payload, method, tol):
         )
     except IdentityCorrespondence:
         residual = max(x.dist(xp), y.dist(yp))
-        record, rot = SolutionRecord({"type": "identity"}, method, residual), None
+        record, rot = SolutionRecord({"type": "identity"}, method, residual, []), None
     return record, lambda: sphere_recovery_figure(x, xp, y, yp, rot)
 
 
@@ -443,7 +443,7 @@ def run(
     if method not in ("algebraic", "geometric", "both"):
         raise ValueError(f"unknown method {method!r}")
     record, figure = _KINDS[instance.kind].solve(instance.payload, method, check_tol(tolerance))
-    if svg_path:
+    if svg_path is not None:
         Path(svg_path).write_bytes(render_svg(figure()))
     return record
 
@@ -522,7 +522,7 @@ def _to_degrees_record(d: dict) -> dict:
 # The exit-code contract, one row per code, first match first: LengthMismatch
 # is a GeometryError that exits 3. main catches exactly these; the rest map to 1.
 _EXIT_CODES = (
-    ((ParseError, SchemaError, OSError), 2),  # OSError: an --svg file that cannot be written
+    ((ParseError, SchemaError, OSError), 2),  # OSError: an --svg file or stdout cannot be written
     ((ValidationError, LengthMismatch), 3),
     ((InternalCheckError,), 5),
     ((GeometryError,), 4),
@@ -540,7 +540,7 @@ def _error_payload(exc: BaseException) -> dict:
 
 
 def _svg_path_for(svg: str | None, index: int, batch: bool) -> str | None:
-    if not svg:
+    if svg is None:
         return None
     if not batch:
         return svg
@@ -591,8 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         obj = _loads(text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(_write(_error_payload(exc)))
-        return exit_code_for(exc)
+        return _emit(_write(_error_payload(exc)), exit_code_for(exc))
 
     batch = isinstance(obj, list)
     newline = "\n  " if batch else "\n"
@@ -616,7 +615,19 @@ def main(argv: list[str] | None = None) -> int:
             payload = _to_degrees_record(payload)
         outputs.append(_write(payload, newline))
 
-    print(_block(outputs, "\n", "[]") if batch else outputs[0])
+    return _emit(_block(outputs, "\n", "[]") if batch else outputs[0], code)
+
+
+def _emit(document: str, code: int) -> int:
+    """Print the output document and return `code`, or 2 if stdout is closed
+    (a reader such as `head` that stopped early)."""
+    try:
+        print(document, flush=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # Python flushes stdout again at exit; aim it at devnull, as the signal docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return exit_code_for(exc)
     return code
 
 

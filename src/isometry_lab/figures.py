@@ -10,10 +10,9 @@ spec always yields the same bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CoincidentPoints
-from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, Vec2, Vec3, cross
+from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, Vec2, Vec3, _value, cross
 from .planar import Line2, Rotation2, _fixed_endpoints, _point_scale, perpendicular_bisector
 from .spherical import UnitVector3, _antipodal, bisector_great_circle
 
@@ -36,7 +35,7 @@ class _Styled:
             raise ValueError(f"unknown {type(self).__name__} style {self.style!r}")
 
 
-@dataclass(frozen=True)
+@_value
 class Marker(_Styled):
     """Labeled point; style 'dot' or 'pivot' (drawn as a crosshair)."""
 
@@ -46,7 +45,7 @@ class Marker(_Styled):
     style: str = "dot"
 
 
-@dataclass(frozen=True)
+@_value
 class SegmentElement(_Styled):
     """Straight segment in the plane, geodesic arc on the sphere. A sphere
     segment is drawn solid in front and dashed behind, whatever its style."""
@@ -57,7 +56,7 @@ class SegmentElement(_Styled):
     label: str = ""
 
 
-@dataclass(frozen=True)
+@_value
 class LineElement(_Styled):
     """Infinite planar line, clipped to the drawing window."""
 
@@ -66,7 +65,7 @@ class LineElement(_Styled):
     label: str = ""
 
 
-@dataclass(frozen=True)
+@_value
 class ArcElement:
     """Planar angle arc around a center, from angle start to end (ccw)."""
 
@@ -81,7 +80,7 @@ class ArcElement:
             raise ValueError("an arc needs a finite, non-negative radius and finite angles")
 
 
-@dataclass(frozen=True)
+@_value
 class GreatCircleElement:
     """Great circle on the unit sphere, identified by its plane normal."""
 
@@ -92,7 +91,7 @@ class GreatCircleElement:
 FigureElement = Marker | SegmentElement | LineElement | ArcElement | GreatCircleElement
 
 
-@dataclass(frozen=True)
+@_value
 class FigureSpec:
     """Drawable scene; projection is 'planar' or 'orthographic_sphere'."""
 

@@ -19,7 +19,6 @@ digests and the golden corpus of the test suite hold them to that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import IdentityRotation, NotARotation, SingularMatrix
 
@@ -84,7 +83,57 @@ def clamp(x: float, lo: float, hi: float) -> float:
     return max(lo, min(hi, x))
 
 
-@dataclass(frozen=True)
+def _value(cls=None, /, *, frozen: bool = True):
+    """Give `cls` the methods the standard library's data class decorator
+    would, without importing that module (and the `inspect` it loads).
+
+    The fields are the names annotated in `cls` and its bases, base fields
+    first; a class attribute of the same name is a field's default.
+    `__init__` ends by calling `self.__post_init__()` if the class has one.
+    A frozen class hashes its fields and refuses to set or delete them; the
+    rest are unhashable. Use as `@_value` or `@_value(frozen=False)`.
+    """
+    if cls is None:
+        return lambda c: _value(c, frozen=frozen)
+    names = list(dict.fromkeys(
+        n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
+    defaults = {f"_d_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
+    params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in defaults else f", {n}" for n in names)
+    body = [f"_set(self, {n!r}, {n})" if frozen else f"self.{n} = {n}" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    init = "\n    ".join(body) or "pass"
+    row = "(" + "".join(f"{{0}}.{n}, " for n in names) + ")"  # a tuple of {0}'s fields
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = f"""
+def __init__(self{params}):
+    {init}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {row.format("self")} == {row.format("other")}
+    return NotImplemented
+def __repr__(self):
+    return f"{{self.__class__.__qualname__}}({shown})"
+def __hash__(self):
+    return hash({row.format("self")})
+def __setattr__(self, name, value):
+    raise AttributeError(f"cannot assign to field {{name!r}}")
+def __delattr__(self, name):
+    raise AttributeError(f"cannot delete field {{name!r}}")
+"""
+    made = {"_set": object.__setattr__, **defaults}
+    exec(source, made)
+    frozen_only = ("__hash__", "__setattr__", "__delattr__") if frozen else ()
+    for name in ("__init__", "__eq__", "__repr__", *frozen_only):
+        made[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, made[name])
+    if not frozen:
+        cls.__hash__ = None
+    cls.__match_args__ = tuple(names)
+    return cls
+
+
+@_value
 class Vec2:
     x: float
     y: float
@@ -129,7 +178,7 @@ def cross2(u: Vec2, v: Vec2) -> float:
     return u.x * v.y - u.y * v.x
 
 
-@dataclass(frozen=True)
+@_value
 class Vec3:
     x: float
     y: float
@@ -177,7 +226,7 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-@dataclass(frozen=True)
+@_value
 class Mat2:
     """2x2 matrix, row major."""
 
@@ -223,7 +272,7 @@ Xyz = tuple[float, float, float]
 Rows3 = tuple[Xyz, Xyz, Xyz]
 
 
-@dataclass(frozen=True)
+@_value
 class Mat3:
     """3x3 matrix, row major."""
 
@@ -264,7 +313,7 @@ class Mat3:
         )
 
 
-@dataclass(frozen=True)
+@_value
 class Eig3Result:
     """Eigenstructure of a proper rotation matrix.
 

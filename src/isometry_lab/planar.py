@@ -10,7 +10,6 @@ two routes check each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateBisector,
@@ -21,7 +20,7 @@ from .errors import (
     ZeroAngle,
 )
 from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, PIVOT_ARM_RTOL, SAME_LINE_RTOL
-from .linalg import Mat2, Vec2, check_coords, check_tol, cross2, solve2, wrap_angle
+from .linalg import Mat2, Vec2, _value, check_coords, check_tol, cross2, solve2, wrap_angle
 
 __all__ = [
     "Identity2", "Line2", "PlanarIsometry", "Reflection2", "Rotation2", "Segment2", "Translation2",
@@ -35,7 +34,7 @@ def _finite2(v: Vec2) -> bool:
     return math.isfinite(v.x) and math.isfinite(v.y)
 
 
-@dataclass(frozen=True)
+@_value
 class Rotation2:
     """Rotation by `angle` radians (counterclockwise) about `pivot`."""
 
@@ -48,7 +47,7 @@ class Rotation2:
         object.__setattr__(self, "angle", wrap_angle(self.angle))
 
 
-@dataclass(frozen=True)
+@_value
 class Translation2:
     """Translation by the vector `v`."""
 
@@ -59,7 +58,7 @@ class Translation2:
             raise ValueError("translation vector must be finite")
 
 
-@dataclass(frozen=True)
+@_value
 class Line2:
     """Line through `point` along the unit vector `direction`."""
 
@@ -76,14 +75,14 @@ class Line2:
             object.__setattr__(self, "direction", Vec2(self.direction.x / n, self.direction.y / n))
 
 
-@dataclass(frozen=True)
+@_value
 class Reflection2:
     """Mirror across a line."""
 
     line: Line2
 
 
-@dataclass(frozen=True)
+@_value
 class Identity2:
     """The do-nothing isometry."""
 
@@ -91,7 +90,7 @@ class Identity2:
 PlanarIsometry = Rotation2 | Translation2 | Reflection2 | Identity2
 
 
-@dataclass(frozen=True)
+@_value
 class Segment2:
     """Directed segment with distinct endpoints."""
 

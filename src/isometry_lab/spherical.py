@@ -12,7 +12,6 @@ matrix product and its +1 eigenvector or through two mirror reflections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     AntipodalPoints,
@@ -30,7 +29,7 @@ from .errors import (
 from .linalg import (
     ACOS_SINE_MIN, ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL,
     SKEW_CHECK_TOL, SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Mat3, Vec3, Xyz, check_tol, clamp,
-    eig3_rotation, require_rotation, wrap_angle,
+    _value, eig3_rotation, require_rotation, wrap_angle,
 )
 
 __all__ = [
@@ -52,7 +51,7 @@ def _unit_xyz(x: float, y: float, z: float) -> Xyz:
     return (x / n, y / n, z / n) if n != 1.0 else (x, y, z)
 
 
-@dataclass(frozen=True)
+@_value
 class UnitVector3(Vec3):
     """Point on the unit sphere; renormalized on construction."""
 
@@ -72,7 +71,7 @@ def _as_unit(v: Vec3) -> UnitVector3:
     return v if isinstance(v, UnitVector3) else UnitVector3(v.x, v.y, v.z)
 
 
-@dataclass(frozen=True)
+@_value
 class Rotation3:
     """Rotation about `axis` by `angle` radians (right-hand rule).
 
@@ -94,7 +93,7 @@ class Rotation3:
         object.__setattr__(self, "angle", a)
 
 
-@dataclass(frozen=True)
+@_value
 class RotationMatrix3:
     """Orthogonal matrix with determinant +1; validated on construction."""
 
@@ -104,7 +103,7 @@ class RotationMatrix3:
         require_rotation(self.m)
 
 
-@dataclass(frozen=True)
+@_value
 class GreatCircle:
     """Intersection of the sphere with the plane through the origin whose
     unit normal is `normal`."""
@@ -115,7 +114,7 @@ class GreatCircle:
         object.__setattr__(self, "normal", _as_unit(self.normal))
 
 
-@dataclass(frozen=True)
+@_value
 class SphereSegment:
     """Geodesic segment between two sphere points.
 

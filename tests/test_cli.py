@@ -1341,10 +1341,35 @@ def test_a_geometric_pivot_too_far_for_floats_exits_4(tmp_path, capsys, method, 
         assert "too far away" in out["error"]["message"]
 
 
-@pytest.mark.parametrize("svg", ["/", ".", "{tmp}/.."])
+@pytest.mark.parametrize("svg", ["/", ".", "{tmp}/..", ""])
 def test_a_batch_svg_path_that_names_no_file_fails_each_item(tmp_path, capsys, svg):
     code, out, err = _main_on(tmp_path, capsys, "plane-compose", json.dumps([P2_OBJ] * 2),
                               "--svg", svg.format(tmp=tmp_path))
     assert code == 2
     assert [o["error"]["type"] for o in out] == ["IsADirectoryError"] * 2
     assert err.count("error:") == 2
+
+
+@pytest.mark.parametrize("svg", [".", ""])
+def test_a_single_svg_path_that_names_no_file_exits_2(tmp_path, capsys, monkeypatch, svg):
+    monkeypatch.chdir(tmp_path)  # "" is the working directory, as "." is
+    code, out, err = _main_on(tmp_path, capsys, "plane-compose", json.dumps(P2_OBJ), "--svg", svg)
+    assert code == 2
+    assert out["error"]["type"] == "IsADirectoryError"
+    assert err.startswith("error:")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["instance.json"]
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_2_and_no_traceback(tmp_path):
+    p = tmp_path / "batch.json"
+    p.write_text(json.dumps([{"kind": "plane_reflections", "P": [0.1 * i, 1.0], "theta": 0.3}
+                             for i in range(3000)]))
+    env = {**os.environ, "PYTHONPATH": str(Path(isometry_lab.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "isometry_lab", "plane-reflections",
+                           "--input", str(p)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()  # as `| head -1` does; the ~1.5 MB answer cannot fit in the pipe
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"  # no traceback, nothing at shutdown
