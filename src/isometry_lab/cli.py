@@ -444,7 +444,13 @@ def run(
         raise ValueError(f"unknown method {method!r}")
     record, figure = _KINDS[instance.kind].solve(instance.payload, method, check_tol(tolerance))
     if svg_path is not None:
-        Path(svg_path).write_bytes(render_svg(figure()))
+        data = render_svg(figure())
+        # Overwrite in place, then cut the tail: opening with O_TRUNC would
+        # make ext4 flush a rewritten file on close (its auto_da_alloc rule).
+        # Path() keeps "" the working directory, so --svg "" stays an error.
+        with open(os.open(Path(svg_path), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.write(data)
+            f.truncate()
     return record
 
 

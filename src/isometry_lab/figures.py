@@ -169,8 +169,10 @@ def _clip_line(line: Line2, cx: float, cy: float, span: float):
     return (p.x + d.x * tmin, p.y + d.y * tmin), (p.x + d.x * tmax, p.y + d.y * tmax)
 
 
-def _polyline(points: list[tuple[float, float]], stroke: str, cls: str) -> str:
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+def _polyline(flat: list[float], stroke: str, cls: str) -> str:
+    """A polyline through the points (x0, y0, x1, y1, ...) of a flat list,
+    formatted in one call: "%.2f" writes every float as f"{v:.2f}" does."""
+    coords = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
     return f'<polyline class="{cls}" points="{coords}" fill="none"{stroke}/>'
 
 
@@ -263,6 +265,8 @@ _CIRCLE_CS = tuple(
     (math.cos(2.0 * math.pi * k / _CIRCLE_SAMPLES), math.sin(2.0 * math.pi * k / _CIRCLE_SAMPLES))
     for k in range(_CIRCLE_SAMPLES + 1)
 )
+# (1.0 - t, t) at the geodesic sample parameters t = k / _ARC_SAMPLES
+_ARC_TS = tuple((1.0 - k / _ARC_SAMPLES, k / _ARC_SAMPLES) for k in range(_ARC_SAMPLES + 1))
 
 
 def _render_sphere(spec: FigureSpec) -> list[str]:
@@ -273,17 +277,18 @@ def _render_sphere(spec: FigureSpec) -> list[str]:
            'fill="none"/>']
 
     def emit_sampled(points: list[tuple[float, float, float]], cls: str) -> None:
-        """Split a sampled curve into visible and hidden runs."""
-        runs: list[tuple[bool, list[tuple[float, float]]]] = []
+        """Split a sampled curve into visible and hidden runs, each a flat
+        list of projected floats; a one-point run draws nothing."""
+        runs: list[tuple[bool, list[float]]] = []
+        front = None
         for x, y, z in points:
-            front = z >= 0.0
-            if runs and runs[-1][0] == front:
-                runs[-1][1].append((cx - y * scale, cy - x * scale))
-            else:
-                runs.append((front, [(cx - y * scale, cy - x * scale)]))
-        for front, pts in runs:
-            if len(pts) > 1:
-                out.append(_polyline(pts, _STROKES["solid" if front else "dashed"], cls))
+            if (z >= 0.0) is not front:
+                front, flat = z >= 0.0, []
+                runs.append((front, flat))
+            flat += (cx - y * scale, cy - x * scale)
+        for front, flat in runs:
+            if len(flat) > 2:
+                out.append(_polyline(flat, _STROKES["solid" if front else "dashed"], cls))
 
     for el in spec.elements:
         if isinstance(el, Marker):
@@ -326,8 +331,8 @@ def _geodesic_samples(a: Vec3, b: Vec3) -> list[tuple[float, float, float]]:
         return [(ax, ay, az), (bx, by, bz)]
     inv = 1.0 / math.sin(omega)
     out = []
-    for t in (k / _ARC_SAMPLES for k in range(_ARC_SAMPLES + 1)):
-        sa, sb = math.sin((1.0 - t) * omega), math.sin(t * omega)
+    for u, t in _ARC_TS:
+        sa, sb = math.sin(u * omega), math.sin(t * omega)
         out.append(((ax * sa + bx * sb) * inv, (ay * sa + by * sb) * inv, (az * sa + bz * sb) * inv))
     return out
 

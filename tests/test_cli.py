@@ -669,6 +669,52 @@ def test_an_svg_path_builds_the_figure_once(monkeypatch, tmp_path, kind):
     assert ET.fromstring(svg.read_bytes()).tag.endswith("svg")
 
 
+def _run_recording_svg(monkeypatch, svg_path) -> bytes:
+    """run() one sphere_recover into svg_path; the bytes render_svg returned."""
+    import isometry_lab.cli as cli
+
+    rendered = []
+
+    def recording(spec, _original=cli.render_svg):
+        rendered.append(_original(spec))
+        return rendered[-1]
+
+    monkeypatch.setattr(cli, "render_svg", recording)
+    run(instance_from_obj({"kind": "sphere_recover", **_ONE_PER_KIND["sphere_recover"]}),
+        svg_path=svg_path)
+    (data,) = rendered
+    return data
+
+
+@pytest.mark.parametrize("old", [b"x" * 65536, b"x"], ids=["longer", "one_byte"])
+def test_an_existing_svg_file_holds_exactly_the_new_figure(monkeypatch, tmp_path, old):
+    svg = tmp_path / "fig.svg"
+    svg.write_bytes(old)
+    data = _run_recording_svg(monkeypatch, str(svg))
+    assert svg.read_bytes() == data
+
+
+def test_a_new_svg_file_gets_the_umask_mode(monkeypatch, tmp_path):
+    svg = tmp_path / "fig.svg"
+    old_mask = os.umask(0o027)
+    try:
+        data = _run_recording_svg(monkeypatch, str(svg))
+    finally:
+        os.umask(old_mask)
+    assert svg.stat().st_mode & 0o777 == 0o666 & ~0o027
+    assert svg.read_bytes() == data
+
+
+def test_an_svg_path_that_is_a_hard_link_rewrites_its_target(monkeypatch, tmp_path):
+    target, svg = tmp_path / "target.svg", tmp_path / "fig.svg"
+    target.write_bytes(b"x" * 100)
+    os.link(target, svg)
+    inode = svg.stat().st_ino
+    data = _run_recording_svg(monkeypatch, str(svg))
+    assert svg.stat().st_ino == target.stat().st_ino == inode
+    assert target.read_bytes() == data
+
+
 @pytest.mark.parametrize("method", ["algebraic", "geometric", "both"])
 def test_near_identity_sphere_compose_solves_by_every_route(method):
     # the probe points move about 1e-10: too little for a bisector circle

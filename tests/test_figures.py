@@ -242,6 +242,34 @@ _SPHERE_SCENES = {
          GreatCircleElement(Vec3(-0.0, 0.1, -2.0), label="d")),
         "c1b9cebe327cf87a172c23ddada45f0a2f9778286e195baa4853216a38a10a1f",
     ),
+    # only the first sample is behind: a one-point hidden run, dropped
+    "geodesic_with_one_sample_behind": (
+        (SegmentElement(Vec3(1.0, 0.0, -0.002), Vec3(0.0, 0.6, 0.8), label="h"),),
+        "209ad848f8fdf480c84c8b38e2eade569fbb8fa3513ceb82a1b131cc2f20332b",
+    ),
+    # samples at z == 0.0 and -0.0 count as front: the geodesic's midpoint
+    # ends its visible run, and the circle in the z = 0 plane is one visible run
+    "samples_on_z0": (
+        (SegmentElement(Vec3(0.6, 0.0, 0.8), Vec3(0.6, 0.0, -0.8), label="m"),
+         GreatCircleElement(Vec3(0.0, 0.0, 1.0), label="e")),
+        "ce4f88c9ce569eecd8e74a2e960d2d67f4a19ec3ce3d07fefdd7eee35655b23b",
+    ),
+    # an arc no longer than pi crosses z = 0 at most once, but endpoints one
+    # subnormal step behind give -0.0 near the ends and a true negative in
+    # the middle: front, behind, front again
+    "geodesic_front_behind_front": (
+        (SegmentElement(Vec3(1.0, 0.0, -5e-324), Vec3(math.cos(3.0), math.sin(3.0), -5e-324),
+                        label="r"),),
+        "81fe946c3cea1264753481eb0c55d2a60c1e976920b2dccef0e3e891d68bc8e3",
+    ),
+}
+
+# The visible (True) and hidden (False) runs each split scene draws, with
+# their point counts; a one-point run draws nothing.
+_SPHERE_RUNS = {
+    "geodesic_with_one_sample_behind": [(True, 32)],
+    "samples_on_z0": [(True, 17), (False, 16), (True, 97)],
+    "geodesic_front_behind_front": [(True, 5), (False, 23), (True, 5)],
 }
 
 
@@ -256,6 +284,14 @@ def test_unbuilt_sphere_scenes_keep_their_bytes(name):
     labels = {el.label for el in elements}
     assert {t.text for t in _all(_root(data), "text")} == labels
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(_SPHERE_RUNS))
+def test_sphere_curves_split_into_runs_at_z0(name):
+    elements, _ = _SPHERE_SCENES[name]
+    root = _root(render_svg(FigureSpec("orthographic_sphere", elements)))
+    assert [("stroke-dasharray" not in p.attrib, len(p.get("points").split()))
+            for p in _all(root, "polyline")] == _SPHERE_RUNS[name]
 
 
 # Planar elements that no figure builder emits, each with the labels it
