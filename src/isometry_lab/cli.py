@@ -635,7 +635,3 @@ def _emit(document: str, code: int) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return exit_code_for(exc)
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

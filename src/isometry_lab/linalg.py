@@ -144,9 +144,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def __mul__(self, s: float) -> "Vec2":
         return Vec2(self.x * s, self.y * s)
 
@@ -165,12 +162,6 @@ class Vec2:
     def perp(self) -> "Vec2":
         """Counterclockwise quarter turn."""
         return Vec2(-self.y, self.x)
-
-    def normalized(self) -> "Vec2":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return Vec2(self.x / n, self.y / n)
 
 
 def cross2(u: Vec2, v: Vec2) -> float:

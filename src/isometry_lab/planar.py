@@ -296,8 +296,8 @@ def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAU
 def _anchored_form(iso: PlanarIsometry) -> tuple[float, Vec2, Vec2]:
     """Write an orientation-preserving isometry as x -> q + R_theta (x - p).
 
-    A rotation is anchored at its pivot (p = q = pivot); a translation by v
-    at the origin (p = 0, q = v); the identity at p = q = 0.
+    A rotation is anchored at its pivot (p = q = pivot), a translation by v at
+    the origin (p = 0, q = v), the identity at p = q = 0; a reflection has none.
     """
     if isinstance(iso, Rotation2):
         return iso.angle, iso.pivot, iso.pivot
@@ -306,7 +306,9 @@ def _anchored_form(iso: PlanarIsometry) -> tuple[float, Vec2, Vec2]:
         return 0.0, origin, iso.v
     if isinstance(iso, Identity2):
         return 0.0, origin, origin
-    raise ValueError("reflections are orientation-reversing and have no rotation form")
+    if isinstance(iso, Reflection2):
+        raise ValueError("mixed reflection composites are orientation-reversing")
+    raise TypeError(f"not a planar isometry: {iso!r}")
 
 
 def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsometry:
@@ -325,8 +327,6 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
     """
     if isinstance(outer, Reflection2) and isinstance(inner, Reflection2):
         return compose_reflections(inner, outer)
-    if isinstance(outer, Reflection2) or isinstance(inner, Reflection2):
-        raise ValueError("mixed reflection composites are orientation-reversing")
     t1, p1, q1 = _anchored_form(outer)
     t2, p2, q2 = _anchored_form(inner)
     c1, s1 = math.cos(t1), math.sin(t1)

@@ -133,9 +133,6 @@ class SphereSegment:
         if _antipodal(self.a, self.b):
             raise AntipodalPoints("antipodal endpoints lie on infinitely many great circles")
 
-    def length(self) -> float:
-        return angular_distance(self.a, self.b)
-
 
 def _antipodal(a: Vec3, b: Vec3) -> bool:
     """(a + b).norm() <= SPHERE_CHORD_MIN, on floats."""
@@ -231,17 +228,16 @@ def recover_axis_cross(
 
 
 def _axis_cross(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3) -> UnitVector3:
-    """recover_axis_cross's construction, on arc lengths already checked:
-    cross(x - xp, y - yp) over its norm, on floats."""
-    ax, ay, az = x.x - xp.x, x.y - xp.y, x.z - xp.z
-    bx, by, bz = y.x - yp.x, y.y - yp.y, y.z - yp.z
-    ux, uy, uz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    n = math.sqrt(ux * ux + uy * uy + uz * uz)
-    if n < PARALLEL_TOL:
+    """recover_axis_cross's construction, on arc lengths already checked: the _pole
+    of the raw chords x - xp and y - yp. The bisector construction takes the pole of
+    the unit chords, so short or nearly coplanar chords can fail here but not there."""
+    try:
+        return UnitVector3(*_pole((x.x - xp.x, x.y - xp.y, x.z - xp.z),
+                                  (y.x - yp.x, y.y - yp.y, y.z - yp.z)))
+    except IdenticalCircles as exc:
         raise DegenerateAxis(
             "displacement chords are parallel or zero; no unique axis from the cross product"
-        )
-    return UnitVector3(ux / n, uy / n, uz / n)
+        ) from exc
 
 
 def recover_axis_geometric(

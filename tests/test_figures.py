@@ -120,6 +120,10 @@ class TestRenderSvg:
         with pytest.raises(ValueError):
             FigureSpec("planar", (), width=0)
 
+    def test_rejects_an_unknown_projection(self):
+        with pytest.raises(ValueError, match="unknown projection 'stereographic'"):
+            FigureSpec("stereographic", ())
+
     def test_a_marker_refuses_an_unknown_style(self):
         with pytest.raises(ValueError, match="Marker style 'bogus'"):
             Marker(Vec2(0, 0), "X", style="bogus")

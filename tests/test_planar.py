@@ -72,6 +72,10 @@ class TestApplyPlanar:
                 d1 = (apply_planar(iso, p) - apply_planar(iso, q)).norm()
                 assert abs(d0 - d1) <= 1e-12 * max(1.0, d0)
 
+    def test_rejects_a_non_isometry(self):
+        with pytest.raises(TypeError, match="not a planar isometry: Segment2"):
+            apply_planar(Segment2(Vec2(0, 0), Vec2(1, 0)), Vec2(0, 0))
+
 
 class TestReflect:
     def test_x_axis(self):
@@ -364,6 +368,17 @@ class TestComposePlanar:
         with pytest.raises(ValueError):
             compose_planar(r, Rotation2(Vec2(0, 0), 1.0))
 
+    def test_a_lone_reflection_is_orientation_reversing_on_either_side(self):
+        r = Reflection2(Line2(Vec2(0, 0), Vec2(1, 0)))
+        for outer, inner in ((r, Identity2()), (Translation2(Vec2(1, 2)), r)):
+            with pytest.raises(ValueError, match="^mixed reflection composites are orientation-"):
+                compose_planar(outer, inner)
+
+    def test_a_non_isometry_is_a_type_error_as_in_apply_planar(self):
+        # it used to be refused as a reflection
+        with pytest.raises(TypeError, match="^not a planar isometry: Segment2"):
+            compose_planar(Segment2(Vec2(0, 0), Vec2(1, 0)), Identity2())
+
 
 class TestComposeReflections:
     def test_x_axis_then_diagonal(self):
@@ -513,3 +528,15 @@ def test_geometric_plane_solve_scales_the_points_once(monkeypatch, src, dst):
     assert len(calls) == 1
     assert recover_pivot_geometric(src, dst) == iso.pivot
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (Rotation2, (Vec2(math.nan, 0.0), 1.0), "rotation parameters must be finite"),
+    (Rotation2, (Vec2(0.0, 0.0), math.inf), "rotation parameters must be finite"),
+    (Translation2, (Vec2(0.0, -math.inf),), "translation vector must be finite"),
+    (Line2, (Vec2(0.0, 0.0), Vec2(math.nan, 1.0)), "line parameters must be finite"),
+    (Segment2, (Vec2(0.0, 0.0), Vec2(math.inf, 1.0)), "segment endpoints must be finite"),
+], ids=["Rotation2-pivot", "Rotation2-angle", "Translation2", "Line2", "Segment2"])
+def test_a_plane_value_refuses_a_non_finite_parameter(cls, args, message):
+    with pytest.raises(ValueError, match=message):
+        cls(*args)

@@ -80,6 +80,11 @@ class TestRotation3:
         assert r.angle == pytest.approx(0.5, abs=1e-12)
         assert _close3(r.axis, Z, 1e-15)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match="rotation angle must be finite"):
+            Rotation3(Z, angle)
+
 
 class TestSphereSegment:
     def test_coincident_rejected(self):
@@ -342,6 +347,17 @@ class TestRecoverSphereRotation:
         got = recover_sphere_rotation(Z, Z, y, apply_sphere(rot, y))
         assert _axis_match(got.axis, Z, 1e-12)
         assert abs(got.angle - math.pi / 2) <= 1e-9
+
+    def test_moving_points_fall_back_when_the_chords_cross_short(self):
+        # y lies 1e-6 off the plane of x and the axis: the raw chords' cross
+        # product falls below PARALLEL_TOL, the unit chords' does not
+        rot = Rotation3(Z, 1e-3)
+        y = UnitVector3(0.6, 1e-6, 0.8)
+        xp, yp = apply_sphere(rot, X), apply_sphere(rot, y)
+        with pytest.raises(DegenerateAxis, match="displacement chords are parallel or zero"):
+            recover_axis_cross(X, xp, y, yp)
+        got = recover_sphere_rotation(X, xp, y, yp, method="algebraic")
+        assert (got.axis.x, got.axis.y, got.axis.z, got.angle) == (0.0, 0.0, 1.0, 0.001)
 
     def test_parallel_chords_fail_explicitly(self):
         # y sits at the opposite longitude, so both displacement chords are
