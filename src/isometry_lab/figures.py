@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import CoincidentPoints
 from .linalg import FIGURE_CLIP_TOL, FIGURE_MIN_ARC, FIGURE_MIN_SPAN, Vec2, Vec3, _value, cross
 from .planar import Line2, Rotation2, _fixed_endpoints, _point_scale, perpendicular_bisector
-from .spherical import UnitVector3, _antipodal, bisector_great_circle
+from .spherical import UnitVector3, _antipodal, _fixed_points, bisector_great_circle
 
 __all__ = ["FigureSpec", "render_svg"]
 
@@ -398,14 +397,12 @@ def sphere_recovery_figure(x, xp, y, yp, rot) -> FigureSpec:
         Marker(y, "Y"),
         Marker(yp, "Y'"),
     ]
-    circles = []
-    for a, b, label in ((x, xp, "lX"), (y, yp, "lY")):
-        if _antipodal(a, b):
-            continue
-        try:
-            circles.append((a, b, GreatCircleElement(bisector_great_circle(a, b).normal, label)))
-        except CoincidentPoints:
-            continue
+    fixed_x, fixed_y = _fixed_points(x, xp, y, yp)
+    circles = [
+        (a, b, GreatCircleElement(bisector_great_circle(a, b).normal, label))
+        for a, b, label, fixed in ((x, xp, "lX", fixed_x), (y, yp, "lY", fixed_y))
+        if not (fixed or _antipodal(a, b))
+    ]
     elements.extend(SegmentElement(a, b, style="solid") for a, b, _ in circles)
     elements.extend(circle for _, _, circle in circles)
     if rot is not None:

@@ -27,7 +27,7 @@ from .errors import (
     PointOnAxis,
 )
 from .linalg import (
-    ACOS_SINE_MIN, ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL,
+    ACOS_SINE_MIN, ANGLE_MIN, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL,
     SKEW_CHECK_TOL, SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Mat3, Vec3, Xyz, check_tol, clamp,
     _value, eig3_rotation, require_rotation, wrap_angle,
 )
@@ -246,27 +246,30 @@ def recover_axis_geometric(
     """Rotation axis by construction: intersect the two perpendicular
     bisector great circles.
 
-    A point that does not move is itself a pole of the rotation and is
-    returned directly; if both points are fixed the correspondence is the
-    identity and no axis exists. Failing a fixed point, one that moves too
-    little for its bisector circle to be built counts as fixed.
+    A point that moves by at most SPHERE_CHORD_MIN, too little for its
+    bisector circle to be built, is fixed: it is itself a pole of the
+    rotation and is returned directly. If both points are fixed the
+    correspondence is the identity and no axis exists.
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     _require_isometric(x, xp, y, yp, tol)
     return _axis_geometric(x, xp, y, yp)
 
 
+def _fixed_points(x: Vec3, xp: Vec3, y: Vec3, yp: Vec3) -> tuple[bool, bool]:
+    """Whether x and y stay put: moved by at most SPHERE_CHORD_MIN, too little for
+    a bisector circle or a chord direction. Both routes and the figure ask here."""
+    return x.dist(xp) <= SPHERE_CHORD_MIN, y.dist(yp) <= SPHERE_CHORD_MIN
+
+
 def _axis_geometric(x: UnitVector3, xp: UnitVector3, y: UnitVector3,
                     yp: UnitVector3) -> UnitVector3:
     """recover_axis_geometric's construction, on arc lengths already checked."""
-    dx, dy = x.dist(xp), y.dist(yp)
-    for cut in (COINCIDENT_RTOL, SPHERE_CHORD_MIN):
-        if dx <= cut and dy <= cut:
-            raise IdentityCorrespondence("both points are fixed; every axis works")
-        if dx <= cut:
-            return x
-        if dy <= cut:
-            return y
+    fixed_x, fixed_y = _fixed_points(x, xp, y, yp)
+    if fixed_x and fixed_y:
+        raise IdentityCorrespondence("both points are fixed; every axis works")
+    if fixed_x or fixed_y:
+        return x if fixed_x else y
     # the bisector circles' normals, as GreatCircle holds them, and their intersection
     nx = _unit_xyz(*_bisector_normal(x, xp))
     ny = _unit_xyz(*_bisector_normal(y, yp))
@@ -362,24 +365,24 @@ def recover_sphere_rotation(
 ) -> Rotation3:
     """Recover the rotation mapping x to xp and y to yp.
 
-    method picks the axis construction: "algebraic" crosses the
-    displacement chords (falling back to the bisector construction when a
-    point is fixed or the chords degenerate), "geometric" intersects the
-    bisector great circles. The angle then comes from the signed
-    projection about the axis, and the result is verified against both
-    point pairs to within tol. Either construction raises LengthMismatch
-    for arcs of unequal length and IdentityCorrespondence for two fixed points.
+    A point that moves by at most SPHERE_CHORD_MIN is fixed and is the axis under
+    either method. Otherwise method picks the axis construction: "algebraic" crosses
+    the displacement chords (falling back to the bisector construction when the raw
+    chords cross too short), "geometric" intersects the bisector great circles. The
+    angle then comes from the signed projection about the axis, and the result is
+    verified against both point pairs to within tol. Either method raises
+    LengthMismatch for unequal arcs and IdentityCorrespondence for two fixed points.
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     if method not in ("algebraic", "geometric"):
         raise ValueError(f"unknown method {method!r}; use 'algebraic' or 'geometric'")
     _require_isometric(x, xp, y, yp, tol)
-    if method == "geometric":
+    if method == "geometric" or any(_fixed_points(x, xp, y, yp)):
         axis = _axis_geometric(x, xp, y, yp)
     else:
         try:
             axis = _axis_cross(x, xp, y, yp)
-        except DegenerateAxis:
+        except DegenerateAxis:  # raw chords that cross short; unit chords may not
             axis = _axis_geometric(x, xp, y, yp)
     try:
         angle = rotation_angle_about_axis(axis, x, xp)
@@ -447,12 +450,11 @@ def axis_angle_from_matrix(rm: RotationMatrix3) -> Rotation3:
         eig = eig3_rotation(rm.m)
     except IdentityRotation:
         return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
-    a, _ = eig.complex_pair
+    a, sn = eig.complex_pair  # a clamped to [-1, 1]; sn the skew part's length
     r = rm.m.rows
     sx, sy, sz = (r[2][1] - r[1][2]) / 2.0, (r[0][2] - r[2][0]) / 2.0, (r[1][0] - r[0][1]) / 2.0
-    sn = math.sqrt(sx * sx + sy * sy + sz * sz)
     # Near a turn of 0 or pi, a one ulp from +-1 moves acos(a) by 1.5e-8
-    angle = math.acos(clamp(a, -1.0, 1.0)) if sn >= ACOS_SINE_MIN else math.atan2(sn, a)
+    angle = math.acos(a) if sn >= ACOS_SINE_MIN else math.atan2(sn, a)
     if abs(sn - math.sin(angle)) > SKEW_CHECK_TOL:
         raise InternalCheckError(
             f"skew magnitude {sn:.12g} disagrees with sin(angle) {math.sin(angle):.12g}"

@@ -134,6 +134,11 @@ def _sphere_compose(g, alpha, h, beta):
 
 
 _Z_TURN = _rot3([0.6, 0.0, 0.8], [0.0, 0.0, 1.0], 1.1)
+# A point 3e-10 / (2 sin 0.55) off the axis (1, 2, 2) / 3, so that a 1.1 rad turn
+# moves it by 3e-10: its chord is too short to give a direction.
+_NEAR_AXIS = _unit([1.0, 2.0, 2.0])
+_NEAR_POLE = _unit([a + 3e-10 / (2.0 * math.sin(0.55)) * n
+                    for a, n in zip(_NEAR_AXIS, _unit([2.0, -1.0, 0.0]))])
 
 # Instances that take an edge branch, each run under all three methods
 # with --svg.
@@ -166,6 +171,9 @@ EDGES = {
     "sphere_compose_identity": _sphere_compose([0.0, 0.0, 1.0], 0.3, [0.0, 0.0, 1.0], -0.3),
     "sphere_compose_near_identity": _sphere_compose([0.0, 0.6, 0.8], 2e-10, [1.0, 0.0, 0.0], 1e-10),
     "sphere_compose_half_turns": _sphere_compose([1.0, 0.0, 0.0], math.pi, [0.0, 1.0, 0.0], math.pi),
+    "sphere_nearly_fixed_point": _recover(
+        "sphere_recover", _NEAR_POLE, [0.6, 0.0, 0.8],
+        _rot3(_NEAR_POLE, _NEAR_AXIS, 1.1), _rot3([0.6, 0.0, 0.8], _NEAR_AXIS, 1.1)),
 }
 
 _EQ = [math.cos(0.1), math.sin(0.1), 0.0]

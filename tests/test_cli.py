@@ -730,26 +730,41 @@ def test_near_identity_sphere_compose_solves_by_every_route(method):
 
 def test_sphere_points_moved_below_the_bisector_cut_off_are_the_identity():
     t = 3e-10  # about the z axis: (1, 0, 0) moves by t, (0, 0.6, 0.8) by 0.6 t
-    inst = instance_from_obj({
-        "kind": "sphere_recover", "X": [1.0, 0.0, 0.0], "Y": [0.0, 0.6, 0.8],
-        "Xp": [math.cos(t), math.sin(t), 0.0],
-        "Yp": [-0.6 * math.sin(t), 0.6 * math.cos(t), 0.8],
-    })
-    for method in ("algebraic", "geometric", "both"):
-        out = run(inst, method=method).to_dict()
-        assert out["result"] == {"type": "identity"}
-        assert out["residual"] == pytest.approx(t, rel=1e-6)
+    for y, yp in (([0.0, 0.6, 0.8], [-0.6 * math.sin(t), 0.6 * math.cos(t), 0.8]),
+                  ([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])):  # Y on the axis: X is fixed all the same
+        inst = instance_from_obj({
+            "kind": "sphere_recover", "X": [1.0, 0.0, 0.0], "Y": y,
+            "Xp": [math.cos(t), math.sin(t), 0.0], "Yp": yp,
+        })
+        for method in ("algebraic", "geometric", "both"):
+            out = run(inst, method=method).to_dict()
+            assert out["result"] == {"type": "identity"}
+            assert out["residual"] == pytest.approx(t, rel=1e-6)
 
 
-def test_a_fixed_point_still_wins_over_a_short_chord():
-    t = 3e-10  # (0, 0, 1) is on the axis, so the turn about z is found
-    inst = instance_from_obj({
-        "kind": "sphere_recover", "X": [1.0, 0.0, 0.0], "Y": [0.0, 0.0, 1.0],
-        "Xp": [math.cos(t), math.sin(t), 0.0], "Yp": [0.0, 0.0, 1.0],
-    })
-    out = run(inst, method="geometric").to_dict()
-    assert out["result"]["axis"] == [0.0, 0.0, 1.0]
-    assert out["result"]["angle"] == pytest.approx(t, rel=1e-6)
+def _nearly_fixed_x(rng, kind):
+    """X moved by 10**U(-16, -9.05) about a random axis, Y a random point."""
+    axis, t = _unit3(rng), rng.uniform(0.3, 2.8)
+    arm = 10.0 ** rng.uniform(-16.0, -9.05) / (2.0 * math.sin(t / 2.0))
+    g = _unit3(rng)
+    d = sum(a * c for a, c in zip(axis, g))
+    off = _unit([c - d * a for a, c in zip(axis, g)])  # a unit vector normal to the axis
+    x = _unit([a + arm * o for a, o in zip(axis, off)])
+    y = _unit3(rng)
+    return {"kind": kind, "X": x, "Y": y, "Xp": _rot3(x, axis, t), "Yp": _rot3(y, axis, t)}
+
+
+@pytest.mark.parametrize("kind", ["sphere_recover", "baseball"])
+def test_a_nearly_fixed_point_is_the_axis_under_every_method(kind):
+    # X, not the cross product of its noise chord, is the axis under every route
+    rng = random.Random(2026)
+    for _ in range(200):
+        inst = instance_from_obj(_nearly_fixed_x(rng, kind))
+        x = inst.payload["before"].a
+        for method in METHODS:
+            out = run(inst, method=method).to_dict()
+            assert out["result"]["axis"] in ([x.x, x.y, x.z], [-x.x, -x.y, -x.z])
+            assert out["residual"] <= 1e-9
 
 
 _HUGE_PLANE = {

@@ -707,13 +707,12 @@ def _intersect_circles_oracle(c1, c2):
 
 def _axis_geometric_oracle(x, xp, y, yp):
     dx, dy = (x - xp).norm(), (y - yp).norm()
-    for cut in (COINCIDENT_RTOL, SPHERE_CHORD_MIN):
-        if dx <= cut and dy <= cut:
-            raise IdentityCorrespondence("both points are fixed; every axis works")
-        if dx <= cut:
-            return x
-        if dy <= cut:
-            return y
+    if dx <= SPHERE_CHORD_MIN and dy <= SPHERE_CHORD_MIN:
+        raise IdentityCorrespondence("both points are fixed; every axis works")
+    if dx <= SPHERE_CHORD_MIN:
+        return x
+    if dy <= SPHERE_CHORD_MIN:
+        return y
     cx, cy = _bisector_circle_oracle(x, xp), _bisector_circle_oracle(y, yp)
     try:
         return _intersect_circles_oracle(cx, cy)[0]

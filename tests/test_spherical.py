@@ -478,11 +478,12 @@ class TestAxisAngleFromMatrix:
 
     @pytest.mark.parametrize("angle, a", [(math.pi / 2, 0.5), (1e-6, 0.5)])
     def test_a_trace_that_disagrees_with_the_skew_part_raises(self, angle, a, monkeypatch):
-        # the angle is read by acos where the skew part is long, by atan2 where short
+        # the angle is read by acos where the skew part is long, by atan2 where short;
+        # the pair (a, b) is the trace's a and the skew length sin(angle) of m
         import isometry_lab.spherical as spherical
 
         m = rotation_matrix(Rotation3(Z, angle))
-        eig = Eig3Result(1.0, Z, (a, math.sqrt(1.0 - a * a)))
+        eig = Eig3Result(1.0, Z, (a, math.sin(angle)))
         monkeypatch.setattr(spherical, "eig3_rotation", lambda _: eig)
         with pytest.raises(InternalCheckError, match="disagrees with sin"):
             axis_angle_from_matrix(m)
