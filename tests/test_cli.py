@@ -742,6 +742,18 @@ def test_sphere_points_moved_below_the_bisector_cut_off_are_the_identity():
             assert out["residual"] == pytest.approx(t, rel=1e-6)
 
 
+def test_a_fixed_point_still_wins_over_a_short_chord():
+    t = 3e-9  # X moves by 3 SPHERE_CHORD_MIN; (0, 0, 1) is on the axis, so the turn about z is found
+    inst = instance_from_obj({
+        "kind": "sphere_recover", "X": [1.0, 0.0, 0.0], "Y": [0.0, 0.0, 1.0],
+        "Xp": [math.cos(t), math.sin(t), 0.0], "Yp": [0.0, 0.0, 1.0],
+    })
+    for method in METHODS:
+        out = run(inst, method=method).to_dict()
+        assert out["result"]["axis"] == [0.0, 0.0, 1.0]
+        assert out["result"]["angle"] == pytest.approx(t, rel=1e-6)
+
+
 def _nearly_fixed_x(rng, kind):
     """X moved by 10**U(-16, -9.05) about a random axis, Y a random point."""
     axis, t = _unit3(rng), rng.uniform(0.3, 2.8)
