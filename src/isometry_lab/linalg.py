@@ -37,11 +37,10 @@ MAX_COORD = 1e150  # largest plane input coordinate: squares of sums stay finite
 COINCIDENT_RTOL = 1e-12  # scaled: plane points this close coincide
 SOLVE2_RTOL = 1e-12  # scaled by the squared larger row norm: |det| this small is singular
 SAME_LINE_RTOL = 1e-9  # scaled: a bisector this close to the other is the same line
-PIVOT_ARM_RTOL = 1e-9  # scaled: an endpoint this close to the pivot gives no angle
 ANGLE_MIN = 1e-9  # composite angles below this: a plane translation, the sphere identity
 UNIT_TOL = 1e-6  # sphere vectors this close to unit length are renormalized
 SPHERE_CHORD_MIN = 1e-9  # |a - b| this short: coincident (a fixed point); |a + b|: antipodal
-PARALLEL_TOL = 1e-12  # a shorter cross product makes unit-scale factors parallel
+PARALLEL_TOL = 1e-12  # |n x m| <= this |n| |m|: n, m parallel (unit-scale ones: as it stands)
 ON_AXIS_TOL = 1e-9  # a point this close to a rotation axis has no turn angle
 ROTATION_TOL = 1e-9  # orthogonality and determinant slack of a rotation matrix
 IDENTITY_TOL = 1e-9  # max |M - I| below this is the identity: no single axis

@@ -19,7 +19,7 @@ from .errors import (
     SingularMatrix,
     ZeroAngle,
 )
-from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, PIVOT_ARM_RTOL, SAME_LINE_RTOL
+from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, SAME_LINE_RTOL
 from .linalg import Mat2, Vec2, _value, check_coords, check_tol, cross2, solve2, wrap_angle
 
 __all__ = [
@@ -275,7 +275,7 @@ def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAU
 
     Equal displacement chords identify a translation; otherwise the pivot
     comes from recover_pivot_geometric and the angle is read at the pivot
-    from an endpoint and its image.
+    off the endpoint that moves more, the one farther from it.
     """
     _check_lengths(src, dst, tol)
     da = dst.a - src.a
@@ -284,7 +284,7 @@ def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAU
     if da.dist(db) <= ANGLE_MIN * src.length():
         return _translation(da, scale)
     pivot = _pivot_geometric(src, dst, scale)
-    p, q = (src.a, dst.a) if src.a.dist(pivot) > PIVOT_ARM_RTOL * scale else (src.b, dst.b)
+    p, q = (src.a, dst.a) if da.norm() >= db.norm() else (src.b, dst.b)
     # signed_angle(p - pivot, q - pivot), in its operation order
     ux, uy, vx, vy = p.x - pivot.x, p.y - pivot.y, q.x - pivot.x, q.y - pivot.y
     cross, dot = ux * vy - uy * vx, ux * vx + uy * vy

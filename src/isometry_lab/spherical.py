@@ -224,16 +224,17 @@ def recover_axis_cross(
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     _require_isometric(x, xp, y, yp, tol)
-    return _axis_cross(x, xp, y, yp)
+    return _axis_cross(x, xp, y, yp, x.dist(xp) * y.dist(yp))
 
 
-def _axis_cross(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3) -> UnitVector3:
+def _axis_cross(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3,
+                lengths: float) -> UnitVector3:
     """recover_axis_cross's construction, on arc lengths already checked: the _pole
-    of the raw chords x - xp and y - yp. The bisector construction takes the pole of
-    the unit chords, so short or nearly coplanar chords can fail here but not there."""
+    of the chords x - xp and y - yp, whose lengths multiply to `lengths`. Against
+    them it refuses the chords the bisector construction refuses, short or long."""
     try:
         return UnitVector3(*_pole((x.x - xp.x, x.y - xp.y, x.z - xp.z),
-                                  (y.x - yp.x, y.y - yp.y, y.z - yp.z)))
+                                  (y.x - yp.x, y.y - yp.y, y.z - yp.z), lengths))
     except IdenticalCircles as exc:
         raise DegenerateAxis(
             "displacement chords are parallel or zero; no unique axis from the cross product"
@@ -253,19 +254,19 @@ def recover_axis_geometric(
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     _require_isometric(x, xp, y, yp, tol)
-    return _axis_geometric(x, xp, y, yp)
+    return _axis_geometric(x, xp, y, yp, _fixed_points(x.dist(xp), y.dist(yp)))
 
 
-def _fixed_points(x: Vec3, xp: Vec3, y: Vec3, yp: Vec3) -> tuple[bool, bool]:
-    """Whether x and y stay put: moved by at most SPHERE_CHORD_MIN, too little for
-    a bisector circle or a chord direction. Both routes and the figure ask here."""
-    return x.dist(xp) <= SPHERE_CHORD_MIN, y.dist(yp) <= SPHERE_CHORD_MIN
+def _fixed_points(move_x: float, move_y: float) -> tuple[bool, bool]:
+    """Whether x and y, moved by move_x and move_y, stay put: by at most SPHERE_CHORD_MIN,
+    too little for a bisector circle or a chord direction. Both routes and the figure ask."""
+    return move_x <= SPHERE_CHORD_MIN, move_y <= SPHERE_CHORD_MIN
 
 
-def _axis_geometric(x: UnitVector3, xp: UnitVector3, y: UnitVector3,
-                    yp: UnitVector3) -> UnitVector3:
-    """recover_axis_geometric's construction, on arc lengths already checked."""
-    fixed_x, fixed_y = _fixed_points(x, xp, y, yp)
+def _axis_geometric(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3,
+                    fixed: tuple[bool, bool]) -> UnitVector3:
+    """recover_axis_geometric's construction, on checked arc lengths and x, y's _fixed_points."""
+    fixed_x, fixed_y = fixed
     if fixed_x and fixed_y:
         raise IdentityCorrespondence("both points are fixed; every axis works")
     if fixed_x or fixed_y:
@@ -344,12 +345,14 @@ def intersect_great_circles(c1: GreatCircle, c2: GreatCircle) -> tuple[UnitVecto
     return p, -p
 
 
-def _pole(n: Xyz, m: Xyz) -> Xyz:
-    """n x m over its length, on floats, before UnitVector3 renormalizes it."""
+def _pole(n: Xyz, m: Xyz, lengths: float = 1.0) -> Xyz:
+    """n x m over its length, on floats, before UnitVector3 renormalizes it. n and m
+    are parallel when that length is at most PARALLEL_TOL times `lengths`, the
+    product of theirs: 1 for unit vectors."""
     (nx, ny, nz), (mx, my, mz) = n, m
     ux, uy, uz = ny * mz - nz * my, nz * mx - nx * mz, nx * my - ny * mx
     s = math.sqrt(ux * ux + uy * uy + uz * uz)
-    if s < PARALLEL_TOL:
+    if s <= PARALLEL_TOL * lengths:
         raise IdenticalCircles("great circles coincide")
     return ux / s, uy / s, uz / s
 
@@ -367,28 +370,24 @@ def recover_sphere_rotation(
 
     A point that moves by at most SPHERE_CHORD_MIN is fixed and is the axis under
     either method. Otherwise method picks the axis construction: "algebraic" crosses
-    the displacement chords (falling back to the bisector construction when the raw
-    chords cross too short), "geometric" intersects the bisector great circles. The
-    angle then comes from the signed projection about the axis, and the result is
-    verified against both point pairs to within tol. Either method raises
-    LengthMismatch for unequal arcs and IdentityCorrespondence for two fixed points.
+    the displacement chords, "geometric" intersects the bisector great circles. The
+    angle is the signed turn about the axis of the point that moves more, and the
+    result is verified against both point pairs to within tol. Either method raises
+    LengthMismatch for unequal arcs, IdentityCorrespondence for two fixed points and
+    DegenerateAxis for chords parallel to within PARALLEL_TOL.
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     if method not in ("algebraic", "geometric"):
         raise ValueError(f"unknown method {method!r}; use 'algebraic' or 'geometric'")
     _require_isometric(x, xp, y, yp, tol)
-    if method == "geometric" or any(_fixed_points(x, xp, y, yp)):
-        axis = _axis_geometric(x, xp, y, yp)
+    move_x, move_y = x.dist(xp), y.dist(yp)
+    fixed = _fixed_points(move_x, move_y)
+    if method == "geometric" or any(fixed):
+        axis = _axis_geometric(x, xp, y, yp, fixed)
     else:
-        try:
-            axis = _axis_cross(x, xp, y, yp)
-        except DegenerateAxis:  # raw chords that cross short; unit chords may not
-            axis = _axis_geometric(x, xp, y, yp)
-    try:
-        angle = rotation_angle_about_axis(axis, x, xp)
-    except PointOnAxis:
-        angle = rotation_angle_about_axis(axis, y, yp)
-    rot = Rotation3(axis, angle)
+        axis = _axis_cross(x, xp, y, yp, move_x * move_y)
+    p, q = (x, xp) if move_x >= move_y else (y, yp)
+    rot = Rotation3(axis, rotation_angle_about_axis(axis, p, q))
     residual = max(_dist_xyz(_image_xyz(rot, x), (xp.x, xp.y, xp.z)),
                    _dist_xyz(_image_xyz(rot, y), (yp.x, yp.y, yp.z)))
     if residual > tol:

@@ -10,6 +10,7 @@ from isometry_lab import (
     UnitVector3,
     Vec2,
     Vec3,
+    apply_planar,
 )
 
 
@@ -29,6 +30,18 @@ def rand_segment2(rng: random.Random, min_len: float = 0.1) -> Segment2:
         a, b = rand_vec2(rng), rand_vec2(rng)
         if (a - b).norm() >= min_len:
             return Segment2(a, b)
+
+
+def near_pivot_segments(rng: random.Random, arm: float) -> tuple[Segment2, Segment2]:
+    """A turn by U(0.3, 2.8) about a pivot P uniform in [-5, 5]^2, and a segment
+    from X, `arm` from P in a U(0, 2 pi) direction, to Y uniform in [-5, 5]^2;
+    returns the segment and its image."""
+    p = rand_vec2(rng)
+    rot = Rotation2(p, rng.uniform(0.3, 2.8))
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    x = Vec2(p.x + arm * math.cos(phi), p.y + arm * math.sin(phi))
+    y = rand_vec2(rng)
+    return Segment2(x, y), Segment2(apply_planar(rot, x), apply_planar(rot, y))
 
 
 def rand_unit3(rng: random.Random) -> UnitVector3:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from golden.make_corpus import HALF_TURN_ONTO_ANTIPODE, METHODS, RANDOM, _rot2, _rot3, _unit, _unit3
-from helpers import refuse_algebraic_routes
+from helpers import near_pivot_segments, refuse_algebraic_routes
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -754,10 +754,10 @@ def test_a_fixed_point_still_wins_over_a_short_chord():
         assert out["result"]["angle"] == pytest.approx(t, rel=1e-6)
 
 
-def _nearly_fixed_x(rng, kind):
-    """X moved by 10**U(-16, -9.05) about a random axis, Y a random point."""
+def _x_near_the_axis(rng, kind, move):
+    """X moved by move(rng) by a U(0.3, 2.8) turn about a random axis, Y a random point."""
     axis, t = _unit3(rng), rng.uniform(0.3, 2.8)
-    arm = 10.0 ** rng.uniform(-16.0, -9.05) / (2.0 * math.sin(t / 2.0))
+    arm = move(rng) / (2.0 * math.sin(t / 2.0))
     g = _unit3(rng)
     d = sum(a * c for a, c in zip(axis, g))
     off = _unit([c - d * a for a, c in zip(axis, g)])  # a unit vector normal to the axis
@@ -771,12 +771,37 @@ def test_a_nearly_fixed_point_is_the_axis_under_every_method(kind):
     # X, not the cross product of its noise chord, is the axis under every route
     rng = random.Random(2026)
     for _ in range(200):
-        inst = instance_from_obj(_nearly_fixed_x(rng, kind))
+        inst = instance_from_obj(
+            _x_near_the_axis(rng, kind, lambda r: 10.0 ** r.uniform(-16.0, -9.05)))
         x = inst.payload["before"].a
         for method in METHODS:
             out = run(inst, method=method).to_dict()
             assert out["result"]["axis"] in ([x.x, x.y, x.z], [-x.x, -x.y, -x.z])
             assert out["residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("move", [1e-4, 1e-3])
+def test_a_point_near_the_axis_does_not_set_the_angle(move):
+    # X moves by `move` close to the axis, where the axis's rounding turns it a
+    # lot; the angle comes off Y, which moves more, under every method
+    rng = random.Random(2026)
+    for _ in range(200):
+        inst = instance_from_obj(_x_near_the_axis(rng, "sphere_recover", lambda _: move))
+        for method in METHODS:
+            assert run(inst, method=method).to_dict()["residual"] <= 1e-9
+
+
+def test_plane_recover_reads_the_angle_off_the_endpoint_that_moves_more(tmp_path, capsys):
+    # X lies 1e-8 from the pivot; on this fourth draw an angle read off X missed Y by 2.8e-7
+    rng = random.Random(11)
+    src, dst = [near_pivot_segments(rng, 1e-8) for _ in range(4)][-1]
+    p = tmp_path / "instance.json"
+    p.write_text(json.dumps({"kind": "plane_recover", "X": [src.a.x, src.a.y], "Y": [src.b.x, src.b.y],
+                             "Xp": [dst.a.x, dst.a.y], "Yp": [dst.b.x, dst.b.y]}))
+    assert main(["plane-recover", "--input", str(p), "--method", "geometric"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"]["type"] == "rotation"
+    assert out["residual"] <= 1e-9
 
 
 _HUGE_PLANE = {

@@ -69,7 +69,7 @@ from isometry_lab import (
 from isometry_lab.linalg import (
     ACOS_SINE_MIN, ANGLE_MIN, AXIS_SIGN_TOL, COINCIDENT_RTOL, FIGURE_CLIP_TOL, FIGURE_MIN_ARC,
     FIGURE_MIN_SPAN, IDENTITY_TOL,
-    MAX_COORD, ON_AXIS_TOL, PARALLEL_TOL, PIVOT_ARM_RTOL, ROTATION_TOL, SKEW_CHECK_TOL, SKEW_TOL,
+    MAX_COORD, ON_AXIS_TOL, PARALLEL_TOL, ROTATION_TOL, SKEW_CHECK_TOL, SKEW_TOL,
     SPHERE_CHORD_MIN, UNIT_TOL, require_rotation,
 )
 
@@ -170,7 +170,7 @@ def _recover_planar_geometric_oracle(src, dst):
             return planar.Identity2()
         return Translation2(da)
     pivot = planar._pivot_geometric(src, dst, scale)
-    if (src.a - pivot).norm() > PIVOT_ARM_RTOL * scale:
+    if da.norm() >= db.norm():
         theta = signed_angle(src.a - pivot, dst.a - pivot)
     else:
         theta = signed_angle(src.b - pivot, dst.b - pivot)
@@ -679,7 +679,7 @@ def _angular_distance_oracle(p, q):
 def _axis_cross_oracle(x, xp, y, yp):
     u = cross(x - xp, y - yp)
     n = u.norm()
-    if n < PARALLEL_TOL:
+    if n <= PARALLEL_TOL * ((x - xp).norm() * (y - yp).norm()):
         raise DegenerateAxis(
             "displacement chords are parallel or zero; no unique axis from the cross product"
         )
@@ -699,7 +699,7 @@ def _bisector_circle_oracle(a, b):
 def _intersect_circles_oracle(c1, c2):
     u = cross(c1.normal, c2.normal)
     n = u.norm()
-    if n < PARALLEL_TOL:
+    if n <= PARALLEL_TOL:  # times the unit normals' lengths
         raise IdenticalCircles("great circles coincide")
     p = UnitVector3(u.x / n, u.y / n, u.z / n)
     return p, -p
@@ -923,9 +923,12 @@ def test_the_axis_constructions_are_their_vector_bodies(x, y, rot):
         xp, yp = apply_sphere(rot, x), apply_sphere(rot, y)
     else:
         xp, yp = x, _near(y, (1e-3, 0.0, 0.0))
-    for kernel, oracle in ((spherical._axis_cross, _axis_cross_oracle),
-                           (spherical._axis_geometric, _axis_geometric_oracle)):
-        assert _outcome(kernel, x, xp, y, yp) == _outcome(oracle, x, xp, y, yp)
+    moves = x.dist(xp), y.dist(yp)
+    fixed = spherical._fixed_points(*moves)
+    assert _outcome(spherical._axis_cross, x, xp, y, yp, moves[0] * moves[1]) == _outcome(
+        _axis_cross_oracle, x, xp, y, yp)
+    assert _outcome(spherical._axis_geometric, x, xp, y, yp, fixed) == _outcome(
+        _axis_geometric_oracle, x, xp, y, yp)
 
 
 @given(st.one_of(sphere_points, off_units), st.one_of(sphere_points, off_units), small)

@@ -36,45 +36,45 @@ _CHANGED_ON_PURPOSE = {"edge_sphere_compose_near_identity", "baseball_half_turn_
                        "edge_sphere_nearly_fixed_point"}
 
 CORPUS_DIGESTS = {
-    "baseball/algebraic": "670143f0864a193711000b77befdfe61edc49b5eb9cb8329548dfeb3ba3ed6c5",
-    "baseball/both": "a9f80abb676b3fa408f491cfb1341e66f10cc0672f1bf66abaec67805bb96272",
-    "baseball/geometric": "9dd09e65250c3d30a048afc2d5906cff043ce298e8fc78bb9065a88557c7a95d",
+    "baseball/algebraic": "7902941a3a15ef572a5a2a52efc4910bb24ee7bbf21fb302a1f814038d2d35f3",
+    "baseball/both": "ec5fdfe622376f4b4b751bbc1142d6749ebd1d7435630ae78a0537edd2fddf5d",
+    "baseball/geometric": "e48d2653c017cf1c3ad8750f7cf1b47f97fd4c87adb761ce0adbde8a56c7ca96",
     "plane_compose/algebraic": "16ad1358f79a263bc1999964ed4d485b1e6c634659a382be192062017a4e9cd7",
     "plane_compose/both": "865580190bc52301dbff79e0b8c4c5b60abdacfe920d0551d900503817697fa4",
     "plane_compose/geometric": "6132cb52d8878002bc00154d48d5f10a7e66fbff4cfc91dc62ad5599f1d6c1b8",
     "plane_recover/algebraic": "943ad3bb65eb450a76a67480447e75ba3cbab48ae1c312a662b21574031f0a05",
-    "plane_recover/both": "4f91f26002ca1f30ca8a996bee7819a7cfaaf10c06f8e7bf12853fd24145140d",
-    "plane_recover/geometric": "f98a0a74c26d8c1e3cc1a29f1235ae069d6536ed51832c5f2c0191bf4dc00119",
+    "plane_recover/both": "45452cf196c5eb4a62314d13d4796fb1bbeb2a206e606506d1a62044a58ab00b",
+    "plane_recover/geometric": "5d5ca85d49d01fe29709bea5782429e466673b9d2aeea1049cb13bc1d42dbd08",
     "plane_reflections/algebraic": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/both": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/geometric": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "sphere_compose/algebraic": "86120791785730daf9b429c1ebaf79e65ab3afff1ac845f34ffb0d590bd95fd3",
     "sphere_compose/both": "0b29ea2c1fd491744e001576e243ab0545dc5a1c850d7e70c85c081ff6c002be",
     "sphere_compose/geometric": "da9aa17706222467d2ecb8e428e42bd56891bc80bfcf7ab312c7441559291923",
-    "sphere_recover/algebraic": "fdd194ac761a6add6e10a9c844a46a45e84a32ec6cdaf0d147d86285e87a5d1c",
-    "sphere_recover/both": "b5b10135c948379b69a67d31e4c942afa6375cf0a3076ad615fd33634151cee1",
-    "sphere_recover/geometric": "d4720458f98c9002c9cd64149f3be96f997d10073d5a038a291fa49f48b9c6c5",
+    "sphere_recover/algebraic": "fe331af1fc764b733c0a6d8b0c1bf23abb9918d7943cc7a13d237a1c850fdc0d",
+    "sphere_recover/both": "3ee740b31d5bfa7e4d46be2783c3b659ce72e1b14b01676a4eb2b27458a999e6",
+    "sphere_recover/geometric": "31f72a841ad5ad7eeb09ac181ebaa985ffff46bef3888ba333804e707c4406b2",
 }
 
 RANDOM_DIGESTS = {
-    "baseball/algebraic": "925ab920d14ddf8a8be5f8c6442ff1c4432d5b330f14283ca114b9cab3c76b28",
-    "baseball/both": "f1fbed17970fbd5b054686c4497ffbf93be349cbb2391734ba2dd51f0e6e4100",
-    "baseball/geometric": "979fbe0b8d7b9fcefd4b03feb69db322837e6f9b2bbbf24c7ff0237ccdadf71d",
+    "baseball/algebraic": "a6362ac4720b6d219ed1a4a206c5026057fbccd80b073610c0ff022397b80a06",
+    "baseball/both": "58d188ba7e7d7f4adb3f825ccb4c75f65fe301525df85240ae7005943c668099",
+    "baseball/geometric": "39eda36abc6380c49d569b5666c20f419fa46dc03dec96257693bc1c4b8ea72a",
     "plane_compose/algebraic": "07b060c19071eae12c0d4ca44c217498b482cad4412f631973099122f619dcec",
     "plane_compose/both": "e39361801e99f298d348a3f45aaabdd8a8b3778e6af4f2ce59ced2c040dd66aa",
     "plane_compose/geometric": "cdbcca00d93a1f9474b95a47c10f3ea593517c30f6cd207bafcdb4af89374c85",
     "plane_recover/algebraic": "997c8fbba1c027b4ff2911aa795724119d261e74a584f75bee2ba7bcb2af3125",
-    "plane_recover/both": "69da124f83b64d4d1e574c7a7fd1ae15b9566475b16ac8ea4b771b7b2fa82e78",
-    "plane_recover/geometric": "e99a5dc3d43cd9eeb2a9274aeac8ec5d28f1399f11ac95e27b2263f17f621aec",
+    "plane_recover/both": "4db7216a8e7a36f25ca1055fa3a229bf8a9aff06da24e9b1897855fe79f94733",
+    "plane_recover/geometric": "81bfeffb466c78558af9698debc5a3a56041c19a9998a3ae3805811c07b4fdc3",
     "plane_reflections/algebraic": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
     "plane_reflections/both": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
     "plane_reflections/geometric": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
     "sphere_compose/algebraic": "aec0b3629dc11c0aee1e1bcc3ad72e838155b5cb080d892cbb7fa4c588db7a3c",
     "sphere_compose/both": "d714b4b570c48b7c7711c7efd20cc6c17d7bcc24e50fe1e4cb44a04ca6e1f5e7",
     "sphere_compose/geometric": "c4a96c42f19202b54fa18cb890de3fb62182b5a9be6d2e160da252fdb5a55900",
-    "sphere_recover/algebraic": "bb904079ed5df69e65041c63a6415c874afee7e48d44fddb03f87a08712709ac",
-    "sphere_recover/both": "6359e1cf29b5eec936478696da97215408c3327ca0c5fe3f80bbc2eca916f110",
-    "sphere_recover/geometric": "f1fb682ed041a30bfd2a216b5abe78742cf91e5e30c122b16f0764187389862d",
+    "sphere_recover/algebraic": "71a57f90188885012ca5761aa407971b028a022de319778019dfffddabe7f479",
+    "sphere_recover/both": "f3a10974ef2723c05a37082b51f51a9d427a8cde3a781df463475ff1d3961997",
+    "sphere_recover/geometric": "3bf16cb9392a49518b1b71e279eb02a085fb926e707ae144c303d13196238d3d",
 }
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rand_rotation2, rand_segment2, rand_vec2, refuse_algebraic_routes
+from helpers import (
+    near_pivot_segments, rand_rotation2, rand_segment2, rand_vec2, refuse_algebraic_routes,
+)
 from isometry_lab import (
     DegenerateBisector,
     DegenerateSegment,
@@ -273,6 +275,17 @@ class TestRecoverPlanarGeometric:
         )
         assert isinstance(iso, Translation2)
         assert _close(iso.v, Vec2(2, 3), 1e-12)
+
+    @pytest.mark.parametrize("arm", [1e-8, 1e-7, 1e-6, 1e-5])
+    def test_an_endpoint_next_to_the_pivot_does_not_set_the_angle(self, arm):
+        # the angle comes off the endpoint that moves more, not off one `arm`
+        # from the pivot, whose direction the pivot's rounding turns
+        rng = random.Random(11)
+        for _ in range(400):
+            src, dst = near_pivot_segments(rng, arm)
+            iso = recover_planar_geometric(src, dst)
+            assert apply_planar(iso, src.a).dist(dst.a) <= 1e-9
+            assert apply_planar(iso, src.b).dist(dst.b) <= 1e-9
 
 
 class TestComposeRotations:

@@ -312,6 +312,34 @@ class TestRecoverAxisGeometric:
             assert _axis_match(a1, a2)
 
 
+def _near_coplanar(rng):
+    """A Gaussian axis and X, a turn of 10**U(-6, 0), and Y a U(0.1, pi - 0.1) turn
+    from X in the plane of X and the axis, moved 10**U(-16, -6) along its normal;
+    returns X, its image, Y and its image."""
+    axis, x = rand_unit3(rng), rand_unit3(rng)
+    rot = Rotation3(axis, 10.0 ** rng.uniform(-6.0, 0.0))
+    n = cross(x, axis).normalized()
+    s = rng.uniform(0.1, math.pi - 0.1)
+    y = x * math.cos(s) + cross(n, x) * math.sin(s) + n * 10.0 ** rng.uniform(-16.0, -6.0)
+    y = UnitVector3.from_vec(y.normalized())
+    return x, apply_sphere(rot, x), y, apply_sphere(rot, y)
+
+
+def test_both_axis_constructions_refuse_the_same_nearly_coplanar_chords():
+    # one cut, relative to the chords' lengths, for the raw chords and the unit ones
+    rng = random.Random(5)
+    refused = {recover_axis_cross: set(), recover_axis_geometric: set()}
+    for i in range(2000):
+        points = _near_coplanar(rng)
+        for solver, seen in refused.items():
+            try:
+                solver(*points)
+            except DegenerateAxis:
+                seen.add(i)
+    assert len(refused[recover_axis_geometric]) > 100
+    assert refused[recover_axis_cross] == refused[recover_axis_geometric]
+
+
 class TestRecoverSphereRotation:
     def test_round_trip_coordinate_axis(self):
         rot = Rotation3(Z, math.pi / 2)
@@ -348,14 +376,20 @@ class TestRecoverSphereRotation:
         assert _axis_match(got.axis, Z, 1e-12)
         assert abs(got.angle - math.pi / 2) <= 1e-9
 
-    def test_moving_points_fall_back_when_the_chords_cross_short(self):
-        # y lies 1e-6 off the plane of x and the axis: the raw chords' cross
-        # product falls below PARALLEL_TOL, the unit chords' does not
+    def test_chords_that_cross_short_still_give_an_axis(self, monkeypatch):
+        import isometry_lab.spherical as spherical
+
+        def refuse(*args):
+            raise AssertionError("the bisector construction ran")
+
+        # y lies 1e-6 off the plane of x and the axis: the chords' cross product
+        # is short, but not against the chords' lengths, so the chords give the
+        # axis themselves, with no bisector construction to fall back on
         rot = Rotation3(Z, 1e-3)
         y = UnitVector3(0.6, 1e-6, 0.8)
         xp, yp = apply_sphere(rot, X), apply_sphere(rot, y)
-        with pytest.raises(DegenerateAxis, match="displacement chords are parallel or zero"):
-            recover_axis_cross(X, xp, y, yp)
+        assert _axis_match(recover_axis_cross(X, xp, y, yp), Z, 1e-15)
+        monkeypatch.setattr(spherical, "_axis_geometric", refuse)
         got = recover_sphere_rotation(X, xp, y, yp, method="algebraic")
         assert (got.axis.x, got.axis.y, got.axis.z, got.angle) == (0.0, 0.0, 1.0, 0.001)
 
@@ -495,7 +529,7 @@ def test_fixed_point_algebraic_solve_checks_lengths_once(monkeypatch):
     calls = []
     check = spherical._require_isometric
     monkeypatch.setattr(spherical, "_require_isometric", lambda *a: calls.append(a) or check(*a))
-    # the fallback from the chord cross product must not need the public solvers
+    # the fixed-point answer must not need the public solvers
     monkeypatch.setattr(spherical, "recover_axis_cross", None)
     monkeypatch.setattr(spherical, "recover_axis_geometric", None)
     rot = recover_sphere_rotation(Z, Z, X, UnitVector3(0.6, 0.8, 0.0), method="algebraic")
