@@ -220,11 +220,15 @@ def recover_axis_cross(
 
     Each chord x - xp is normal to the plane of the perpendicular-bisector
     great circle of (x, xp); the axis lies in both planes, hence along the
-    cross product of the chords.
+    cross product of the chords. A point that moves by at most SPHERE_CHORD_MIN
+    has no chord direction, so it raises DegenerateAxis.
     """
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     _require_isometric(x, xp, y, yp, tol)
-    return _axis_cross(x, xp, y, yp, x.dist(xp) * y.dist(yp))
+    move_x, move_y = x.dist(xp), y.dist(yp)
+    if any(_fixed_points(move_x, move_y)):
+        raise DegenerateAxis("a marked point stays put; its chord has no direction")
+    return _axis_cross(x, xp, y, yp, move_x * move_y)
 
 
 def _axis_cross(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3,
@@ -358,13 +362,7 @@ def _pole(n: Xyz, m: Xyz, lengths: float = 1.0) -> Xyz:
 
 
 def recover_sphere_rotation(
-    x: Vec3,
-    xp: Vec3,
-    y: Vec3,
-    yp: Vec3,
-    *,
-    method: str = "algebraic",
-    tol: float = DEFAULT_TOL,
+    x: Vec3, xp: Vec3, y: Vec3, yp: Vec3, *, method: str = "algebraic", tol: float = DEFAULT_TOL
 ) -> Rotation3:
     """Recover the rotation mapping x to xp and y to yp.
 

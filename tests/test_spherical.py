@@ -274,6 +274,17 @@ class TestRecoverAxisCross:
         with pytest.raises(DegenerateAxis):
             recover_axis_cross(X, X, y, y)
 
+    def test_a_point_moved_by_rounding_alone_has_no_chord_direction(self):
+        # x turned about itself comes back 6e-17 off, by rounding only; the
+        # cross product of that noise chord with y's passes a relative cut and
+        # points 30 degrees away from x, the true axis
+        x = UnitVector3.from_vec(Vec3(1.0, 2.0, 7.0).normalized())
+        rot = Rotation3(x, 1.0)
+        xp, yp = apply_sphere(rot, x), apply_sphere(rot, Y)
+        assert 0.0 < x.dist(xp) <= 1e-16
+        with pytest.raises(DegenerateAxis):
+            recover_axis_cross(x, xp, Y, yp)
+
     def test_non_isometric_rejected(self):
         with pytest.raises(NotIsometric):
             recover_axis_cross(X, Y, Y, Y * (-1.0))
