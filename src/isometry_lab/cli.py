@@ -86,7 +86,7 @@ class ProblemInstance:
             raise SchemaError(f"unknown kind {self.kind!r}")
 
 
-@_value(frozen=False)
+@_value
 class SolutionRecord:
     """Solver outcome: the primary result, how it was obtained, the
     recomputed mapping residual, and any warnings."""
@@ -262,18 +262,18 @@ def _solve_both_ways(method, tol, algebraic, geometric, pairs, apply, as_dict, n
     primary = iso_g if iso_a is None else iso_a
     images = [apply(primary, p) for p, _ in pairs]
     residual = max(dist(image, q) for image, (_, q) in zip(images, pairs))
-    record = SolutionRecord(as_dict(primary), method, residual, notes(primary) if notes else [])
+    diagnostics = notes(primary) if notes else []
+    dict_g = disc = None
     if method == "both":
         # primary is iso_a here, so its images serve the discrepancy too
         disc = max(dist(image, apply(iso_g, p)) for image, (p, _) in zip(images, pairs))
-        record.result_geometric = as_dict(iso_g)
-        record.discrepancy = disc
+        dict_g = as_dict(iso_g)
         if disc > tol:
-            record.diagnostics.append(
+            diagnostics.append(
                 f"algebraic and geometric results disagree by {disc:.6g} "
                 f"(tolerance {tol:g}); both are reported unreconciled"
             )
-    return record, primary
+    return SolutionRecord(as_dict(primary), method, residual, diagnostics, dict_g, disc), primary
 
 
 def _run_plane_recover(payload, method, tol):

@@ -82,53 +82,52 @@ def clamp(x: float, lo: float, hi: float) -> float:
     return max(lo, min(hi, x))
 
 
-def _value(cls=None, /, *, frozen: bool = True):
-    """Give `cls` the methods the standard library's data class decorator
-    would, without importing that module (and the `inspect` it loads).
+def _refuse_set(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _value(cls):
+    """Give `cls` the methods of an immutable standard-library data class,
+    without importing that module (and the `inspect` it loads).
 
     The fields are the names annotated in `cls` and its bases, base fields
-    first; a class attribute of the same name is a field's default.
-    `__init__` ends by calling `self.__post_init__()` if the class has one.
-    A frozen class hashes its fields and refuses to set or delete them; the
-    rest are unhashable. Use as `@_value` or `@_value(frozen=False)`.
+    first; a class attribute of the same name is a field's default. Only
+    `__init__`, a hot path, is compiled per class; it ends by calling
+    `self.__post_init__()` if the class has one. `==`, `repr` and `hash` go
+    by the fields, and setting or deleting an attribute raises.
     """
-    if cls is None:
-        return lambda c: _value(c, frozen=frozen)
-    names = list(dict.fromkeys(
+    names = tuple(dict.fromkeys(
         n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
     defaults = {f"_d_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
     params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in defaults else f", {n}" for n in names)
-    body = [f"_set(self, {n!r}, {n})" if frozen else f"self.{n} = {n}" for n in names]
+    body = [f"_set(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    init = "\n    ".join(body) or "pass"
-    row = "(" + "".join(f"{{0}}.{n}, " for n in names) + ")"  # a tuple of {0}'s fields
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    source = f"""
-def __init__(self{params}):
-    {init}
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return {row.format("self")} == {row.format("other")}
-    return NotImplemented
-def __repr__(self):
-    return f"{{self.__class__.__qualname__}}({shown})"
-def __hash__(self):
-    return hash({row.format("self")})
-def __setattr__(self, name, value):
-    raise AttributeError(f"cannot assign to field {{name!r}}")
-def __delattr__(self, name):
-    raise AttributeError(f"cannot delete field {{name!r}}")
-"""
     made = {"_set": object.__setattr__, **defaults}
-    exec(source, made)
-    frozen_only = ("__hash__", "__setattr__", "__delattr__") if frozen else ()
-    for name in ("__init__", "__eq__", "__repr__", *frozen_only):
-        made[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, made[name])
-    if not frozen:
-        cls.__hash__ = None
-    cls.__match_args__ = tuple(names)
+    exec(f"def __init__(self{params}):\n    " + ("\n    ".join(body) or "pass"), made)
+
+    def row(self):
+        return tuple([getattr(self, n) for n in names])
+
+    def __eq__(self, other):
+        return row(self) == row(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join([f"{n}={getattr(self, n)!r}" for n in names])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __hash__(self):
+        return hash(row(self))
+
+    for method in (made["__init__"], __eq__, __repr__, __hash__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    cls.__match_args__ = names
     return cls
 
 
@@ -202,8 +201,13 @@ class Vec3:
 
     def normalized(self) -> "Vec3":
         n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero vector")
+        if not 0.0 < n < math.inf:  # zero, non-finite, or squares that under- or overflowed
+            if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+                raise ValueError("cannot normalize a non-finite vector")
+            m = max(abs(self.x), abs(self.y), abs(self.z))
+            if m == 0.0:
+                raise ValueError("cannot normalize a zero vector")
+            return Vec3(self.x / m, self.y / m, self.z / m).normalized()
         return Vec3(self.x / n, self.y / n, self.z / n)
 
 

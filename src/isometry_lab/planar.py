@@ -72,7 +72,12 @@ class Line2:
         if n == 0.0:
             raise ValueError("line direction must be nonzero")
         if n != 1.0:
-            object.__setattr__(self, "direction", Vec2(self.direction.x / n, self.direction.y / n))
+            x, y = self.direction.x, self.direction.y
+            if n == math.inf:  # the squares overflowed: shrink by the larger component first
+                m = max(abs(x), abs(y))
+                x, y = x / m, y / m
+                n = math.hypot(x, y)
+            object.__setattr__(self, "direction", Vec2(x / n, y / n))
 
 
 @_value

@@ -93,6 +93,32 @@ class TestCross:
             )
 
 
+class TestNormalized:
+    @pytest.mark.parametrize("v, unit", [
+        (Vec3(1e200, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)),  # the squares overflow
+        (Vec3(1e-200, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)),  # the squares underflow
+        (Vec3(0.0, -3e200, 4e200), Vec3(0.0, -0.6, 0.8)),
+        (Vec3(0.0, 3e-200, -4e-200), Vec3(0.0, 0.6, -0.8)),
+    ])
+    def test_a_vector_too_long_or_short_to_square_is_rescaled_first(self, v, unit):
+        got = v.normalized()
+        assert max(abs(got.x - unit.x), abs(got.y - unit.y), abs(got.z - unit.z)) <= 1e-15
+
+    @given(vec3s)
+    def test_an_ordinary_vector_keeps_its_bits(self, v):
+        n = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
+        if n > 0.0:
+            assert v.normalized() == Vec3(v.x / n, v.y / n, v.z / n)
+
+    @pytest.mark.parametrize("v", [
+        Vec3(0.0, 0.0, 0.0), Vec3(-0.0, 0.0, -0.0), Vec3(math.inf, 0.0, 0.0),
+        Vec3(1.0, -math.inf, 0.0), Vec3(1.0, 0.0, math.nan), Vec3(math.nan, 0.0, 0.0),
+    ])
+    def test_a_zero_or_non_finite_vector_raises(self, v):
+        with pytest.raises(ValueError, match="zero|non-finite"):
+            v.normalized()
+
+
 class TestSolve2:
     def test_identity_solve(self):
         assert solve2(Mat2.identity(), Vec2(3, 4)) == Vec2(3, 4)

@@ -112,6 +112,17 @@ class TestReflect:
             assert abs((q - p).dot(line.direction)) <= 1e-9
 
 
+    def test_a_direction_too_long_to_square_is_still_a_unit_vector(self):
+        line = Line2(Vec2(0.0, 0.0), Vec2(1.7e308, 1.7e308))
+        assert _close(line.direction, Vec2(math.sqrt(0.5), math.sqrt(0.5)), 1e-15)
+        assert _close(reflect(line, Vec2(1.0, 0.0)), Vec2(0.0, 1.0), 1e-15)
+        x_axis = Reflection2(Line2(Vec2(0.0, 0.0), Vec2(1.0, 0.0)))
+        quarter = compose_reflections(x_axis, Reflection2(line))
+        assert isinstance(quarter, Rotation2)
+        assert _close(quarter.pivot, Vec2(0.0, 0.0), 1e-15)
+        assert math.isclose(quarter.angle, math.pi / 2, rel_tol=1e-15)
+
+
 class TestOrientationSign:
     def test_ccw(self):
         assert orientation_sign(Vec2(0, 0), Vec2(1, 0), Vec2(0, 1)) == 1
