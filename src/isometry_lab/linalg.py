@@ -39,6 +39,7 @@ SOLVE2_RTOL = 1e-12  # scaled by the squared larger row norm: |det| this small i
 SAME_LINE_RTOL = 1e-9  # scaled: a bisector this close to the other is the same line
 ANGLE_MIN = 1e-9  # composite angles below this: a plane translation, the sphere identity
 UNIT_TOL = 1e-6  # sphere vectors this close to unit length are renormalized
+NORMALIZE_MIN = 1e-150  # a shorter Vec3 is divided by its largest |component| before normalizing
 SPHERE_CHORD_MIN = 1e-9  # |a - b| this short: coincident (a fixed point); |a + b|: antipodal
 PARALLEL_TOL = 1e-12  # |n x m| <= this |n| |m|: n, m parallel (unit-scale ones: as it stands)
 ON_AXIS_TOL = 1e-9  # a point this close to a rotation axis has no turn angle
@@ -201,7 +202,7 @@ class Vec3:
 
     def normalized(self) -> "Vec3":
         n = self.norm()
-        if not 0.0 < n < math.inf:  # zero, non-finite, or squares that under- or overflowed
+        if not NORMALIZE_MIN <= n < math.inf:  # zero, non-finite, or squares over- or underflowing
             if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
                 raise ValueError("cannot normalize a non-finite vector")
             m = max(abs(self.x), abs(self.y), abs(self.z))

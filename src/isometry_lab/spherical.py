@@ -29,11 +29,11 @@ from .errors import (
 from .linalg import (
     ACOS_SINE_MIN, ANGLE_MIN, DEFAULT_TOL, ON_AXIS_TOL, PARALLEL_TOL,
     SKEW_CHECK_TOL, SKEW_TOL, SPHERE_CHORD_MIN, UNIT_TOL, Mat3, Vec3, Xyz, check_tol, clamp,
-    _value, eig3_rotation, require_rotation, wrap_angle,
+    _value, eig3_rotation, wrap_angle,
 )
 
 __all__ = [
-    "GreatCircle", "Rotation3", "RotationMatrix3", "SphereSegment", "UnitVector3",
+    "GreatCircle", "Rotation3", "SphereSegment", "UnitVector3",
     "angular_distance", "apply_sphere", "axis_angle_from_matrix", "bisector_great_circle",
     "chord_arcsin_angle", "compose_sphere_rotations", "intersect_great_circles",
     "recover_axis_cross", "recover_axis_geometric", "recover_sphere_rotation",
@@ -94,16 +94,6 @@ class Rotation3:
 
 
 @_value
-class RotationMatrix3:
-    """Orthogonal matrix with determinant +1; validated on construction."""
-
-    m: Mat3
-
-    def __post_init__(self):
-        require_rotation(self.m)
-
-
-@_value
 class GreatCircle:
     """Intersection of the sphere with the plane through the origin whose
     unit normal is `normal`."""
@@ -159,21 +149,18 @@ def _dist_xyz(a: Xyz, b: Xyz) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def rotation_matrix(rot: Rotation3) -> RotationMatrix3:
-    """Matrix form: cos t I + sin t [axis]_x + (1 - cos t) axis axis^T."""
+def rotation_matrix(rot: Rotation3) -> Mat3:
+    """Matrix form as a Mat3: cos t I + sin t [axis]_x + (1 - cos t) axis axis^T. It is not
+    checked here; eig3_rotation decides what is a rotation and raises NotARotation."""
     a = rot.axis
     c = math.cos(rot.angle)
     s = math.sin(rot.angle)
     k = 1.0 - c
-    return RotationMatrix3(
-        Mat3(
-            (
-                (c + k * a.x * a.x, k * a.x * a.y - s * a.z, k * a.x * a.z + s * a.y),
-                (k * a.y * a.x + s * a.z, c + k * a.y * a.y, k * a.y * a.z - s * a.x),
-                (k * a.z * a.x - s * a.y, k * a.z * a.y + s * a.x, c + k * a.z * a.z),
-            )
-        )
-    )
+    return Mat3((
+        (c + k * a.x * a.x, k * a.x * a.y - s * a.z, k * a.x * a.z + s * a.y),
+        (k * a.y * a.x + s * a.z, c + k * a.y * a.y, k * a.y * a.z - s * a.x),
+        (k * a.z * a.x - s * a.y, k * a.z * a.y + s * a.x, c + k * a.z * a.z),
+    ))
 
 
 def apply_sphere(rot: Rotation3, p: Vec3) -> UnitVector3:
@@ -397,8 +384,7 @@ def recover_sphere_rotation(
 
 def compose_sphere_rotations(outer: Rotation3, inner: Rotation3) -> Rotation3:
     """Compose two rotations, inner first, via the matrix product."""
-    m = rotation_matrix(outer).m @ rotation_matrix(inner).m
-    return axis_angle_from_matrix(RotationMatrix3(m))
+    return axis_angle_from_matrix(rotation_matrix(outer) @ rotation_matrix(inner))
 
 
 def _compose_sphere_geometric(outer: Rotation3, inner: Rotation3) -> Rotation3:
@@ -434,21 +420,22 @@ def _compose_sphere_geometric(outer: Rotation3, inner: Rotation3) -> Rotation3:
     return Rotation3(UnitVector3(*_pole(n, m)), angle)
 
 
-def axis_angle_from_matrix(rm: RotationMatrix3) -> Rotation3:
-    """Axis and angle of a rotation matrix.
+def axis_angle_from_matrix(m: Mat3) -> Rotation3:
+    """Axis and angle of a rotation matrix, given as a Mat3.
 
     The axis is the +1 eigenvector; its sign is oriented so the
     skew-symmetric part equals sin(angle) [axis]_x with sin(angle) >= 0,
     which pins the angle into [0, pi]. For a half turn the skew part
     vanishes and the eigenvector's canonical sign is kept. The identity
-    reports angle 0 about the conventional axis (0, 0, 1).
+    reports angle 0 about the conventional axis (0, 0, 1). A matrix that is
+    not a rotation raises NotARotation, from eig3_rotation.
     """
     try:
-        eig = eig3_rotation(rm.m)
+        eig = eig3_rotation(m)
     except IdentityRotation:
         return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
     a, sn = eig.complex_pair  # a clamped to [-1, 1]; sn the skew part's length
-    r = rm.m.rows
+    r = m.rows
     sx, sy, sz = (r[2][1] - r[1][2]) / 2.0, (r[0][2] - r[2][0]) / 2.0, (r[1][0] - r[0][1]) / 2.0
     # Near a turn of 0 or pi, a one ulp from +-1 moves acos(a) by 1.5e-8
     angle = math.acos(a) if sn >= ACOS_SINE_MIN else math.atan2(sn, a)

@@ -330,7 +330,7 @@ def test_10_cross_product_and_eigen_invariants():
     ok = True
     worst_eig = 0.0
     for _ in range(1000):
-        m = rotation_matrix(rand_rotation3(rng, min_angle=1e-6)).m
+        m = rotation_matrix(rand_rotation3(rng, min_angle=1e-6))
         eig = eig3_rotation(m)
         a, b = eig.complex_pair
         ok = ok and eig.lambda_real == 1.0

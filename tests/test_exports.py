@@ -15,7 +15,7 @@ _EXPORTS = [
     "IdenticalCircles", "Identity2", "IdentityCorrespondence", "IdentityRotation",
     "InternalCheckError", "LengthMismatch", "Line2", "Mat2", "Mat3", "NonUnitVector",
     "NotARotation", "NotIsometric", "ParallelBisectors", "ParseError", "PlanarIsometry",
-    "PointOnAxis", "ProblemInstance", "Reflection2", "Rotation2", "Rotation3", "RotationMatrix3",
+    "PointOnAxis", "ProblemInstance", "Reflection2", "Rotation2", "Rotation3",
     "SchemaError", "Segment2", "SingularMatrix", "SolutionRecord", "SphereSegment",
     "Translation2", "UnitVector3", "ValidationError", "Vec2", "Vec3", "ZeroAngle",
     "angular_distance", "apply_planar", "apply_sphere", "axis_angle_from_matrix",
@@ -30,7 +30,7 @@ _EXPORTS = [
 
 
 def test_package_all_is_unchanged_in_content_and_order():
-    assert len(_EXPORTS) == 74
+    assert len(_EXPORTS) == 73
     assert isometry_lab.__all__ == _EXPORTS
 
 

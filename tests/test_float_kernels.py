@@ -39,7 +39,6 @@ from isometry_lab import (
     PointOnAxis,
     Rotation2,
     Rotation3,
-    RotationMatrix3,
     Segment2,
     SingularMatrix,
     SphereSegment,
@@ -789,7 +788,6 @@ def _eig3_oracle(m):
 
 
 def _axis_angle_oracle(m):
-    _require_rotation_oracle(m)  # RotationMatrix3(m)
     try:
         eig = _eig3_oracle(m)
     except IdentityRotation:
@@ -856,12 +854,12 @@ def _signed_permutations():
 _gaps = st.sampled_from([0.0, -0.0, 5e-10, -5e-10, IDENTITY_TOL, -IDENTITY_TOL,
                          math.nextafter(IDENTITY_TOL, 0.0), 2e-9])
 matrices = st.one_of(
-    st.builds(lambda rot: rotation_matrix(rot).m, sphere_rotations),
+    st.builds(rotation_matrix, sphere_rotations),
     st.sampled_from(list(_signed_permutations())),
     st.builds(lambda a, b, c: Mat3(((1.0, a, b), (-a, 1.0, c), (-b, -c, 1.0))),
               _gaps, _gaps, _gaps),
     st.builds(lambda rot, d: Mat3(tuple(tuple(v + d * (i + j) for j, v in enumerate(row))
-                                        for i, row in enumerate(rotation_matrix(rot).m.rows))),
+                                        for i, row in enumerate(rotation_matrix(rot).rows))),
               sphere_rotations, st.sampled_from([1e-10, 3e-10, 6e-10, 1e-9])),
 )
 
@@ -975,5 +973,5 @@ def test_compose_sphere_geometric_is_its_vector_body(axes, alpha, beta):
 def test_the_rotation_check_and_eigensolve_are_their_matrix_bodies(m):
     assert _outcome(require_rotation, m) == _outcome(_require_rotation_oracle, m)
     assert _outcome(eig3_rotation, m) == _outcome(_eig3_oracle, m)
-    assert _outcome(lambda: axis_angle_from_matrix(RotationMatrix3(m))) == _outcome(
+    assert _outcome(lambda: axis_angle_from_matrix(m)) == _outcome(
         _axis_angle_oracle, m)

@@ -20,7 +20,6 @@ from isometry_lab import (
     NotIsometric,
     PointOnAxis,
     Rotation3,
-    RotationMatrix3,
     SphereSegment,
     UnitVector3,
     Vec3,
@@ -98,7 +97,7 @@ class TestSphereSegment:
 
 class TestRotationMatrix:
     def test_z_axis_block(self):
-        m = rotation_matrix(Rotation3(Z, math.pi / 6)).m
+        m = rotation_matrix(Rotation3(Z, math.pi / 6))
         assert abs(m.rows[0][0] - 0.8660) <= 1e-4
         assert abs(m.rows[0][1] + 0.5) <= 1e-4
         assert abs(m.rows[1][0] - 0.5) <= 1e-4
@@ -107,7 +106,7 @@ class TestRotationMatrix:
         assert (m.rows[0][2], m.rows[1][2]) == (0.0, 0.0)
 
     def test_zero_angle_is_identity(self):
-        m = rotation_matrix(Rotation3(rand_unit3(random.Random(1)), 0.0)).m
+        m = rotation_matrix(Rotation3(rand_unit3(random.Random(1)), 0.0))
         ident = Mat3.identity()
         dev = max(
             abs(m.rows[i][j] - ident.rows[i][j]) for i in range(3) for j in range(3)
@@ -115,7 +114,7 @@ class TestRotationMatrix:
         assert dev <= 1e-15
 
     def test_half_turn_about_x(self):
-        m = rotation_matrix(Rotation3(X, math.pi)).m
+        m = rotation_matrix(Rotation3(X, math.pi))
         expect = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
         dev = max(abs(m.rows[i][j] - expect[i][j]) for i in range(3) for j in range(3))
         assert dev <= 1e-12
@@ -123,14 +122,15 @@ class TestRotationMatrix:
     def test_always_proper_orthogonal(self):
         rng = random.Random(3)
         for _ in range(200):
-            rm = rotation_matrix(rand_rotation3(rng))
-            # the RotationMatrix3 constructor validates at 1e-9 already;
-            # check the determinant explicitly as well
-            assert abs(rm.m.det() - 1.0) <= 1e-9
+            m = rotation_matrix(rand_rotation3(rng))
+            # nothing checks the matrix on the way out, so measure it here
+            mtm = Mat3(tuple(zip(*m.rows))) @ m
+            assert max(abs(mtm.rows[i][j] - (i == j)) for i in range(3) for j in range(3)) <= 1e-14
+            assert abs(m.det() - 1.0) <= 1e-14
 
     def test_validates_input(self):
         with pytest.raises(NotARotation):
-            RotationMatrix3(Mat3(((1, 0, 0), (0, 1, 0), (0, 0, -1))))
+            axis_angle_from_matrix(Mat3(((1, 0, 0), (0, 1, 0), (0, 0, -1))))
 
 
 class TestApplySphere:
@@ -169,7 +169,7 @@ class TestApplySphere:
         for _ in range(200):
             r = rand_rotation3(rng)
             p = rand_unit3(rng)
-            assert _close3(apply_sphere(r, p), rotation_matrix(r).m.mv(p), 1e-12)
+            assert _close3(apply_sphere(r, p), rotation_matrix(r).mv(p), 1e-12)
 
 
 class TestRotationAngleAboutAxis:
@@ -483,7 +483,7 @@ class TestComposeSphereRotations:
 
 class TestAxisAngleFromMatrix:
     def test_identity(self):
-        out = axis_angle_from_matrix(RotationMatrix3(Mat3.identity()))
+        out = axis_angle_from_matrix(Mat3.identity())
         assert out.angle == 0.0
         assert _close3(out.axis, Z, 1e-15)
 
@@ -517,7 +517,7 @@ class TestAxisAngleFromMatrix:
             r = rand_rotation3(rng, min_angle=1e-3)
             m = rotation_matrix(r)
             out = axis_angle_from_matrix(m)
-            a, _ = eig3_rotation(m.m).complex_pair
+            a, _ = eig3_rotation(m).complex_pair
             assert abs(out.angle - math.acos(max(-1.0, min(1.0, a)))) <= 1e-9
 
 
@@ -560,3 +560,36 @@ def test_sphere_composite_is_constructed_without_the_algebraic_route(monkeypatch
     assert (math.cos(rot.angle), math.sin(rot.angle)) == pytest.approx((0.5927, 0.8054), abs=1e-3)
     for got, want in zip((rot.axis.x, rot.axis.y, rot.axis.z), (0.2195, 0.8192, 0.5299)):
         assert abs(abs(got) - want) <= 1e-3
+
+
+def _count_rotation_checks(monkeypatch) -> list:
+    """Count linalg.require_rotation calls, through every module that holds the name."""
+    import isometry_lab.cli as cli
+    import isometry_lab.linalg as linalg
+    import isometry_lab.spherical as spherical
+
+    calls = []
+    check = linalg.require_rotation
+    for module in (linalg, spherical, cli):
+        if hasattr(module, "require_rotation"):
+            monkeypatch.setattr(module, "require_rotation", lambda m: calls.append(m) or check(m))
+    return calls
+
+
+def test_a_sphere_composite_checks_its_matrix_once(monkeypatch):
+    calls = _count_rotation_checks(monkeypatch)
+    compose_sphere_rotations(Rotation3(Y, math.pi / 4), Rotation3(Z, math.pi / 6))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method, checks", [("algebraic", 1), ("geometric", 0), ("both", 1)])
+def test_a_sphere_compose_run_checks_a_matrix_once_per_algebraic_route(method, checks,
+                                                                       monkeypatch):
+    from isometry_lab import parse_instance, run
+
+    instance = parse_instance(
+        '{"kind": "sphere_compose", "G": [0, 1, 0], "alpha": 0.7, "H": [0, 0, 1], "beta": 0.5}'
+    )
+    calls = _count_rotation_checks(monkeypatch)
+    run(instance, method=method)
+    assert len(calls) == checks

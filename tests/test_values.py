@@ -26,7 +26,6 @@ from isometry_lab.planar import Identity2, Line2, Reflection2, Rotation2, Segmen
 from isometry_lab.spherical import (
     GreatCircle,
     Rotation3,
-    RotationMatrix3,
     SphereSegment,
     UnitVector3,
 )
@@ -52,7 +51,6 @@ _SAMPLES = {
     Segment2: ((Vec2(0.0, 0.0), Vec2(1.0, 0.0)), (Vec2(0.0, 0.0), Vec2(0.0, 1.0))),
     UnitVector3: ((0.6, 0.0, 0.8000001), (0.0, 1.0, 0.0)),
     Rotation3: ((Vec3(0.0, 0.0, 1.0), -0.5), (_Z, 0.5)),
-    RotationMatrix3: ((Mat3(_I3),), (Mat3(_QUARTER_TURN),)),
     GreatCircle: ((Vec3(0.0, 1.0, 0.0),), (_Z,)),
     SphereSegment: ((UnitVector3(1.0, 0.0, 0.0), _Z), (UnitVector3(0.0, 1.0, 0.0), _Z)),
     Marker: ((Vec2(0.0, 0.0),), (Vec2(0.0, 0.0), "P", "pivot")),
@@ -97,7 +95,7 @@ def _hash(value):
 
 def test_every_value_type_has_samples():
     assert _value_types() == set(_SAMPLES)
-    assert len(_SAMPLES) == 24
+    assert len(_SAMPLES) == 23
 
 
 @pytest.mark.parametrize("cls", list(_SAMPLES), ids=lambda c: c.__name__)
