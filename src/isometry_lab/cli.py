@@ -128,22 +128,28 @@ def _loads(text: bytes | str):
         raise ParseError(f"input is not valid JSON: {exc}") from exc
 
 
-def _num(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"field {name!r} must be a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
+def _num(name: str, value, index: int | None = None) -> float:
+    """`value` as a finite float; `index` places a coordinate in array `name`."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"field {_field(name, index)!r} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
     if not math.isfinite(value):
-        raise ValidationError(f"field {name!r} must be finite")
+        raise ValidationError(f"field {_field(name, index)!r} must be finite")
     return value
+
+
+def _field(name: str, index: int | None) -> str:
+    return name if index is None else f"{name}[{index}]"
 
 
 def _coords(name: str, value, dim: int) -> list[float]:
     if not isinstance(value, list) or len(value) != dim:
         raise SchemaError(f"field {name!r} must be an array of {dim} numbers")
-    return [_num(f"{name}[{i}]", c) for i, c in enumerate(value)]
+    return [_num(name, c, i) for i, c in enumerate(value)]
 
 
 def _vec2(name: str, value) -> Vec2:
@@ -156,9 +162,8 @@ def _vec2(name: str, value) -> Vec2:
 
 
 def _unit3(name: str, value) -> UnitVector3:
-    c = _coords(name, value, 3)
     try:
-        return UnitVector3(c[0], c[1], c[2])
+        return UnitVector3(*_coords(name, value, 3))
     except NonUnitVector as exc:
         raise ValidationError(f"field {name!r}: {exc}") from exc
 
@@ -183,12 +188,11 @@ def instance_from_obj(obj, *, expected: str | None = None, degrees: bool = False
             f"{expected.replace('_', '-')!r} (expected {expected!r})"
         )
     schema = _KINDS[kind].schema
-    extra = sorted(set(obj) - set(schema) - {"kind"})
-    if extra:
-        raise SchemaError(f"unexpected fields for kind {kind!r}: {extra}")
-    missing = sorted(set(schema) - set(obj))
-    if missing:
-        raise SchemaError(f"missing fields for kind {kind!r}: {missing}")
+    if obj.keys() != _FIELDS[kind]:
+        extra = sorted(obj.keys() - _FIELDS[kind])
+        if extra:
+            raise SchemaError(f"unexpected fields for kind {kind!r}: {extra}")
+        raise SchemaError(f"missing fields for kind {kind!r}: {sorted(_FIELDS[kind] - obj.keys())}")
     readers = _DEGREE_READERS if degrees else _READERS
     values = {name: readers[t](name, obj[name]) for name, t in schema.items()}
     try:
@@ -429,6 +433,7 @@ _KINDS: dict[str, _Kind] = {
         "net rotation of a marked ball from two observations",
     ),
 }
+_FIELDS = {kind: {"kind", *spec.schema} for kind, spec in _KINDS.items()}
 
 
 def run(
@@ -482,27 +487,46 @@ def _write(obj, newline: str = "\n") -> str:
     """JSON text of `obj` in the indent=2 layout, floats rounded to 10
     significant digits: json.dumps(obj, indent=2) with every float x
     replaced by float(f"{x:.10g}"), in one pass. `newline` is a line break
-    plus the indentation `obj` starts at.
+    plus the indentation `obj` starts at."""
+    out: list[str] = []
+    _put(obj, newline, out)
+    return "".join(out)
 
-    A rounded float in fixed notation is already its own shortest repr
-    (at most 10 significant digits, no trailing zeros, |x| in [1e-4, 1e10)),
-    so only the other forms are parsed back and reprinted. Rounding can
-    overflow: 1.7976931348623157e308 rounds to infinity.
-    """
-    if isinstance(obj, float):
-        s = f"{obj:.10g}"
-        if "." in s and "e" not in s:
-            return s
-        x = float(s)
-        return repr(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity
-    if isinstance(obj, str):
-        return _quote(obj)
+
+def _put(obj, newline: str, out: list[str]) -> None:
+    """Append the text of `obj` to `out`. A container writes its exact float
+    and str items in its own loop and recurses only for the others."""
+    t = type(obj)
+    if t is dict or t is not list and isinstance(obj, dict):
+        keyed, items, brackets = True, obj.items(), "{}"
+    elif t is list or isinstance(obj, (list, tuple)):
+        keyed, items, brackets = False, enumerate(obj), "[]"
+    else:
+        out.append(_float(obj) if isinstance(obj, float)
+                   else _quote(obj) if isinstance(obj, str) else json.dumps(obj))
+        return
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        return _block([_write(v, inner) for v in obj], newline, "[]")
-    if isinstance(obj, dict):
-        return _block([f"{_quote(k)}: {_write(v, inner)}" for k, v in obj.items()], newline, "{}")
-    return json.dumps(obj)
+    sep = brackets[0] + inner
+    for key, v in items:
+        out.append(f"{sep}{_quote(key)}: " if keyed else sep)
+        sep = "," + inner
+        t = type(v)
+        if t is float or t is str:
+            out.append(_float(v) if t is float else _quote(v))
+        else:
+            _put(v, inner, out)
+    out.append(newline + brackets[1] if obj else brackets)
+
+
+def _float(x: float) -> str:
+    """`x` rounded to 10 significant digits. In fixed notation (|x| in [1e-4, 1e10))
+    that is already its own shortest repr; other forms are parsed back and
+    reprinted. Rounding can overflow: 1.7976931348623157e308 rounds to infinity."""
+    s = f"{x:.10g}"
+    if "." in s and "e" not in s:
+        return s
+    x = float(s)
+    return repr(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity
 
 
 def _block(parts: list[str], newline: str, brackets: str) -> str:

@@ -108,6 +108,7 @@ def _value(cls):
     body = [f"_set(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
+    # not self.__dict__: writing it makes CPython 3.11 drop its inline attribute values
     made = {"_set": object.__setattr__, **defaults}
     exec(f"def __init__(self{params}):\n    " + ("\n    ".join(body) or "pass"), made)
 

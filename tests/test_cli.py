@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from collections import Counter
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import pytest
@@ -949,6 +949,95 @@ def test_a_kind_mismatch_wins_over_a_non_finite_value(tmp_path, capsys, flags):
     })
 
 
+def _reflections(p=None, theta=0.5):
+    return {"kind": "plane_reflections", "P": [1.0, 2.0] if p is None else p, "theta": theta}
+
+
+def _segment_instance(kind, x, y, xp, yp):
+    return {"kind": kind, "X": x, "Y": y, "Xp": xp, "Yp": yp}
+
+
+_E1, _E2 = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+_BAD_INSTANCES = {
+    # name: (instance, degrees, error type, message)
+    "short array": (_reflections(p=[1.0]), False, SchemaError,
+                    "field 'P' must be an array of 2 numbers"),
+    "long array": (_reflections(p=[1.0, 2.0, 3.0]), False, SchemaError,
+                   "field 'P' must be an array of 2 numbers"),
+    "tuple for an array": (_reflections(p=(1.0, 2.0)), False, SchemaError,
+                           "field 'P' must be an array of 2 numbers"),
+    "sphere point of 2": ({"kind": "sphere_compose", "G": [0.0, 0.0], "alpha": 0.5,
+                           "H": [0.0, 0.0, 1.0], "beta": 0.5}, False, SchemaError,
+                          "field 'G' must be an array of 3 numbers"),
+    "str coordinate": (_reflections(p=["1", 2.0]), False, SchemaError,
+                       "field 'P[0]' must be a number"),
+    "None coordinate": (_reflections(p=[1.0, None]), False, SchemaError,
+                        "field 'P[1]' must be a number"),
+    "bool coordinate": (_reflections(p=[True, 2.0]), False, SchemaError,
+                        "field 'P[0]' must be a number"),
+    "nested list coordinate": (_reflections(p=[[1.0], 2.0]), False, SchemaError,
+                               "field 'P[0]' must be a number"),
+    "a str after a huge coordinate": (_reflections(p=[1e151, "2"]), False, SchemaError,
+                                      "field 'P[1]' must be a number"),
+    "NaN X[1]": (
+        _segment_instance("plane_recover", [0.0, math.nan], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]),
+        False, ValidationError, "field 'X[1]' must be finite"),
+    "first bad field wins": (
+        _segment_instance("plane_recover", [0.0, 0.0], [1.0, math.inf], ["0"], [1.0, 0.0]),
+        False, ValidationError, "field 'Y[1]' must be finite"),
+    "1e400 coordinate": (_reflections(p=[1e400, 2.0]), False, ValidationError,
+                         "field 'P[0]' must be finite"),
+    "integer coordinate beyond the float range": (
+        _reflections(p=[0.0, 10**400]), False, ValidationError, "field 'P[1]' must be finite"),
+    "integer angle beyond the float range": (
+        _reflections(theta=-(10**400)), False, ValidationError, "field 'theta' must be finite"),
+    "str angle": (_reflections(theta="0.5"), False, SchemaError, "field 'theta' must be a number"),
+    "bool angle": (_reflections(theta=False), False, SchemaError,
+                   "field 'theta' must be a number"),
+    "extra and missing fields": (
+        {"kind": "plane_reflections", "P": [0.0, 2.0], "kind2": 2, "Q": 1}, False, SchemaError,
+        "unexpected fields for kind 'plane_reflections': ['Q', 'kind2']"),
+    "missing fields": ({"kind": "plane_compose", "H": [0.0, 0.0], "G": [0.0, 0.0]}, False,
+                       SchemaError, "missing fields for kind 'plane_compose': ['alpha', 'beta']"),
+    "plane coordinate beyond 1e150": (_reflections(p=[0.0, -2e150]), False, ValidationError,
+                                      "field 'P': coordinates beyond 1e+150 are not accepted"),
+    "non-unit sphere point": (
+        _segment_instance("sphere_recover", _E1, [0.0, 1.0, 0.5], _E1, _E2), False, ValidationError,
+        "field 'Y': |v| = 1.11803399 is not within 1e-06 of 1"),
+    "coincident plane segment": (
+        _segment_instance("plane_recover", [1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [1.0, 0.0]), False,
+        ValidationError, "segment endpoints coincide"),
+    "antipodal sphere segment": (
+        _segment_instance("sphere_recover", _E1, _E2, _E2, [0.0, -1.0, 0.0]), False,
+        ValidationError, "antipodal endpoints lie on infinitely many great circles"),
+    "str angle in degrees": (_reflections(theta="0.5"), True, SchemaError,
+                             "field 'theta' must be a number"),
+    "bool angle in degrees": (_reflections(theta=True), True, SchemaError,
+                              "field 'theta' must be a number"),
+    "1e400 angle in degrees": (_reflections(theta=1e400), True, ValidationError,
+                               "field 'theta' must be finite"),
+    "integer angle in degrees beyond the float range": (
+        _reflections(theta=10**400), True, ValidationError, "field 'theta' must be finite"),
+    "not an object": ([1], False, SchemaError, "an instance must be a JSON object"),
+    "no kind": ({"P": [0.0, 0.0]}, False, SchemaError, "missing field 'kind'"),
+    "int kind": ({"kind": 3}, False, SchemaError, "unknown kind 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_INSTANCES))
+def test_each_bad_instance_raises_its_exact_error(name):
+    obj, degrees, error, message = _BAD_INSTANCES[name]
+    with pytest.raises(_CATCHABLE) as info:
+        instance_from_obj(obj, degrees=degrees)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_the_degrees_reader_converts_only_angles():
+    inst = instance_from_obj(_reflections(p=[90, 1.5], theta=90), degrees=True)
+    assert inst.payload == {"pivot": Vec2(90.0, 1.5), "theta": math.pi / 2}
+    assert type(inst.payload["pivot"].x) is float
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("kind", ["sphere_recover", "baseball"])
 def test_a_half_turn_onto_the_antipode_solves_by_every_route(tmp_path, capsys, kind, method):
@@ -1124,6 +1213,24 @@ def test_writer_matches_json_dumps_on_float_edges():
     for x in _FLOAT_EDGES:
         for v in (x, -x):
             assert _write(v) == _oracle(v), v
+
+
+class _Str(str):
+    pass
+
+
+def test_writer_matches_json_dumps_on_edge_types():
+    np = pytest.importorskip("numpy")
+    values = [
+        np.float64(0.1), np.float64(1 / 3), np.float64(1e-7), np.float64(-0.0),
+        True, False, None, 0, -7, 10**20,
+        OrderedDict([("b", 1 / 3), ("a", [True, None, np.float64(2 / 3)])]),
+        _Str("sé\n"), {_Str("k"): _Str("v")}, [_Str("a"), 0.5],
+        [[], {}, [[]], {"": {}}, [{}], {"a": []}],
+    ]
+    for v in values:
+        assert _write(v) == _oracle(v), v
+        assert _write([v, {"v": v}], "\n  ") == _oracle([v, {"v": v}]).replace("\n", "\n  ")
 
 
 @given(st.one_of(
