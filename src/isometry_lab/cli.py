@@ -519,11 +519,19 @@ def _put(obj, newline: str, out: list[str]) -> None:
 
 
 def _float(x: float) -> str:
-    """`x` rounded to 10 significant digits. In fixed notation (|x| in [1e-4, 1e10))
-    that is already its own shortest repr; other forms are parsed back and
-    reprinted. Rounding can overflow: 1.7976931348623157e308 rounds to infinity."""
+    """`x` rounded to 10 significant digits, as `repr` prints the rounded float.
+    A normal float holds more than 10 digits, so where `repr` uses the same
+    notation (fixed with a point, e-notation with an exponent from -5 to -307)
+    the 10-digit text is its shortest repr, and fixed text without a point
+    lacks only ".0". Large, subnormal and non-finite values are parsed back
+    and reprinted. Rounding can overflow: 1.7976931348623157e308 rounds to infinity."""
     s = f"{x:.10g}"
-    if "." in s and "e" not in s:
+    if "e" not in s:
+        if "." in s:
+            return s
+        if math.isfinite(x):
+            return s + ".0"
+    elif "e-" in s and int(s.rpartition("-")[2]) <= 307:
         return s
     x = float(s)
     return repr(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity

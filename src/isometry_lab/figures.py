@@ -27,6 +27,7 @@ _STROKES = {
 class _Styled:
     """An element whose `style` must be one of its class's STYLES."""
 
+    __slots__ = ()
     STYLES = tuple(_STROKES)
 
     def __post_init__(self):

@@ -92,28 +92,53 @@ def _refuse_del(self, name):
 
 
 def _value(cls):
-    """Give `cls` the methods of an immutable standard-library data class,
+    """Rebuild `cls` as an immutable, slotted standard-library data class,
     without importing that module (and the `inspect` it loads).
 
     The fields are the names annotated in `cls` and its bases, base fields
-    first; a class attribute of the same name is a field's default. Only
-    `__init__`, a hot path, is compiled per class; it ends by calling
-    `self.__post_init__()` if the class has one. `==`, `repr` and `hash` go
-    by the fields, and setting or deleting an attribute raises.
+    first; a class attribute of the same name is a field's default, and
+    moves to the defaults of `__init__`. Each field the bases do not already
+    hold gets a slot, and the class gets a `__weakref__` slot unless a base
+    has one, so instances have no `__dict__`. Only `__init__`, a hot path, is
+    compiled per class: it stores each field through its slot's `__set__`
+    and ends by calling `self.__post_init__()` if the class has one. `==`,
+    `repr` and `hash` go by the fields, copy and pickle carry the field row,
+    and setting or deleting an attribute raises.
     """
     names = tuple(dict.fromkeys(
         n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
-    defaults = {f"_d_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
-    params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in defaults else f", {n}" for n in names)
-    body = [f"_set(self, {n!r}, {n})" for n in names]
+    held, defaults = set(), {}
+    for c in reversed(cls.__mro__[1:]):
+        if "__match_args__" in c.__dict__:  # a value base: its defaults live in its __init__
+            given = c.__init__.__defaults__ or ()
+            defaults.update(zip(c.__match_args__[len(c.__match_args__) - len(given):], given))
+        held.update(c.__dict__.get("__slots__", ()))
+    ns = dict(cls.__dict__)
+    defaults.update((n, ns.pop(n)) for n in names if n in ns)
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    weak = () if any(hasattr(b, "__weakref__") for b in cls.__bases__) else ("__weakref__",)
+    ns["__slots__"] = tuple(n for n in names if n not in held) + weak
+    ns["__qualname__"] = cls.__qualname__
+    cls = type(cls)(cls.__name__, cls.__bases__, ns)
+
+    # each slot's own setter, not object.__setattr__ (a generic lookup per field), nor
+    # self.__dict__ (writing it makes CPython 3.11 drop its inline attribute values)
+    setters = tuple(getattr(cls, n).__set__ for n in names)
+    made = {f"_set_{n}": put for n, put in zip(names, setters)}
+    made.update((f"_d_{n}", v) for n, v in defaults.items())
+    params = "".join(f", {n}=_d_{n}" if n in defaults else f", {n}" for n in names)
+    body = [f"_set_{n}(self, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    # not self.__dict__: writing it makes CPython 3.11 drop its inline attribute values
-    made = {"_set": object.__setattr__, **defaults}
     exec(f"def __init__(self{params}):\n    " + ("\n    ".join(body) or "pass"), made)
 
     def row(self):
         return tuple([getattr(self, n) for n in names])
+
+    def __setstate__(self, state):
+        for put, v in zip(setters, state):
+            put(self, v)
 
     def __eq__(self, other):
         return row(self) == row(other) if other.__class__ is self.__class__ else NotImplemented
@@ -125,9 +150,10 @@ def _value(cls):
     def __hash__(self):
         return hash(row(self))
 
-    for method in (made["__init__"], __eq__, __repr__, __hash__):
+    for method in (made["__init__"], __eq__, __repr__, __hash__, __setstate__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    cls.__getstate__ = row
     cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
     cls.__match_args__ = names
     return cls

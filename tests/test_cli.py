@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -39,6 +40,7 @@ from isometry_lab.cli import (
     ProblemInstance,
     _block,
     _error_payload,
+    _float,
     _to_degrees_record,
     _write,
     exit_code_for,
@@ -1213,6 +1215,32 @@ def test_writer_matches_json_dumps_on_float_edges():
     for x in _FLOAT_EDGES:
         for v in (x, -x):
             assert _write(v) == _oracle(v), v
+
+
+def _float_by_parse_back(x: float) -> str:
+    """The writer's float text as first defined: the 10-digit rounding parsed
+    back as a float and printed by json.dumps."""
+    return json.dumps(float(f"{x:.10g}"))
+
+
+def _float_cases():
+    rng = random.Random(24)
+    yield from _FLOAT_EDGES
+    yield from (1e-5, 1e-307, 9.9999999995e-308, 1e-308, 1e-320, 1e15, 9999999999999998.0)
+    for _ in range(20000):  # random bit patterns: every exponent, NaN payloads, infinities
+        yield struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+    for _ in range(5000):
+        yield rng.getrandbits(rng.randint(1, 52)) * 5e-324  # subnormals, every binade
+        yield rng.uniform(1e10, 1e16)
+        yield float(rng.randint(-10**10, 10**10))  # integral, some with no point in 10 digits
+        yield rng.random() * 10.0 ** rng.randint(-307, -3)  # every normal negative decade
+        yield math.nextafter(10.0 ** rng.randint(-307, -5), rng.choice((0.0, 1.0)))
+
+
+def test_float_text_matches_its_parse_back_definition():
+    for x in _float_cases():
+        for v in (x, -x):
+            assert _float(v) == _float_by_parse_back(v), v
 
 
 class _Str(str):
