@@ -23,8 +23,7 @@ import math
 from .errors import IdentityRotation, NotARotation, SingularMatrix
 
 __all__ = [
-    "Eig3Result", "Mat2", "Mat3", "Vec2", "Vec3", "cross", "cross2", "eig3_rotation", "solve2",
-    "wrap_angle",
+    "Eig3Result", "Mat3", "Vec2", "Vec3", "cross", "cross2", "eig3_rotation", "solve2", "wrap_angle",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -248,46 +247,17 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-@_value
-class Mat2:
-    """2x2 matrix, row major."""
-
-    m00: float
-    m01: float
-    m10: float
-    m11: float
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def rotation(theta: float) -> "Mat2":
-        """Counterclockwise rotation about the origin."""
-        c, s = math.cos(theta), math.sin(theta)
-        return Mat2(c, -s, s, c)
-
-    def mv(self, v: Vec2) -> Vec2:
-        return Vec2(self.m00 * v.x + self.m01 * v.y, self.m10 * v.x + self.m11 * v.y)
-
-    def det(self) -> float:
-        return self.m00 * self.m11 - self.m01 * self.m10
-
-
-def solve2(m: Mat2, b: Vec2) -> Vec2:
-    """Solve m x = b by Cramer's rule.
+def solve2(m00: float, m01: float, m10: float, m11: float, b0: float, b1: float) -> Vec2:
+    """Solve [[m00, m01], [m10, m11]] x = (b0, b1) by Cramer's rule.
 
     Raises SingularMatrix when |det| <= SOLVE2_RTOL * (max row norm)^2; the
-    squared row norm makes the test invariant under uniform scaling of m.
+    squared row norm makes the test invariant under uniform scaling of the matrix.
     """
-    det = m.det()
-    row = max(math.hypot(m.m00, m.m01), math.hypot(m.m10, m.m11))
+    det = m00 * m11 - m01 * m10
+    row = max(math.hypot(m00, m01), math.hypot(m10, m11))
     if abs(det) <= SOLVE2_RTOL * row * row:
         raise SingularMatrix(f"2x2 system is singular (det={det:.3g})")
-    return Vec2(
-        (b.x * m.m11 - m.m01 * b.y) / det,
-        (m.m00 * b.y - b.x * m.m10) / det,
-    )
+    return Vec2((b0 * m11 - m01 * b1) / det, (m00 * b1 - b0 * m10) / det)
 
 
 Xyz = tuple[float, float, float]

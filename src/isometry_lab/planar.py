@@ -19,8 +19,8 @@ from .errors import (
     SingularMatrix,
     ZeroAngle,
 )
-from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, SAME_LINE_RTOL
-from .linalg import Mat2, Vec2, _value, check_coords, check_tol, cross2, solve2, wrap_angle
+from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, NORMALIZE_MIN, SAME_LINE_RTOL
+from .linalg import Vec2, _value, check_coords, check_tol, cross2, solve2, wrap_angle
 
 __all__ = [
     "Identity2", "Line2", "PlanarIsometry", "Reflection2", "Rotation2", "Segment2", "Translation2",
@@ -73,7 +73,7 @@ class Line2:
             raise ValueError("line direction must be nonzero")
         if n != 1.0:
             x, y = self.direction.x, self.direction.y
-            if n == math.inf:  # the squares overflowed: shrink by the larger component first
+            if not NORMALIZE_MIN <= n < math.inf:  # too long or too short to divide by: rescale first
                 m = max(abs(x), abs(y))
                 x, y = x / m, y / m
                 n = math.hypot(x, y)
@@ -105,6 +105,7 @@ class Segment2:
     def __post_init__(self):
         if not (_finite2(self.a) and _finite2(self.b)):
             raise ValueError("segment endpoints must be finite")
+        check_coords(self.a, self.b)
         scale = max(1.0, self.a.norm(), self.b.norm())
         if self.a.dist(self.b) <= COINCIDENT_RTOL * scale:
             raise DegenerateSegment("segment endpoints coincide")
@@ -121,7 +122,7 @@ def signed_angle(u: Vec2, v: Vec2) -> float:
 def apply_planar(iso: PlanarIsometry, p: Vec2) -> Vec2:
     """Evaluate an isometry at a point."""
     if isinstance(iso, Rotation2):
-        # pivot + Mat2.rotation(angle).mv(p - pivot), in its operation order
+        # pivot + R (p - pivot), R = [[c, -s], [s, c]] applied row by row
         q = iso.pivot
         c, s = math.cos(iso.angle), math.sin(iso.angle)
         dx, dy = p.x - q.x, p.y - q.y
@@ -164,7 +165,7 @@ def _intersect_lines(l1: Line2, l2: Line2) -> Vec2 | None:
     """Intersection point, or None when the lines are parallel."""
     p, d, q, e = l1.point, l1.direction, l2.point, l2.direction
     try:
-        t = solve2(Mat2(d.x, -e.x, d.y, -e.y), Vec2(q.x - p.x, q.y - p.y)).x
+        t = solve2(d.x, -e.x, d.y, -e.y, q.x - p.x, q.y - p.y).x
     except SingularMatrix:
         return None
     return Vec2(p.x + d.x * t, p.y + d.y * t)
@@ -185,18 +186,17 @@ def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) ->
     Angles below ANGLE_MIN give the translation by `translation()`, or the
     identity when that vector is negligible against the scale of `points`.
     Any other angle gives the rotation whose pivot p solves
-    (I - R) p = pivot_rhs(c, s), R = Mat2.rotation(theta) = [[c, -s], [s, c]];
-    pivot_rhs applies R on floats, in the operation order of Mat2.mv.
+    (I - R) p = pivot_rhs(c, s), R = [[c, -s], [s, c]] the turn by theta;
+    pivot_rhs returns that right-hand side as a float pair.
     """
     if abs(theta) < ANGLE_MIN:
         return _translation(translation(), _point_scale(*points))
     c, s = math.cos(theta), math.sin(theta)
-    return Rotation2(solve2(Mat2(1.0 - c, s, -s, 1.0 - c), pivot_rhs(c, s)), theta)
+    return Rotation2(solve2(1.0 - c, s, -s, 1.0 - c, *pivot_rhs(c, s)), theta)
 
 
 def _check_lengths(src: Segment2, dst: Segment2, tol: float) -> None:
     check_tol(tol)
-    check_coords(src.a, src.b, dst.a, dst.b)
     ls, ld = src.length(), dst.length()
     if abs(ls - ld) > tol * max(ls, ld):
         raise LengthMismatch(
@@ -215,9 +215,9 @@ def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) ->
     (I - R) p = dst.a - R src.a.
     """
     _check_lengths(src, dst, tol)
-    d = src.a - src.b
+    dx, dy = src.a.x - src.b.x, src.a.y - src.b.y
     try:
-        cs = solve2(Mat2(d.x, -d.y, d.y, d.x), dst.a - dst.b)
+        cs = solve2(dx, -dy, dy, dx, dst.a.x - dst.b.x, dst.a.y - dst.b.y)
     except SingularMatrix as exc:
         raise DegenerateSegment("source segment endpoints coincide") from exc
     theta = math.atan2(cs.y, cs.x)
@@ -225,7 +225,7 @@ def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) ->
     return _isometry(
         theta,
         lambda: q - p,
-        lambda c, s: Vec2(q.x - (c * p.x - s * p.y), q.y - (s * p.x + c * p.y)),  # q - R p
+        lambda c, s: (q.x - (c * p.x - s * p.y), q.y - (s * p.x + c * p.y)),  # q - R p
         (src.a, src.b, dst.a, dst.b),
     )
 
@@ -337,8 +337,11 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
     c1, s1 = math.cos(t1), math.sin(t1)
     return _isometry(
         wrap_angle(t1 + t2),
-        lambda: (q1 - p2) - Mat2.rotation(t1).mv(p1 - q2),
-        lambda c, s: Vec2(  # q1 + R1 q2 - R p2 - R1 p1
+        lambda: Vec2(  # (q1 - p2) - R1 (p1 - q2)
+            (q1.x - p2.x) - (c1 * (p1.x - q2.x) - s1 * (p1.y - q2.y)),
+            (q1.y - p2.y) - (s1 * (p1.x - q2.x) + c1 * (p1.y - q2.y)),
+        ),
+        lambda c, s: (  # q1 + R1 q2 - R p2 - R1 p1
             q1.x + (c1 * q2.x - s1 * q2.y) - (c * p2.x - s * p2.y) - (c1 * p1.x - s1 * p1.y),
             q1.y + (s1 * q2.x + c1 * q2.y) - (s * p2.x + c * p2.y) - (s1 * p1.x + c1 * p1.y),
         ),

@@ -1,15 +1,17 @@
 """Every float kernel against the vector expression it replaced.
 
 The hot geometric primitives compute on floats instead of building
-intermediate Vec2/Vec3/Mat2 values. Each keeps the operation order of the
-expression it replaced, so its output must match that expression bit for
-bit. The replaced expressions live on here as oracles and are compared
+intermediate Vec2/Vec3 values or 2x2 matrices. Each keeps the operation
+order of the expression it replaced, so its output must match that
+expression bit for bit. The replaced expressions live on here as oracles,
+with a test-local 2x2 matrix model for the plane's, and are compared
 through their IEEE 754 bit patterns: `==` would let a -0.0 pass for 0.0.
 """
 
 import itertools
 import math
 import struct
+from typing import NamedTuple
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -32,7 +34,6 @@ from isometry_lab import (
     IdentityRotation,
     InternalCheckError,
     Line2,
-    Mat2,
     Mat3,
     NonUnitVector,
     NotARotation,
@@ -137,9 +138,27 @@ def _outcome(fn, *args):
 # the replaced expressions
 
 
+class _Mat2(NamedTuple):
+    """2x2 matrix, row major, as the plane oracles multiply it."""
+
+    m00: float
+    m01: float
+    m10: float
+    m11: float
+
+    @staticmethod
+    def rotation(theta):
+        """Counterclockwise rotation about the origin."""
+        c, s = math.cos(theta), math.sin(theta)
+        return _Mat2(c, -s, s, c)
+
+    def mv(self, v):
+        return Vec2(self.m00 * v.x + self.m01 * v.y, self.m10 * v.x + self.m11 * v.y)
+
+
 def _apply_planar_oracle(iso, p):
     if isinstance(iso, Rotation2):
-        return iso.pivot + Mat2.rotation(iso.angle).mv(p - iso.pivot)
+        return iso.pivot + _Mat2.rotation(iso.angle).mv(p - iso.pivot)
     return p + iso.v
 
 
@@ -151,9 +170,10 @@ def _bisector_oracle(a, b):
 
 
 def _intersect_oracle(l1, l2):
-    m = Mat2(l1.direction.x, -l2.direction.x, l1.direction.y, -l2.direction.y)
+    m = _Mat2(l1.direction.x, -l2.direction.x, l1.direction.y, -l2.direction.y)
+    b = l2.point - l1.point
     try:
-        ts = solve2(m, l2.point - l1.point)
+        ts = solve2(*m, b.x, b.y)
     except SingularMatrix:
         return None
     return l1.point + l1.direction * ts.x
@@ -204,15 +224,16 @@ def _isometry_oracle(theta, translation, pivot_rhs, points):
         if v.norm() <= COINCIDENT_RTOL * planar._point_scale(*points):
             return planar.Identity2()
         return Translation2(v)
-    r = Mat2.rotation(theta)
-    lhs = Mat2(1.0 - r.m00, -r.m01, -r.m10, 1.0 - r.m11)
-    return Rotation2(solve2(lhs, pivot_rhs(r)), theta)
+    r = _Mat2.rotation(theta)
+    lhs = _Mat2(1.0 - r.m00, -r.m01, -r.m10, 1.0 - r.m11)
+    b = pivot_rhs(r)
+    return Rotation2(solve2(*lhs, b.x, b.y), theta)
 
 
 def _compose_planar_oracle(outer, inner):
     t1, p1, q1 = planar._anchored_form(outer)
     t2, p2, q2 = planar._anchored_form(inner)
-    r1 = Mat2.rotation(t1)
+    r1 = _Mat2.rotation(t1)
     return _isometry_oracle(
         wrap_angle(t1 + t2),
         lambda: (q1 - p2) - r1.mv(p1 - q2),
@@ -223,9 +244,9 @@ def _compose_planar_oracle(outer, inner):
 
 def _recover_planar_oracle(src, dst):
     planar._check_lengths(src, dst, 1e-9)
-    d = src.a - src.b
+    d, b = src.a - src.b, dst.a - dst.b
     try:
-        cs = solve2(Mat2(d.x, -d.y, d.y, d.x), dst.a - dst.b)
+        cs = solve2(d.x, -d.y, d.y, d.x, b.x, b.y)
     except SingularMatrix as exc:
         raise DegenerateSegment("source segment endpoints coincide") from exc
     return _isometry_oracle(

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import isometry_lab.cli as cli
 from golden.make_corpus import replay
+from helpers import refuse_algebraic_routes
 
 CASES = Path(__file__).resolve().parent / "golden" / "cases"
 
@@ -30,3 +32,31 @@ def test_case_reproduces_its_recorded_output(name, tmp_path):
     assert sorted(got) == sorted(want)
     for fname in want:
         assert got[fname] == want[fname], f"{name}: {fname} differs"
+
+
+@pytest.fixture
+def geometric_only(monkeypatch):
+    """Make every algebraic route raise. The CLI reaches the geometric sphere
+    recovery through recover_sphere_rotation too, so that one entry point
+    still runs, for method "geometric" only."""
+    real = cli.recover_sphere_rotation
+    refuse_algebraic_routes(monkeypatch)
+
+    def recover(*args, method, **kwargs):
+        if method != "geometric":
+            raise AssertionError(f"the {method} route ran")
+        return real(*args, method=method, **kwargs)
+
+    monkeypatch.setattr(cli, "recover_sphere_rotation", recover)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CASES.glob("*_geometric")))
+def test_a_geometric_case_runs_no_algebraic_route(name, tmp_path, geometric_only):
+    assert replay(CASES / name, tmp_path) == _recorded(CASES / name)
+
+
+@pytest.mark.parametrize("name", ["plane_recover_algebraic", "sphere_recover_algebraic"])
+def test_the_refusal_stops_an_algebraic_case(name, tmp_path, geometric_only):
+    # the check above is not vacuous: the same refusal stops an algebraic case
+    with pytest.raises(AssertionError, match="route ran"):
+        replay(CASES / name, tmp_path)

@@ -14,7 +14,6 @@ from isometry_lab import (
     Identity2,
     LengthMismatch,
     Line2,
-    Mat2,
     ParallelBisectors,
     Reflection2,
     Rotation2,
@@ -122,6 +121,13 @@ class TestReflect:
         assert _close(quarter.pivot, Vec2(0.0, 0.0), 1e-15)
         assert math.isclose(quarter.angle, math.pi / 2, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("x, y", [(5e-324, 5e-324), (1e-320, 1e-320), (6 * 5e-324, 5e-324)])
+    def test_a_direction_too_short_to_square_is_still_a_unit_vector(self, x, y):
+        # subnormal components: their norm keeps too few digits to divide by
+        d = Line2(Vec2(0.0, 0.0), Vec2(x, y)).direction
+        k = x / y
+        assert _close(d, Vec2(k / math.hypot(k, 1.0), 1.0 / math.hypot(k, 1.0)), 1e-15)
+
 
 class TestOrientationSign:
     def test_ccw(self):
@@ -178,14 +184,19 @@ class TestRecoverPlanar:
         with pytest.raises(DegenerateSegment):
             Segment2(Vec2(1, 1), Vec2(1, 1))
 
+    def test_far_apart_endpoints_are_refused_for_their_size_not_as_coincident(self):
+        # the norms overflow, so a coincidence cut scaled by them would be inf
+        with pytest.raises(ValueError, match=r"coordinates beyond 1e\+150"):
+            Segment2(Vec2(1.5e308, 1.5e308), Vec2(0.0, 0.0))
+
     def test_solved_cosine_sine_lands_on_unit_circle(self):
         rng = random.Random(23)
         for _ in range(200):
             rot = rand_rotation2(rng)
             src = rand_segment2(rng)
             dst = Segment2(apply_planar(rot, src.a), apply_planar(rot, src.b))
-            d = src.a - src.b
-            cs = solve2(Mat2(d.x, -d.y, d.y, d.x), dst.a - dst.b)
+            d, b = src.a - src.b, dst.a - dst.b
+            cs = solve2(d.x, -d.y, d.y, d.x, b.x, b.y)
             assert abs(cs.norm() - 1.0) <= 1e-9
 
     def test_round_trip(self):

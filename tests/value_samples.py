@@ -23,7 +23,7 @@ from isometry_lab.figures import (
     Marker,
     SegmentElement,
 )
-from isometry_lab.linalg import Eig3Result, Mat2, Mat3, Vec2, Vec3
+from isometry_lab.linalg import Eig3Result, Mat3, Vec2, Vec3
 from isometry_lab.planar import Identity2, Line2, Reflection2, Rotation2, Segment2, Translation2
 from isometry_lab.spherical import (
     GreatCircle,
@@ -42,7 +42,6 @@ _LINE = Line2(Vec2(0.0, 0.0), Vec2(0.0, 1.0))
 SAMPLES = {
     Vec2: ((1.0, 2.0), (1.0, -2.0)),
     Vec3: ((1.0, 0.0, 0.0), (0.0, 1.0, -0.0)),
-    Mat2: ((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 5.0)),
     Mat3: ((_I3,), (_QUARTER_TURN,)),
     Eig3Result: ((1.0, Vec3(0.0, 0.0, 1.0), (0.6, 0.8)), (1.0, Vec3(0.0, 0.0, 1.0), (0.8, 0.6))),
     Rotation2: ((Vec2(1.0, 2.0), 7.0), (Vec2(1.0, 2.0), 0.5)),
