@@ -99,8 +99,9 @@ def _value(cls):
     moves to the defaults of `__init__`. Each field the bases do not already
     hold gets a slot, and the class gets a `__weakref__` slot unless a base
     has one, so instances have no `__dict__`. Only `__init__`, a hot path, is
-    compiled per class: it stores each field through its slot's `__set__`
-    and ends by calling `self.__post_init__()` if the class has one. `==`,
+    compiled per class: it swaps its arguments for the row `_canonical(*fields)`
+    returns if the class has that, stores each field once through its slot's
+    `__set__`, then calls `self.__post_init__()` if the class has one. `==`,
     `repr` and `hash` go by the fields, copy and pickle carry the field row,
     and setting or deleting an attribute raises.
     """
@@ -128,6 +129,9 @@ def _value(cls):
     made.update((f"_d_{n}", v) for n, v in defaults.items())
     params = "".join(f", {n}=_d_{n}" if n in defaults else f", {n}" for n in names)
     body = [f"_set_{n}(self, {n})" for n in names]
+    if hasattr(cls, "_canonical"):
+        made["_canonical"] = cls._canonical
+        body.insert(0, f"{', '.join(names)}, = _canonical({', '.join(names)})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec(f"def __init__(self{params}):\n    " + ("\n    ".join(body) or "pass"), made)

@@ -41,10 +41,11 @@ class Rotation2:
     pivot: Vec2
     angle: float
 
-    def __post_init__(self):
-        if not (_finite2(self.pivot) and math.isfinite(self.angle)):
+    @staticmethod
+    def _canonical(pivot, angle):
+        if not (_finite2(pivot) and math.isfinite(angle)):
             raise ValueError("rotation parameters must be finite")
-        object.__setattr__(self, "angle", wrap_angle(self.angle))
+        return pivot, wrap_angle(angle)
 
 
 @_value
@@ -65,19 +66,21 @@ class Line2:
     point: Vec2
     direction: Vec2
 
-    def __post_init__(self):
-        if not (_finite2(self.point) and _finite2(self.direction)):
+    @staticmethod
+    def _canonical(point, direction):
+        if not (_finite2(point) and _finite2(direction)):
             raise ValueError("line parameters must be finite")
-        n = self.direction.norm()
+        n = direction.norm()
         if n == 0.0:
             raise ValueError("line direction must be nonzero")
         if n != 1.0:
-            x, y = self.direction.x, self.direction.y
+            x, y = direction.x, direction.y
             if not NORMALIZE_MIN <= n < math.inf:  # too long or too short to divide by: rescale first
                 m = max(abs(x), abs(y))
                 x, y = x / m, y / m
                 n = math.hypot(x, y)
-            object.__setattr__(self, "direction", Vec2(x / n, y / n))
+            direction = Vec2(x / n, y / n)
+        return point, direction
 
 
 @_value
@@ -146,11 +149,7 @@ def reflect(line: Line2, p: Vec2) -> Vec2:
 def orientation_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
     """+1 when a, b, c wind counterclockwise, -1 clockwise, 0 collinear."""
     area2 = cross2(b - a, c - a)
-    if area2 > 0.0:
-        return 1
-    if area2 < 0.0:
-        return -1
-    return 0
+    return (area2 > 0.0) - (area2 < 0.0)
 
 
 def perpendicular_bisector(a: Vec2, b: Vec2) -> Line2:
@@ -256,10 +255,8 @@ def _pivot_geometric(src: Segment2, dst: Segment2, scale: float) -> Vec2:
     fixed_a, fixed_b = _fixed_endpoints(src, dst, scale)
     if fixed_a and fixed_b:
         raise DegenerateBisector("both endpoints are fixed; any point is a candidate pivot")
-    if fixed_a:
-        return src.a
-    if fixed_b:
-        return src.b
+    if fixed_a or fixed_b:
+        return src.a if fixed_a else src.b
 
     la = perpendicular_bisector(src.a, dst.a)
     lb = perpendicular_bisector(src.b, dst.b)

@@ -82,15 +82,12 @@ class Rotation3:
     axis: UnitVector3
     angle: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
+    @staticmethod
+    def _canonical(axis, angle):
+        if not math.isfinite(angle):
             raise ValueError("rotation angle must be finite")
-        object.__setattr__(self, "axis", _as_unit(self.axis))
-        a = wrap_angle(self.angle)
-        if a < 0.0:
-            object.__setattr__(self, "axis", -self.axis)
-            a = -a
-        object.__setattr__(self, "angle", a)
+        axis, a = _as_unit(axis), wrap_angle(angle)
+        return (-axis, -a) if a < 0.0 else (axis, a)
 
 
 @_value
@@ -100,8 +97,9 @@ class GreatCircle:
 
     normal: UnitVector3
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", _as_unit(self.normal))
+    @staticmethod
+    def _canonical(normal):
+        return (_as_unit(normal),)
 
 
 @_value
@@ -115,13 +113,14 @@ class SphereSegment:
     a: UnitVector3
     b: UnitVector3
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_unit(self.a))
-        object.__setattr__(self, "b", _as_unit(self.b))
-        if self.a.dist(self.b) <= SPHERE_CHORD_MIN:
+    @staticmethod
+    def _canonical(a, b):
+        a, b = _as_unit(a), _as_unit(b)
+        if a.dist(b) <= SPHERE_CHORD_MIN:
             raise CoincidentPoints("segment endpoints coincide")
-        if _antipodal(self.a, self.b):
+        if _antipodal(a, b):
             raise AntipodalPoints("antipodal endpoints lie on infinitely many great circles")
+        return a, b
 
 
 def _antipodal(a: Vec3, b: Vec3) -> bool:

@@ -79,6 +79,15 @@ class TestRotation3:
         assert r.angle == pytest.approx(0.5, abs=1e-12)
         assert _close3(r.axis, Z, 1e-15)
 
+    def test_a_negative_angle_stores_the_renormalized_negated_axis(self):
+        # -axis is built as a UnitVector3, so it is renormalized once more: not the plain negation
+        u = UnitVector3(0.6, 0.0, 0.8000001)
+        axis = Rotation3(u, -0.5).axis
+        flipped = UnitVector3(-u.x, -u.y, -u.z)
+        assert [c.hex() for c in (axis.x, axis.y, axis.z)] == [
+            c.hex() for c in (flipped.x, flipped.y, flipped.z)]
+        assert (axis.x, -u.x) == (-0.5999999520000028, -0.5999999520000027)
+
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_angle(self, angle):
         with pytest.raises(ValueError, match="rotation angle must be finite"):
