@@ -8,12 +8,15 @@ read from the trace and the skew part, and the eigenvector comes from the
 null space of (M - I).
 
 The hot kernels (`apply_planar`, `a.dist(b)` for `(a - b).norm()`, the
-leaf constructions of `planar` and `spherical`, the sphere solve's axis
-constructions, residual, rotation check and eigensolve, and the sphere
-samplers and planar renderer of `figures`) work on floats and build no
-intermediate vectors, in the operation order of the vector expression
-each replaces, so every result keeps its bits; the full-precision
-digests and the golden corpus of the test suite hold them to that.
+leaf constructions of `planar` (bisectors, their crossing, the angle at a
+pivot) and `spherical`, the sphere solve's axis constructions, residual,
+rotation check and eigensolve, and the sphere samplers and planar
+renderer of `figures`) work on floats and build no intermediate vectors,
+in the operation order of the vector expression each replaces, so every
+result keeps its bits; the full-precision digests and the golden corpus
+of the test suite hold them to that. The plane's algebraic route is not
+one of them: it computes in closed form on `complex` numbers, and a
+50-digit error bound in the test suite holds its answers.
 """
 
 from __future__ import annotations
@@ -273,18 +276,6 @@ class Mat3:
     """3x3 matrix, row major."""
 
     rows: Rows3
-
-    @staticmethod
-    def identity() -> "Mat3":
-        return Mat3(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-
-    def mv(self, v: Vec3) -> Vec3:
-        r = self.rows
-        return Vec3(
-            r[0][0] * v.x + r[0][1] * v.y + r[0][2] * v.z,
-            r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
-            r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
-        )
 
     def __matmul__(self, other: "Mat3") -> "Mat3":
         # Each entry adds left to right from 0.0, so one whose products are

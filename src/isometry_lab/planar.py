@@ -1,10 +1,10 @@
 """Orientation-preserving isometries of the plane.
 
 Rotations carry a pivot point and a counterclockwise angle in (-pi, pi].
-Recovery from a segment correspondence is implemented twice: as a linear
-solve for (cos t, sin t) followed by a pivot solve, and as a
-straightedge-style construction intersecting perpendicular bisectors. The
-two routes check each other.
+Recovery from a segment correspondence is implemented twice: in closed
+form on complex numbers, the plane's isometries being z -> e^{it} z + b,
+and as a straightedge-style construction intersecting perpendicular
+bisectors. The two routes check each other.
 """
 
 from __future__ import annotations
@@ -179,19 +179,21 @@ def _translation(v: Vec2, scale: float) -> Translation2 | Identity2:
     return Identity2() if v.norm() <= COINCIDENT_RTOL * scale else Translation2(v)
 
 
-def _isometry(theta: float, translation, pivot_rhs, points: tuple[Vec2, ...]) -> PlanarIsometry:
-    """The orientation-preserving isometry with angle `theta`.
+def _one_minus_turn(theta: float) -> complex:
+    """1 - e^{i theta} from the half angle, as 2 sin^2(theta/2) - i sin(theta): nothing cancels."""
+    h = math.sin(0.5 * theta)
+    return complex(2.0 * h * h, -math.sin(theta))
 
-    Angles below ANGLE_MIN give the translation by `translation()`, or the
-    identity when that vector is negligible against the scale of `points`.
-    Any other angle gives the rotation whose pivot p solves
-    (I - R) p = pivot_rhs(c, s), R = [[c, -s], [s, c]] the turn by theta;
-    pivot_rhs returns that right-hand side as a float pair.
+
+def _isometry(theta: float, anchor: complex, d: complex, points: tuple[Vec2, ...]) -> PlanarIsometry:
+    """The orientation-preserving isometry turning by `theta` that moves `anchor` by `d`:
+    below ANGLE_MIN the translation by d (the identity when d is negligible against the
+    scale of `points`), otherwise the rotation about anchor + d / (1 - e^{i theta}).
     """
     if abs(theta) < ANGLE_MIN:
-        return _translation(translation(), _point_scale(*points))
-    c, s = math.cos(theta), math.sin(theta)
-    return Rotation2(solve2(1.0 - c, s, -s, 1.0 - c, *pivot_rhs(c, s)), theta)
+        return _translation(Vec2(d.real, d.imag), _point_scale(*points))
+    p = anchor + d / _one_minus_turn(theta)
+    return Rotation2(Vec2(p.real + 0.0, p.imag + 0.0), theta)  # + 0.0: no -0.0 pivot
 
 
 def _check_lengths(src: Segment2, dst: Segment2, tol: float) -> None:
@@ -206,27 +208,17 @@ def _check_lengths(src: Segment2, dst: Segment2, tol: float) -> None:
 def recover_planar(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) -> PlanarIsometry:
     """Find the orientation-preserving isometry taking src onto dst.
 
-    The chord equation R(src.a - src.b) = dst.a - dst.b is solved for
-    (cos t, sin t); segments of equal length make that solution land on
-    the unit circle automatically. Angles below ANGLE_MIN yield a
-    translation (the identity when the translation vector is negligible),
-    anything else a rotation with pivot solved from
-    (I - R) p = dst.a - R src.a.
+    On complex numbers the turn is e^{it} = (dst.a - dst.b) / (src.a - src.b),
+    which segments of equal length put on the unit circle. Angles below
+    ANGLE_MIN yield the translation by dst.a - src.a (the identity when it
+    is negligible), anything else the rotation about
+    src.a + (dst.a - src.a) / (1 - e^{it}).
     """
     _check_lengths(src, dst, tol)
-    dx, dy = src.a.x - src.b.x, src.a.y - src.b.y
-    try:
-        cs = solve2(dx, -dy, dy, dx, dst.a.x - dst.b.x, dst.a.y - dst.b.y)
-    except SingularMatrix as exc:
-        raise DegenerateSegment("source segment endpoints coincide") from exc
-    theta = math.atan2(cs.y, cs.x)
-    p, q = src.a, dst.a
-    return _isometry(
-        theta,
-        lambda: q - p,
-        lambda c, s: (q.x - (c * p.x - s * p.y), q.y - (s * p.x + c * p.y)),  # q - R p
-        (src.a, src.b, dst.a, dst.b),
-    )
+    a, b = complex(src.a.x, src.a.y), complex(src.b.x, src.b.y)
+    qa, qb = complex(dst.a.x, dst.a.y), complex(dst.b.x, dst.b.y)
+    turn = (qa - qb) / (a - b)
+    return _isometry(math.atan2(turn.imag, turn.real), a, qa - a, (src.a, src.b, dst.a, dst.b))
 
 
 def _fixed_endpoints(src: Segment2, dst: Segment2, scale: float) -> tuple[bool, bool]:
@@ -319,11 +311,11 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
     orientation-preserving again.
 
     With outer x -> q1 + R1 (x - p1) and inner x -> q2 + R2 (x - p2), the
-    composite is x -> R x + c with R = R1 R2 and c = q1 + R1 q2 - R p2 - R1 p1;
-    a composite translation is the displacement (q1 - p2) - R1 (p1 - q2)
-    of the inner anchor. The identity cut-off is relative to the anchors'
-    scale. Rotations about G and H whose angles cancel compose to the
-    translation by (I - R_alpha)(G - H): expand
+    composite turns by R = R1 R2 and moves the inner anchor p2 by
+    d = (q1 - p1) + (q2 - p2) + (1 - R1)(p1 - q2), computed on complex
+    numbers; its pivot is p2 + d / (1 - R). The identity cut-off is relative
+    to the anchors' scale. Rotations about G and H whose angles cancel
+    compose to the translation by (1 - R_alpha)(G - H): expand
     G + R_alpha(H + R_{-alpha}(x - H) - G). G = H gives the identity, as
     it must; the shortcut G + H is not a valid translation vector.
     """
@@ -331,19 +323,9 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
         return compose_reflections(inner, outer)
     t1, p1, q1 = _anchored_form(outer)
     t2, p2, q2 = _anchored_form(inner)
-    c1, s1 = math.cos(t1), math.sin(t1)
-    return _isometry(
-        wrap_angle(t1 + t2),
-        lambda: Vec2(  # (q1 - p2) - R1 (p1 - q2)
-            (q1.x - p2.x) - (c1 * (p1.x - q2.x) - s1 * (p1.y - q2.y)),
-            (q1.y - p2.y) - (s1 * (p1.x - q2.x) + c1 * (p1.y - q2.y)),
-        ),
-        lambda c, s: (  # q1 + R1 q2 - R p2 - R1 p1
-            q1.x + (c1 * q2.x - s1 * q2.y) - (c * p2.x - s * p2.y) - (c1 * p1.x - s1 * p1.y),
-            q1.y + (s1 * q2.x + c1 * q2.y) - (s * p2.x + c * p2.y) - (s1 * p1.x + c1 * p1.y),
-        ),
-        (p1, q1, p2, q2),
-    )
+    a1, b1, a2, b2 = complex(p1.x, p1.y), complex(q1.x, q1.y), complex(p2.x, p2.y), complex(q2.x, q2.y)
+    d = (b1 - a1) + (b2 - a2) + _one_minus_turn(t1) * (a1 - b2)
+    return _isometry(wrap_angle(t1 + t2), a2, d, (p1, q1, p2, q2))
 
 
 compose_rotations_planar = compose_planar

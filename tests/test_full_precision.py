@@ -39,11 +39,11 @@ CORPUS_DIGESTS = {
     "baseball/algebraic": "7902941a3a15ef572a5a2a52efc4910bb24ee7bbf21fb302a1f814038d2d35f3",
     "baseball/both": "ec5fdfe622376f4b4b751bbc1142d6749ebd1d7435630ae78a0537edd2fddf5d",
     "baseball/geometric": "e48d2653c017cf1c3ad8750f7cf1b47f97fd4c87adb761ce0adbde8a56c7ca96",
-    "plane_compose/algebraic": "16ad1358f79a263bc1999964ed4d485b1e6c634659a382be192062017a4e9cd7",
-    "plane_compose/both": "865580190bc52301dbff79e0b8c4c5b60abdacfe920d0551d900503817697fa4",
+    "plane_compose/algebraic": "7c176e43263876779bb08f8646dfd25437857ec9d151214b8d7936d957a1fa89",
+    "plane_compose/both": "37c0abd67d5a9ff8d41b890bef32a11a28a3e9b3573d2f441590c91e7fa7ca77",
     "plane_compose/geometric": "6132cb52d8878002bc00154d48d5f10a7e66fbff4cfc91dc62ad5599f1d6c1b8",
-    "plane_recover/algebraic": "943ad3bb65eb450a76a67480447e75ba3cbab48ae1c312a662b21574031f0a05",
-    "plane_recover/both": "45452cf196c5eb4a62314d13d4796fb1bbeb2a206e606506d1a62044a58ab00b",
+    "plane_recover/algebraic": "c971e9ee374fb1ae4c7d895d2496d166d76caaa59f2050b24e719c696102c2da",
+    "plane_recover/both": "feb50978bb1a5b993b1725ea6c44f5690a57019f6d76db29fd643580a1784898",
     "plane_recover/geometric": "5d5ca85d49d01fe29709bea5782429e466673b9d2aeea1049cb13bc1d42dbd08",
     "plane_reflections/algebraic": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/both": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
@@ -60,11 +60,11 @@ RANDOM_DIGESTS = {
     "baseball/algebraic": "a6362ac4720b6d219ed1a4a206c5026057fbccd80b073610c0ff022397b80a06",
     "baseball/both": "58d188ba7e7d7f4adb3f825ccb4c75f65fe301525df85240ae7005943c668099",
     "baseball/geometric": "39eda36abc6380c49d569b5666c20f419fa46dc03dec96257693bc1c4b8ea72a",
-    "plane_compose/algebraic": "07b060c19071eae12c0d4ca44c217498b482cad4412f631973099122f619dcec",
-    "plane_compose/both": "e39361801e99f298d348a3f45aaabdd8a8b3778e6af4f2ce59ced2c040dd66aa",
+    "plane_compose/algebraic": "59567f78b584cb7d0ef505a8f4f12293b447d3b0ebd70e8a2d63a01e013a3148",
+    "plane_compose/both": "8b0cf23c44d1002788d04bff8164ecd69a8562bf6c21b5d08899e59e411e8ca1",
     "plane_compose/geometric": "cdbcca00d93a1f9474b95a47c10f3ea593517c30f6cd207bafcdb4af89374c85",
-    "plane_recover/algebraic": "997c8fbba1c027b4ff2911aa795724119d261e74a584f75bee2ba7bcb2af3125",
-    "plane_recover/both": "4db7216a8e7a36f25ca1055fa3a229bf8a9aff06da24e9b1897855fe79f94733",
+    "plane_recover/algebraic": "928f417e9a8289696d23f09da4a88fbf57ababc721bfdae9b3e21301bdde7b07",
+    "plane_recover/both": "9d3b61d8adaca6221928c1c01d25a3ad594f7908a8e0eab05b6ffff56b24a7b4",
     "plane_recover/geometric": "81bfeffb466c78558af9698debc5a3a56041c19a9998a3ae3805811c07b4fdc3",
     "plane_reflections/algebraic": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
     "plane_reflections/both": "b40b4b41a2aff53cbb0affd401a88f8872fb7d7c5dfb2b5d59fd999b2e0fc25b",
@@ -83,11 +83,11 @@ FIGURE_DIGESTS = {
     "baseball/algebraic": "91440f4177009ababe04785908329f397e9e6088ff0a5e44802c75f16567fe72",
     "baseball/both": "91440f4177009ababe04785908329f397e9e6088ff0a5e44802c75f16567fe72",
     "baseball/geometric": "26bf73343f2136b64994415625e94a2aafd09817280c2a57c2d8b0f13e52f137",
-    "plane_compose/algebraic": "91108c09ebe916eb495e99b613f71c08a2687fc29092285251dcdecc6e6db27c",
-    "plane_compose/both": "91108c09ebe916eb495e99b613f71c08a2687fc29092285251dcdecc6e6db27c",
+    "plane_compose/algebraic": "e04e5b00f1e86be10dddb1655c7fdc1d037715a934877aa97e1eb233d1897719",
+    "plane_compose/both": "e04e5b00f1e86be10dddb1655c7fdc1d037715a934877aa97e1eb233d1897719",
     "plane_compose/geometric": "aee67fd26d4640f8005770b1aa3bd0dbae145f6d7ce11c16bf8b8ed266f146b1",
-    "plane_recover/algebraic": "5e084c773225a95da355688398d69be3bea80ae706532b3ecde23d7821f11366",
-    "plane_recover/both": "5e084c773225a95da355688398d69be3bea80ae706532b3ecde23d7821f11366",
+    "plane_recover/algebraic": "2b2838aaf3b2f6f233e19b8b407eea0721fb5ea7c651bc6af0d27754b8de1212",
+    "plane_recover/both": "2b2838aaf3b2f6f233e19b8b407eea0721fb5ea7c651bc6af0d27754b8de1212",
     "plane_recover/geometric": "ea7ad6fc5967b912baac7050eaddc068142789253ffe80153803a55101535d56",
     "plane_reflections/algebraic": "e3582f1160e477536aa5b15287a003e8335442d7dfe322ec0f32f9e2aa747d50",
     "plane_reflections/both": "e3582f1160e477536aa5b15287a003e8335442d7dfe322ec0f32f9e2aa747d50",

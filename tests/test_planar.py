@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plane_accuracy
 from helpers import (
     near_pivot_segments, rand_rotation2, rand_segment2, rand_vec2, refuse_algebraic_routes,
 )
@@ -575,3 +576,18 @@ def test_geometric_plane_solve_scales_the_points_once(monkeypatch, src, dst):
 def test_a_plane_value_refuses_a_non_finite_parameter(cls, args, message):
     with pytest.raises(ValueError, match=message):
         cls(*args)
+
+
+def test_compose_planar_misses_by_at_most_tol_times_scale():
+    # at 50 digits, on each instance's own points; only the rotations just under
+    # ANGLE_MIN that are answered as translations may miss
+    found = {**plane_accuracy.faults(plane_accuracy.near_translations),
+             **plane_accuracy.faults(plane_accuracy.edge_composes)}
+    assert found.keys() <= plane_accuracy.KNOWN_FAULTS, found
+    assert all(why.startswith("Translation2 ") for why in found.values()), found
+
+
+def test_recover_planar_misses_by_at_most_tol_times_scale():
+    found = {**plane_accuracy.faults(plane_accuracy.far_pivot),
+             **plane_accuracy.faults(plane_accuracy.edge_recovers)}
+    assert found == {}
