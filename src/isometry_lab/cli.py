@@ -60,10 +60,10 @@ from .spherical import (
     _compose_sphere_geometric,
     _dist_xyz,
     _image_xyz,
+    _recover_sphere,
     apply_sphere,
     chord_arcsin_angle,
     compose_sphere_rotations,
-    recover_sphere_rotation,
 )
 
 __all__ = ["ProblemInstance", "SolutionRecord", "parse_instance", "run", "run_baseball"]
@@ -254,12 +254,12 @@ def _solve_both_ways(method, tol, algebraic, geometric, pairs, apply, as_dict, n
                      dist=Vec2.dist):
     """Run the routes `method` asks for and build the record.
 
-    The algebraic answer is primary unless only the geometric route runs.
-    `pairs` holds (point, expected image) probes: the residual is the
-    primary answer's worst miss on them and, with "both", the discrepancy
-    is the worst distance between the two answers' images of the same
-    points, both as `dist` measures them. `notes(primary)` supplies
-    diagnostics about the primary answer. Returns the record and the primary answer.
+    The algebraic answer is primary unless only the geometric route runs. `pairs`
+    holds (point, expected image) probes and `apply(answer, point)` gives an image; a
+    sphere recovery answer carries its images, looked up by probe index. The residual
+    is the primary answer's worst miss and, with "both", the discrepancy the worst
+    distance between the two answers' images, both as `dist` measures them.
+    `notes(primary)` supplies diagnostics. Returns the record and the primary answer.
     """
     iso_a = algebraic() if method != "geometric" else None
     iso_g = geometric() if method != "algebraic" else None
@@ -335,18 +335,17 @@ def _run_plane_reflections(payload, method, tol):
 
 
 def _run_sphere_recover(payload, method, tol):
-    """Shared by sphere_recover and baseball."""
+    """Shared by sphere_recover and baseball; one _recover_sphere call solves every route."""
     before, after = payload["before"], payload["after"]
     x, y, xp, yp = before.a, before.b, after.a, after.b
-
-    def route(name):
-        return lambda: recover_sphere_rotation(x, xp, y, yp, method=name, tol=tol)
-
+    routes = ("algebraic", "geometric") if method == "both" else (method,)
     try:
-        record, rot = _solve_both_ways(
-            method, tol, route("algebraic"), route("geometric"),
-            ((x, (xp.x, xp.y, xp.z)), (y, (yp.x, yp.y, yp.z))), _image_xyz, _sphere_rot_dict,
-            lambda primary: _arcsin_notes(x, xp, primary), _dist_xyz,
+        answers = dict(zip(routes, _recover_sphere(x, xp, y, yp, routes, tol)))
+        record, (rot, _, _) = _solve_both_ways(
+            method, tol, lambda: answers["algebraic"], lambda: answers["geometric"],
+            ((0, (xp.x, xp.y, xp.z)), (1, (yp.x, yp.y, yp.z))),
+            lambda answer, i: answer[2][i], lambda answer: _sphere_rot_dict(answer[0]),
+            lambda answer: _arcsin_notes(x, xp, answer[0]), _dist_xyz,
         )
     except IdentityCorrespondence:
         residual = max(x.dist(xp), y.dist(yp))

@@ -363,22 +363,33 @@ def recover_sphere_rotation(
     x, xp, y, yp = _as_unit(x), _as_unit(xp), _as_unit(y), _as_unit(yp)
     if method not in ("algebraic", "geometric"):
         raise ValueError(f"unknown method {method!r}; use 'algebraic' or 'geometric'")
+    return _recover_sphere(x, xp, y, yp, (method,), tol)[0][0]
+
+
+def _recover_sphere(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVector3,
+                    methods: tuple[str, ...], tol: float) -> list:
+    """recover_sphere_rotation on unit vectors under each of `methods` in turn, after one
+    check of the arc lengths: per method, (rotation, residual, images of x and y)."""
     _require_isometric(x, xp, y, yp, tol)
     move_x, move_y = x.dist(xp), y.dist(yp)
     fixed = _fixed_points(move_x, move_y)
-    if method == "geometric" or any(fixed):
-        axis = _axis_geometric(x, xp, y, yp, fixed)
-    else:
-        axis = _axis_cross(x, xp, y, yp, move_x * move_y)
     p, q = (x, xp) if move_x >= move_y else (y, yp)
-    rot = Rotation3(axis, rotation_angle_about_axis(axis, p, q))
-    residual = max(_dist_xyz(_image_xyz(rot, x), (xp.x, xp.y, xp.z)),
-                   _dist_xyz(_image_xyz(rot, y), (yp.x, yp.y, yp.z)))
-    if residual > tol:
-        raise NotIsometric(
-            f"no single rotation maps both points (residual {residual:.3g} > {tol:g})"
-        )
-    return rot
+    answers = []
+    for method in methods:
+        if method == "geometric" or any(fixed):
+            axis = _axis_geometric(x, xp, y, yp, fixed)
+        else:
+            axis = _axis_cross(x, xp, y, yp, move_x * move_y)
+        rot = Rotation3(axis, rotation_angle_about_axis(axis, p, q))
+        images = _image_xyz(rot, x), _image_xyz(rot, y)
+        residual = max(_dist_xyz(images[0], (xp.x, xp.y, xp.z)),
+                       _dist_xyz(images[1], (yp.x, yp.y, yp.z)))
+        if residual > tol:
+            raise NotIsometric(
+                f"no single rotation maps both points (residual {residual:.3g} > {tol:g})"
+            )
+        answers.append((rot, residual, images))
+    return answers
 
 
 def compose_sphere_rotations(outer: Rotation3, inner: Rotation3) -> Rotation3:

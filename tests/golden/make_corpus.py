@@ -221,6 +221,28 @@ HALF_TURN_ONTO_ANTIPODE = _recover(
     "baseball", [1.0, 0.0, 0.0], _HALF_TURN_Y,
     _rot3([1.0, 0.0, 0.0], _HALF_TURN_AXIS, math.pi), _rot3(_HALF_TURN_Y, _HALF_TURN_AXIS, math.pi))
 
+# Nearly coplanar correspondences on which the two sphere routes fail differently:
+# the displacement chords are parallel for the algebraic route only, then each
+# route in turn misses by just over the 1e-9 tolerance. Draws 1, 346 and 571 (from 0)
+# of tests/test_spherical.py's _near_coplanar(random.Random(5)).
+ROUTES_DIFFER = [
+    _recover("sphere_recover",
+             [0.5058240936309832, 0.018574174647503366, 0.8624366564209562],
+             [0.4230509210241205, -0.08509892106913641, 0.9021009321874756],
+             [0.5040100492302151, 0.020412232676077495, 0.8634565484331762],
+             [0.42126055865622347, -0.083284858567151, 0.9031075096875765]),
+    _recover("sphere_recover",
+             [0.3429477919825419, -0.7489613060680972, -0.5669601167516719],
+             [0.5948670577242726, -0.30012081129469725, -0.7456947648081484],
+             [0.13385712656163679, -0.6773830759527897, -0.7233494577874509],
+             [0.42802496584459016, -0.2430055882676722, -0.8704842977816546]),
+    _recover("sphere_recover",
+             [-0.7854459318695479, -0.6186654365491168, -0.018104301396860784],
+             [0.7550118502907783, 0.6414404914642668, 0.136055877603929],
+             [-0.1889425661500628, -0.9076950224067749, 0.3746871401510782],
+             [0.11511276530804396, 0.9514970125470669, -0.28531120969415513]),
+]
+
 # Inputs with two faults: the exit code is that of the first check, kind,
 # then fields, then values, with or without --degrees.
 PRECEDENCE = {
@@ -269,6 +291,9 @@ def cases() -> dict[str, tuple[list[str], str | None, bytes]]:
     for method in METHODS:
         add(f"baseball_half_turn_onto_antipode_{method}", ["baseball", "--method", method],
             "fig.svg" if method == "both" else None, HALF_TURN_ONTO_ANTIPODE)
+    for method in METHODS:
+        add(f"exit4_sphere_routes_differ_{method}", ["sphere-recover", "--method", method], None,
+            ROUTES_DIFFER)
     return out
 
 

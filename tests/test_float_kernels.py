@@ -862,6 +862,49 @@ def test_the_residual_and_discrepancy_are_the_vector_distances(x, y, rot):
     assert _bits((record.residual, record.discrepancy)) == _bits((residual, disc))
 
 
+def _axis_angle(rot):
+    return rot.axis, rot.angle
+
+
+# (x, xp, y, yp): the images of x and y under a rotation, yp moved by about 1e-12 or not
+correspondences = st.builds(
+    lambda x, y, rot, eps: (x, apply_sphere(rot, x), y, _near(apply_sphere(rot, y), eps)),
+    sphere_points, sphere_points, sphere_rotations, st.one_of(st.just((0.0, 0.0, 0.0)), small))
+_X, _Y, _Z = UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), UnitVector3(0.0, 0.0, 1.0)
+
+
+@given(correspondences, st.sampled_from([1e-9, 1e-12]))
+@example((_Z, _Z, _X, UnitVector3(0.6, 0.8, 0.0)), 1e-9)  # x fixed: it is the axis
+@example((_X, _X, _Y, _Y), 1e-9)  # the identity
+@example((_X, UnitVector3(-1.0, 0.0, 0.0), _Z, _Z), 1e-9)  # the equatorial half turn
+@example((_X, _Y, _Y, UnitVector3(math.cos(0.1), math.sin(0.1), 0.0)), 1e-9)  # unequal arcs
+@example((_X, _Z, _Y, _X), 1e-17)  # a third of a turn, checked past what floats resolve
+# the algebraic route answers and the geometric one misses by 1.14e-9
+@example((UnitVector3(-0.7854459318695479, -0.6186654365491168, -0.018104301396860784),
+          UnitVector3(-0.1889425661500628, -0.9076950224067749, 0.3746871401510782),
+          UnitVector3(0.7550118502907783, 0.6414404914642668, 0.136055877603929),
+          UnitVector3(0.11511276530804396, 0.9514970125470669, -0.28531120969415513)), 1e-9)
+def test_one_sphere_solve_for_both_routes_is_each_route_alone(points, tol):
+    # what run() reads under "both": each route's rotation, residual and images, or the
+    # first route's error, as recover_sphere_rotation gives them route by route
+    x, xp, y, yp = points
+    methods = ("algebraic", "geometric")
+    alone = [_outcome(lambda m: _axis_angle(recover_sphere_rotation(
+        x, xp, y, yp, method=m, tol=tol)), m) for m in methods]
+    errors = [outcome for outcome in alone if isinstance(outcome[0], str)]
+    try:
+        answers = spherical._recover_sphere(x, xp, y, yp, methods, tol)
+    except (GeometryError, ValueError) as exc:
+        assert [_bits(exc)] == errors[:1]
+        return
+    assert [_bits(_axis_angle(rot)) for rot, _, _ in answers] == alone
+    for rot, residual, images in answers:
+        fresh = spherical._image_xyz(rot, x), spherical._image_xyz(rot, y)
+        miss = max(spherical._dist_xyz(fresh[0], (xp.x, xp.y, xp.z)),
+                   spherical._dist_xyz(fresh[1], (yp.x, yp.y, yp.z)))
+        assert _bits((residual, images)) == _bits((miss, fresh))
+
+
 @given(sphere_points, sphere_points, st.one_of(sphere_rotations, st.none()))
 @example(UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 1.0, 0.0), None)
 # a half turn that takes x to its antipode: x's bisector is its equator

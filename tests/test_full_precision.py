@@ -51,9 +51,9 @@ CORPUS_DIGESTS = {
     "sphere_compose/algebraic": "86120791785730daf9b429c1ebaf79e65ab3afff1ac845f34ffb0d590bd95fd3",
     "sphere_compose/both": "0b29ea2c1fd491744e001576e243ab0545dc5a1c850d7e70c85c081ff6c002be",
     "sphere_compose/geometric": "da9aa17706222467d2ecb8e428e42bd56891bc80bfcf7ab312c7441559291923",
-    "sphere_recover/algebraic": "fe331af1fc764b733c0a6d8b0c1bf23abb9918d7943cc7a13d237a1c850fdc0d",
-    "sphere_recover/both": "3ee740b31d5bfa7e4d46be2783c3b659ce72e1b14b01676a4eb2b27458a999e6",
-    "sphere_recover/geometric": "31f72a841ad5ad7eeb09ac181ebaa985ffff46bef3888ba333804e707c4406b2",
+    "sphere_recover/algebraic": "38c05c981ada70b4e6a4f4d68ac3ff3c18ed52cce98204c2453ed44368518616",
+    "sphere_recover/both": "783a01fe1fdfa46a048f09e7ed553b57ff13ac051c0fd8fabc25562e0159b0fd",
+    "sphere_recover/geometric": "26e0f9cb6ef817f7103431e894f297d904146d1c728d9759cfa54c41bef0c1c4",
 }
 
 RANDOM_DIGESTS = {

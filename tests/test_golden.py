@@ -37,17 +37,18 @@ def test_case_reproduces_its_recorded_output(name, tmp_path):
 @pytest.fixture
 def geometric_only(monkeypatch):
     """Make every algebraic route raise. The CLI reaches the geometric sphere
-    recovery through recover_sphere_rotation too, so that one entry point
-    still runs, for method "geometric" only."""
-    real = cli.recover_sphere_rotation
+    recovery through spherical._recover_sphere, which serves both routes, so
+    that entry point still runs, for the geometric route alone."""
+    real = cli._recover_sphere
     refuse_algebraic_routes(monkeypatch)
 
-    def recover(*args, method, **kwargs):
-        if method != "geometric":
-            raise AssertionError(f"the {method} route ran")
-        return real(*args, method=method, **kwargs)
+    def recover(*args):
+        methods = args[4]
+        if methods != ("geometric",):
+            raise AssertionError(f"the {' and '.join(methods)} route ran")
+        return real(*args)
 
-    monkeypatch.setattr(cli, "recover_sphere_rotation", recover)
+    monkeypatch.setattr(cli, "_recover_sphere", recover)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CASES.glob("*_geometric")))

@@ -562,6 +562,28 @@ def test_fixed_point_algebraic_solve_checks_lengths_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("method, images", [("algebraic", 2), ("geometric", 2), ("both", 4)])
+def test_a_sphere_recover_run_checks_lengths_once_and_turns_each_point_once_per_route(
+        method, images, monkeypatch):
+    import isometry_lab.cli as cli
+    import isometry_lab.spherical as spherical
+    from isometry_lab import parse_instance, run
+
+    instance = parse_instance(
+        '{"kind": "sphere_recover", "X": [1, 0, 0], "Y": [0, 1, 0],'
+        ' "Xp": [0, 0, 1], "Yp": [1, 0, 0]}'
+    )
+    calls = {"_image_xyz": [], "_require_isometric": []}
+    for name, seen in calls.items():
+        real = getattr(spherical, name)
+        for module in (spherical, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+    run(instance, method=method)
+    assert (len(calls["_image_xyz"]), len(calls["_require_isometric"])) == (images, 1)
+
+
 def test_sphere_composite_is_constructed_without_the_algebraic_route(monkeypatch):
     import isometry_lab.spherical as spherical
 
