@@ -451,7 +451,7 @@ def run(
         data = render_svg(figure())
         # Overwrite in place, then cut the tail: opening with O_TRUNC would
         # make ext4 flush a rewritten file on close (its auto_da_alloc rule).
-        # Path() keeps "" the working directory, so --svg "" stays an error.
+        # Path() keeps "" the working directory, so svg_path="" stays an error.
         with open(os.open(Path(svg_path), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
             f.write(data)
             f.truncate()
@@ -579,11 +579,12 @@ def _error_payload(exc: BaseException) -> dict:
 def _svg_path_for(svg: str | None, index: int, batch: bool) -> str | None:
     if svg is None:
         return None
+    # on the text as given: Path() reads "d/" and "d/." as "d", a file name it is not
+    if os.path.basename(svg) in ("", ".", ".."):
+        raise IsADirectoryError(f"--svg {svg!r} names a directory, not a file")
     if not batch:
         return svg
     p = Path(svg)
-    if p.name in ("", ".."):  # "/", "." or "..": there is no file name to number
-        raise IsADirectoryError(f"--svg {svg!r} names a directory, not a file")
     return str(p.with_name(f"{p.stem}.{index}{p.suffix}"))
 
 

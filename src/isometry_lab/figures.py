@@ -400,7 +400,7 @@ def sphere_recovery_figure(x, xp, y, yp, rot) -> FigureSpec:
     ]
     fixed_x, fixed_y = _fixed_points(x.dist(xp), y.dist(yp))
     circles = [
-        (a, b, GreatCircleElement(bisector_great_circle(a, b).normal, label))
+        (a, b, GreatCircleElement(bisector_great_circle(a, b), label))
         for a, b, label, fixed in ((x, xp, "lX", fixed_x), (y, yp, "lY", fixed_y))
         if not (fixed or _antipodal(a, b))
     ]

@@ -26,7 +26,7 @@ import math
 from .errors import IdentityRotation, NotARotation, SingularMatrix
 
 __all__ = [
-    "Eig3Result", "Mat3", "Vec2", "Vec3", "cross", "cross2", "eig3_rotation", "solve2", "wrap_angle",
+    "Mat3", "Vec2", "Vec3", "cross", "cross2", "eig3_rotation", "solve2", "wrap_angle",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -110,14 +110,9 @@ def _value(cls):
     """
     names = tuple(dict.fromkeys(
         n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
-    held, defaults = set(), {}
-    for c in reversed(cls.__mro__[1:]):
-        if "__match_args__" in c.__dict__:  # a value base: its defaults live in its __init__
-            given = c.__init__.__defaults__ or ()
-            defaults.update(zip(c.__match_args__[len(c.__match_args__) - len(given):], given))
-        held.update(c.__dict__.get("__slots__", ()))
+    held = {n for c in cls.__mro__[1:] for n in c.__dict__.get("__slots__", ())}
     ns = dict(cls.__dict__)
-    defaults.update((n, ns.pop(n)) for n in names if n in ns)
+    defaults = {n: ns.pop(n) for n in names if n in ns}
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
     weak = () if any(hasattr(b, "__weakref__") for b in cls.__bases__) else ("__weakref__",)
@@ -300,19 +295,6 @@ class Mat3:
         )
 
 
-@_value
-class Eig3Result:
-    """Eigenstructure of a proper rotation matrix.
-
-    lambda_real is always +1 for such matrices; complex_pair holds (a, b)
-    of the conjugate eigenvalues a +/- b i with b >= 0.
-    """
-
-    lambda_real: float
-    axis: Vec3
-    complex_pair: tuple[float, float]
-
-
 def require_rotation(m: Mat3) -> None:
     """Raise NotARotation unless m is orthogonal with determinant +1."""
     # MtM's entries (i, j) = (j, i), each summed from 0.0 as Mat3.__matmul__ sums it
@@ -331,8 +313,9 @@ def require_rotation(m: Mat3) -> None:
         raise NotARotation(f"matrix determinant {det:.9g} is not +1")
 
 
-def eig3_rotation(m: Mat3) -> Eig3Result:
-    """Eigenstructure of a proper rotation matrix.
+def eig3_rotation(m: Mat3) -> tuple[Vec3, tuple[float, float]]:
+    """Eigenstructure of a proper rotation matrix: its +1 eigenvector, as a
+    unit Vec3, and (a, b) of its complex pair a +/- b i, with b >= 0.
 
     The real eigenvalue of any such matrix is +1 (the complex pair
     contributes a^2 + b^2 > 0 to the determinant, which equals +1), so no
@@ -370,4 +353,4 @@ def eig3_rotation(m: Mat3) -> Eig3Result:
     # flip so the first component above AXIS_SIGN_TOL in magnitude is positive
     if next((c for c in (x, y, z) if abs(c) > AXIS_SIGN_TOL), 1.0) < 0.0:
         x, y, z = -x, -y, -z
-    return Eig3Result(1.0, Vec3(x, y, z), (a, b))
+    return Vec3(x, y, z), (a, b)

@@ -33,7 +33,7 @@ from .linalg import (
 )
 
 __all__ = [
-    "GreatCircle", "Rotation3", "SphereSegment", "UnitVector3",
+    "Rotation3", "SphereSegment", "UnitVector3",
     "angular_distance", "apply_sphere", "axis_angle_from_matrix", "bisector_great_circle",
     "chord_arcsin_angle", "compose_sphere_rotations", "intersect_great_circles",
     "recover_axis_cross", "recover_axis_geometric", "recover_sphere_rotation",
@@ -62,10 +62,6 @@ class UnitVector3(Vec3):
             object.__setattr__(self, "y", y)
             object.__setattr__(self, "z", z)
 
-    @classmethod
-    def from_vec(cls, v: Vec3) -> "UnitVector3":
-        return cls(v.x, v.y, v.z)
-
 
 def _as_unit(v: Vec3) -> UnitVector3:
     return v if isinstance(v, UnitVector3) else UnitVector3(v.x, v.y, v.z)
@@ -88,18 +84,6 @@ class Rotation3:
             raise ValueError("rotation angle must be finite")
         axis, a = _as_unit(axis), wrap_angle(angle)
         return (-axis, -a) if a < 0.0 else (axis, a)
-
-
-@_value
-class GreatCircle:
-    """Intersection of the sphere with the plane through the origin whose
-    unit normal is `normal`."""
-
-    normal: UnitVector3
-
-    @staticmethod
-    def _canonical(normal):
-        return (_as_unit(normal),)
 
 
 @_value
@@ -261,7 +245,7 @@ def _axis_geometric(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVec
         raise IdentityCorrespondence("both points are fixed; every axis works")
     if fixed_x or fixed_y:
         return x if fixed_x else y
-    # the bisector circles' normals, as GreatCircle holds them, and their intersection
+    # the bisector circles' normals, as bisector_great_circle gives them, and their intersection
     nx = _unit_xyz(*_bisector_normal(x, xp))
     ny = _unit_xyz(*_bisector_normal(y, yp))
     try:
@@ -310,13 +294,13 @@ def chord_arcsin_angle(x: Vec3, xp: Vec3) -> float:
     return math.asin(clamp(s, 0.0, 1.0))
 
 
-def bisector_great_circle(a: Vec3, b: Vec3) -> GreatCircle:
-    """Great circle of points angularly equidistant from a and b.
+def bisector_great_circle(a: Vec3, b: Vec3) -> UnitVector3:
+    """Great circle of points angularly equidistant from a and b, as its unit normal.
 
     Its plane is normal to the chord a - b: a point z has z . a = z . b
     exactly when z . (a - b) = 0. For a and -a that is a's equator.
     """
-    return GreatCircle(UnitVector3(*_bisector_normal(_as_unit(a), _as_unit(b))))
+    return UnitVector3(*_bisector_normal(_as_unit(a), _as_unit(b)))
 
 
 def _bisector_normal(a: UnitVector3, b: UnitVector3) -> Xyz:
@@ -328,9 +312,10 @@ def _bisector_normal(a: UnitVector3, b: UnitVector3) -> Xyz:
     return cx / n, cy / n, cz / n
 
 
-def intersect_great_circles(c1: GreatCircle, c2: GreatCircle) -> tuple[UnitVector3, UnitVector3]:
-    """The two (antipodal) intersection points of distinct great circles."""
-    n, m = c1.normal, c2.normal
+def intersect_great_circles(n: Vec3, m: Vec3) -> tuple[UnitVector3, UnitVector3]:
+    """The two (antipodal) intersection points of distinct great circles,
+    given by their unit normals n and m."""
+    n, m = _as_unit(n), _as_unit(m)
     p = UnitVector3(*_pole((n.x, n.y, n.z), (m.x, m.y, m.z)))
     return p, -p
 
@@ -438,13 +423,13 @@ def axis_angle_from_matrix(m: Mat3) -> Rotation3:
     which pins the angle into [0, pi]. For a half turn the skew part
     vanishes and the eigenvector's canonical sign is kept. The identity
     reports angle 0 about the conventional axis (0, 0, 1). A matrix that is
-    not a rotation raises NotARotation, from eig3_rotation.
+    not a rotation raises NotARotation, from eig3_rotation, whose axis and
+    complex pair (a, b) give the axis and the angle.
     """
     try:
-        eig = eig3_rotation(m)
+        axis, (a, sn) = eig3_rotation(m)  # a clamped to [-1, 1]; sn the skew part's length
     except IdentityRotation:
         return Rotation3(UnitVector3(0.0, 0.0, 1.0), 0.0)
-    a, sn = eig.complex_pair  # a clamped to [-1, 1]; sn the skew part's length
     r = m.rows
     sx, sy, sz = (r[2][1] - r[1][2]) / 2.0, (r[0][2] - r[2][0]) / 2.0, (r[1][0] - r[0][1]) / 2.0
     # Near a turn of 0 or pi, a one ulp from +-1 moves acos(a) by 1.5e-8
@@ -453,7 +438,7 @@ def axis_angle_from_matrix(m: Mat3) -> Rotation3:
         raise InternalCheckError(
             f"skew magnitude {sn:.12g} disagrees with sin(angle) {math.sin(angle):.12g}"
         )
-    ax, ay, az = eig.axis.x, eig.axis.y, eig.axis.z
+    ax, ay, az = axis.x, axis.y, axis.z
     if sn > SKEW_TOL and ax * sx + ay * sy + az * sz < 0.0:
         ax, ay, az = -ax, -ay, -az
     return Rotation3(UnitVector3(ax, ay, az), angle)

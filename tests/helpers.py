@@ -44,11 +44,17 @@ def near_pivot_segments(rng: random.Random, arm: float) -> tuple[Segment2, Segme
     return Segment2(x, y), Segment2(apply_planar(rot, x), apply_planar(rot, y))
 
 
+def unit3(v: Vec3) -> UnitVector3:
+    """v normalized, as a UnitVector3."""
+    n = v.normalized()
+    return UnitVector3(n.x, n.y, n.z)
+
+
 def rand_unit3(rng: random.Random) -> UnitVector3:
     while True:
         v = Vec3(rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
         if v.norm() > 1e-3:
-            return UnitVector3.from_vec(v.normalized())
+            return unit3(v)
 
 
 def rand_rotation3(rng: random.Random, min_angle: float = 1e-6) -> Rotation3:

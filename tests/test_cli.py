@@ -1573,16 +1573,20 @@ def test_a_geometric_pivot_too_far_for_floats_exits_4(tmp_path, capsys, method, 
         assert "too far away" in out["error"]["message"]
 
 
-@pytest.mark.parametrize("svg", ["/", ".", "{tmp}/..", ""])
+@pytest.mark.parametrize("svg", ["/", ".", "{tmp}/..", "", "{tmp}/d/", "{tmp}/d/.", "{tmp}/new/"])
 def test_a_batch_svg_path_that_names_no_file_fails_each_item(tmp_path, capsys, svg):
+    (tmp_path / "d").mkdir()
     code, out, err = _main_on(tmp_path, capsys, "plane-compose", json.dumps([P2_OBJ] * 2),
                               "--svg", svg.format(tmp=tmp_path))
     assert code == 2
     assert [o["error"]["type"] for o in out] == ["IsADirectoryError"] * 2
     assert err.count("error:") == 2
+    # Path() reads "d/", "d/." and "new/" as "d" and "new": no d.0 or new.0 beside them
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d", "instance.json"]
+    assert not any((tmp_path / "d").iterdir())
 
 
-@pytest.mark.parametrize("svg", [".", ""])
+@pytest.mark.parametrize("svg", [".", "", "new/"])
 def test_a_single_svg_path_that_names_no_file_exits_2(tmp_path, capsys, monkeypatch, svg):
     monkeypatch.chdir(tmp_path)  # "" is the working directory, as "." is
     code, out, err = _main_on(tmp_path, capsys, "plane-compose", json.dumps(P2_OBJ), "--svg", svg)

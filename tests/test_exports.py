@@ -11,9 +11,9 @@ _MODULES = (cli, errors, figures, linalg, planar, spherical)
 # isometry_lab.__all__ as the package lists it, order included.
 _EXPORTS = [
     "AntipodalPoints", "CoincidentPoints", "DegenerateAxis", "DegenerateBisector",
-    "DegenerateSegment", "Eig3Result", "FigureSpec", "GeometryError", "GreatCircle",
-    "IdenticalCircles", "Identity2", "IdentityCorrespondence", "IdentityRotation",
-    "InternalCheckError", "LengthMismatch", "Line2", "Mat3", "NonUnitVector",
+    "DegenerateSegment", "FigureSpec", "GeometryError", "IdenticalCircles", "Identity2",
+    "IdentityCorrespondence", "IdentityRotation", "InternalCheckError", "LengthMismatch",
+    "Line2", "Mat3", "NonUnitVector",
     "NotARotation", "NotIsometric", "ParallelBisectors", "ParseError", "PlanarIsometry",
     "PointOnAxis", "ProblemInstance", "Reflection2", "Rotation2", "Rotation3",
     "SchemaError", "Segment2", "SingularMatrix", "SolutionRecord", "SphereSegment",
@@ -30,7 +30,7 @@ _EXPORTS = [
 
 
 def test_package_all_is_unchanged_in_content_and_order():
-    assert len(_EXPORTS) == 72
+    assert len(_EXPORTS) == 70
     assert isometry_lab.__all__ == _EXPORTS
 
 

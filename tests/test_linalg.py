@@ -194,12 +194,10 @@ def _mat3_to_np(m: Mat3) -> np.ndarray:
 class TestEig3Rotation:
     def test_coordinate_axis_rotation(self):
         m = rotation_matrix(_rot_z(math.pi / 6))
-        eig = eig3_rotation(m)
-        assert eig.lambda_real == 1.0
-        a, b = eig.complex_pair
+        axis, (a, b) = eig3_rotation(m)
         assert math.isclose(a, math.cos(math.pi / 6), abs_tol=1e-12)
         assert math.isclose(b, math.sin(math.pi / 6), abs_tol=1e-12)
-        assert (eig.axis - Vec3(0, 0, 1)).norm() <= 1e-12
+        assert (axis - Vec3(0, 0, 1)).norm() <= 1e-12
 
     def test_two_axis_composite(self):
         # frozen from an independent dense eigensolver run on the same product
@@ -207,12 +205,11 @@ class TestEig3Rotation:
             rotation_matrix(_rot_y(math.pi / 4))
             @ rotation_matrix(_rot_z(math.pi / 6))
         )
-        eig = eig3_rotation(m)
-        a, b = eig.complex_pair
+        axis, (a, b) = eig3_rotation(m)
         assert math.isclose(a, 0.5927523103333905, abs_tol=1e-9)
         assert math.isclose(b, 0.8053848139829978, abs_tol=1e-9)
         expected_axis = Vec3(0.21949345483979876, 0.8191607253909539, 0.5299040755263686)
-        assert (eig.axis - expected_axis).norm() <= 1e-9
+        assert (axis - expected_axis).norm() <= 1e-9
 
     def test_identity_raises_signal(self):
         with pytest.raises(IdentityRotation):
@@ -232,17 +229,16 @@ class TestEig3Rotation:
         rng = random.Random(42)
         for _ in range(300):
             m = rotation_matrix(rand_rotation3(rng, min_angle=1e-3))
-            eig = eig3_rotation(m)
+            axis, (a, b) = eig3_rotation(m)
             w, v = np.linalg.eig(_mat3_to_np(m))
             i = int(np.argmin(np.abs(w - 1.0)))
             ref_axis = np.real(v[:, i])
             ref_axis /= np.linalg.norm(ref_axis)
-            got = np.array([eig.axis.x, eig.axis.y, eig.axis.z])
+            got = np.array([axis.x, axis.y, axis.z])
             assert min(
                 np.linalg.norm(got - ref_axis), np.linalg.norm(got + ref_axis)
             ) <= 1e-9
             ref_complex = w[np.argmax(np.imag(w))]
-            a, b = eig.complex_pair
             assert abs(a - ref_complex.real) <= 1e-9
             assert abs(b - ref_complex.imag) <= 1e-9
 
@@ -250,18 +246,17 @@ class TestEig3Rotation:
         rng = random.Random(99)
         for _ in range(300):
             m = rotation_matrix(rand_rotation3(rng, min_angle=1e-3))
-            eig = eig3_rotation(m)
-            a, b = eig.complex_pair
-            # eigenvalue product equals det = +1
-            assert abs(eig.lambda_real * (a * a + b * b) - m.det()) <= 1e-9
+            axis, (a, b) = eig3_rotation(m)
+            # eigenvalue product 1 (a^2 + b^2) equals det = +1
+            assert abs(a * a + b * b - m.det()) <= 1e-9
             # the +1 eigenvector direction is preserved
-            assert (_mv3(m, eig.axis) - eig.axis).norm() <= 1e-9
-            assert abs(eig.axis.norm() - 1.0) <= 1e-12
+            assert (_mv3(m, axis) - axis).norm() <= 1e-9
+            assert abs(axis.norm() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("theta", [1e-8, 1e-6, math.pi - 1e-8])
     def test_b_keeps_its_digits_near_a_turn_of_zero_or_pi(self, theta):
         # sqrt(1 - a^2) reads 0.0 at 1e-8 and at pi - 1e-8, and is 4e-5 off at 1e-6
-        _, b = eig3_rotation(rotation_matrix(_rot_z(theta))).complex_pair
+        _, (_, b) = eig3_rotation(rotation_matrix(_rot_z(theta)))
         assert b == pytest.approx(math.sin(theta), rel=1e-12, abs=0.0)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -228,10 +229,16 @@ class TestRecoverPivotGeometric:
         assert _close(pivot, Vec2(0, 0))
 
     def test_translation_raises_parallel_bisectors(self):
-        with pytest.raises(ParallelBisectors):
-            recover_pivot_geometric(
-                Segment2(Vec2(0, 0), Vec2(1, 0)), Segment2(Vec2(2, 3), Vec2(3, 3))
-            )
+        for src, dst, message in [
+            # parallel bisectors
+            (Segment2(Vec2(0, 0), Vec2(1, 0)), Segment2(Vec2(2, 3), Vec2(3, 3)),
+             "bisectors are parallel; the correspondence is a translation"),
+            # one bisector, x = 1/2, for both endpoints: its mirror then dst's is a translation
+            (Segment2(Vec2(0, 0), Vec2(0, 1)), Segment2(Vec2(1, 0), Vec2(1, 1)),
+             "correspondence is a translation; no pivot exists"),
+        ]:
+            with pytest.raises(ParallelBisectors, match=f"^{re.escape(message)}$"):
+                recover_pivot_geometric(src, dst)
 
     def test_fixed_endpoint_is_the_pivot(self):
         rot = Rotation2(Vec2(1, 0), 0.8)

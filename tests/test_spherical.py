@@ -3,13 +3,11 @@ import random
 
 import pytest
 
-from helpers import rand_rotation3, rand_sphere_pair, rand_unit3, refuse_algebraic_routes
+from helpers import rand_rotation3, rand_sphere_pair, rand_unit3, refuse_algebraic_routes, unit3
 from isometry_lab import (
     AntipodalPoints,
     CoincidentPoints,
     DegenerateAxis,
-    Eig3Result,
-    GreatCircle,
     IdenticalCircles,
     IdentityCorrespondence,
     InternalCheckError,
@@ -193,7 +191,7 @@ class TestRotationAngleAboutAxis:
         assert rotation_angle_about_axis(Z, X, -X) == pytest.approx(math.pi, abs=1e-12)
 
     def test_fixed_off_axis_point(self):
-        p = UnitVector3.from_vec(Vec3(1.0, 0.0, 1.0).normalized())
+        p = unit3(Vec3(1.0, 0.0, 1.0))
         assert rotation_angle_about_axis(Z, p, p) == 0.0
 
     def test_point_on_axis_rejected(self):
@@ -223,9 +221,10 @@ class TestChordArcsinShortcut:
 
 class TestBisectorGreatCircle:
     def test_symmetry_plane_normal(self):
-        c = bisector_great_circle(X, Y)
+        n = bisector_great_circle(X, Y)
         expect = Vec3(1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
-        assert _close3(c.normal, expect, 1e-12)
+        assert isinstance(n, UnitVector3)
+        assert _close3(n, expect, 1e-12)
 
     def test_coincident_rejected(self):
         with pytest.raises(CoincidentPoints):
@@ -233,14 +232,14 @@ class TestBisectorGreatCircle:
 
     def test_antipodal_pair_bisects_along_the_equator(self):
         # the points equidistant from Z and -Z are Z's equator
-        n = bisector_great_circle(Z, -Z).normal
+        n = bisector_great_circle(Z, -Z)
         assert (n.x, n.y, abs(n.z)) == (0.0, 0.0, 1.0)
 
     def test_sampled_points_equidistant(self):
         rng = random.Random(23)
         for _ in range(100):
             a, b = rand_sphere_pair(rng)
-            n = bisector_great_circle(a, b).normal
+            n = bisector_great_circle(a, b)
             e1 = cross(n, Z if abs(n.z) < 0.9 else X).normalized()
             e2 = cross(n, e1)
             for k in range(8):
@@ -251,28 +250,25 @@ class TestBisectorGreatCircle:
 
 class TestIntersectGreatCircles:
     def test_coordinate_circles(self):
-        xy = GreatCircle(Z)
-        xz = GreatCircle(Y)
-        p, q = intersect_great_circles(xy, xz)
+        p, q = intersect_great_circles(Z, Y)  # the xy and xz circles
         assert _axis_match(p, X, 1e-15)
         assert _close3(q, -p, 1e-15)
 
     def test_identical_rejected(self):
-        c = GreatCircle(UnitVector3.from_vec(Vec3(1, 2, 3).normalized()))
+        n = unit3(Vec3(1, 2, 3))
         with pytest.raises(IdenticalCircles):
-            intersect_great_circles(c, c)
+            intersect_great_circles(n, n)
 
     def test_intersections_lie_on_both(self):
         rng = random.Random(29)
         for _ in range(200):
-            c1 = GreatCircle(rand_unit3(rng))
-            c2 = GreatCircle(rand_unit3(rng))
-            if cross(c1.normal, c2.normal).norm() < 1e-6:
+            n, m = rand_unit3(rng), rand_unit3(rng)
+            if cross(n, m).norm() < 1e-6:
                 continue
-            p, q = intersect_great_circles(c1, c2)
+            p, q = intersect_great_circles(n, m)
             for z in (p, q):
-                assert abs(z.dot(c1.normal)) <= 1e-12
-                assert abs(z.dot(c2.normal)) <= 1e-12
+                assert abs(z.dot(n)) <= 1e-12
+                assert abs(z.dot(m)) <= 1e-12
 
 
 class TestRecoverAxisCross:
@@ -291,7 +287,7 @@ class TestRecoverAxisCross:
         # x turned about itself comes back 6e-17 off, by rounding only; the
         # cross product of that noise chord with y's passes a relative cut and
         # points 30 degrees away from x, the true axis
-        x = UnitVector3.from_vec(Vec3(1.0, 2.0, 7.0).normalized())
+        x = unit3(Vec3(1.0, 2.0, 7.0))
         rot = Rotation3(x, 1.0)
         xp, yp = apply_sphere(rot, x), apply_sphere(rot, Y)
         assert 0.0 < x.dist(xp) <= 1e-16
@@ -345,7 +341,7 @@ def _near_coplanar(rng):
     n = cross(x, axis).normalized()
     s = rng.uniform(0.1, math.pi - 0.1)
     y = x * math.cos(s) + cross(n, x) * math.sin(s) + n * 10.0 ** rng.uniform(-16.0, -6.0)
-    y = UnitVector3.from_vec(y.normalized())
+    y = unit3(y)
     return x, apply_sphere(rot, x), y, apply_sphere(rot, y)
 
 
@@ -373,7 +369,7 @@ class TestRecoverSphereRotation:
         assert abs(got.angle - math.pi / 2) <= 1e-9
 
     def test_round_trip_oblique_axis(self):
-        axis = UnitVector3.from_vec(Vec3(1, 1, 1).normalized())
+        axis = unit3(Vec3(1, 1, 1))
         rot = Rotation3(axis, 2.0)
         x, y = X, Y
         got = recover_sphere_rotation(x, apply_sphere(rot, x), y, apply_sphere(rot, y))
@@ -440,7 +436,7 @@ class TestRecoverSphereRotation:
     def test_residual_check_rejects_what_the_length_check_passes(self):
         # the lengths agree to the last bit; the recovered rotation carries
         # rounding a 1e-17 tolerance does not forgive
-        rot = Rotation3(UnitVector3.from_vec(Vec3(1.0, 2.0, 1.0).normalized()), 0.1)
+        rot = Rotation3(unit3(Vec3(1.0, 2.0, 1.0)), 0.1)
         xp, yp = apply_sphere(rot, X), apply_sphere(rot, Y)
         assert angular_distance(X, Y) == angular_distance(xp, yp)
         for method in ("algebraic", "geometric"):
@@ -472,14 +468,14 @@ class TestComposeSphereRotations:
         assert abs(out.angle - (math.pi / 4 + math.pi / 6)) > 0.3
 
     def test_inverse_composition_is_identity(self):
-        r = Rotation3(UnitVector3.from_vec(Vec3(2, -1, 3).normalized()), 1.2)
+        r = Rotation3(unit3(Vec3(2, -1, 3)), 1.2)
         inv = Rotation3(r.axis, -r.angle)
         out = compose_sphere_rotations(r, inv)
         assert out.angle == 0.0
         assert _close3(out.axis, Z, 1e-15)
 
     def test_coaxial_angles_add(self):
-        axis = UnitVector3.from_vec(Vec3(1, 2, -2).normalized())
+        axis = unit3(Vec3(1, 2, -2))
         out = compose_sphere_rotations(Rotation3(axis, 0.7), Rotation3(axis, 0.9))
         assert _axis_match(out.axis, axis)
         assert abs(out.angle - 1.6) <= 1e-12
@@ -530,7 +526,7 @@ class TestAxisAngleFromMatrix:
             r = rand_rotation3(rng, min_angle=1e-3)
             m = rotation_matrix(r)
             out = axis_angle_from_matrix(m)
-            a, _ = eig3_rotation(m).complex_pair
+            _, (a, _) = eig3_rotation(m)
             assert abs(out.angle - math.acos(max(-1.0, min(1.0, a)))) <= 1e-9
 
 
@@ -541,8 +537,7 @@ class TestAxisAngleFromMatrix:
         import isometry_lab.spherical as spherical
 
         m = rotation_matrix(Rotation3(Z, angle))
-        eig = Eig3Result(1.0, Z, (a, math.sin(angle)))
-        monkeypatch.setattr(spherical, "eig3_rotation", lambda _: eig)
+        monkeypatch.setattr(spherical, "eig3_rotation", lambda _: (Z, (a, math.sin(angle))))
         with pytest.raises(InternalCheckError, match="disagrees with sin"):
             axis_angle_from_matrix(m)
 

@@ -23,14 +23,9 @@ from isometry_lab.figures import (
     Marker,
     SegmentElement,
 )
-from isometry_lab.linalg import Eig3Result, Mat3, Vec2, Vec3
+from isometry_lab.linalg import Mat3, Vec2, Vec3
 from isometry_lab.planar import Identity2, Line2, Reflection2, Rotation2, Segment2, Translation2
-from isometry_lab.spherical import (
-    GreatCircle,
-    Rotation3,
-    SphereSegment,
-    UnitVector3,
-)
+from isometry_lab.spherical import Rotation3, SphereSegment, UnitVector3
 
 _I3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _QUARTER_TURN = ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))  # about z
@@ -43,7 +38,6 @@ SAMPLES = {
     Vec2: ((1.0, 2.0), (1.0, -2.0)),
     Vec3: ((1.0, 0.0, 0.0), (0.0, 1.0, -0.0)),
     Mat3: ((_I3,), (_QUARTER_TURN,)),
-    Eig3Result: ((1.0, Vec3(0.0, 0.0, 1.0), (0.6, 0.8)), (1.0, Vec3(0.0, 0.0, 1.0), (0.8, 0.6))),
     Rotation2: ((Vec2(1.0, 2.0), 7.0), (Vec2(1.0, 2.0), 0.5)),
     Translation2: ((Vec2(1.0, 2.0),), (Vec2(2.0, 1.0),)),
     Line2: ((Vec2(0.0, 0.0), Vec2(3.0, 4.0)), (Vec2(0.0, 0.0), Vec2(0.0, 1.0))),
@@ -52,7 +46,6 @@ SAMPLES = {
     Segment2: ((Vec2(0.0, 0.0), Vec2(1.0, 0.0)), (Vec2(0.0, 0.0), Vec2(0.0, 1.0))),
     UnitVector3: ((0.6, 0.0, 0.8000001), (0.0, 1.0, 0.0)),
     Rotation3: ((Vec3(0.0, 0.0, 1.0), -0.5), (_Z, 0.5)),
-    GreatCircle: ((Vec3(0.0, 1.0, 0.0),), (_Z,)),
     SphereSegment: ((UnitVector3(1.0, 0.0, 0.0), _Z), (UnitVector3(0.0, 1.0, 0.0), _Z)),
     Marker: ((Vec2(0.0, 0.0),), (Vec2(0.0, 0.0), "P", "pivot")),
     SegmentElement: ((Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
