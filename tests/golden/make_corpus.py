@@ -243,6 +243,17 @@ ROUTES_DIFFER = [
              [0.11511276530804396, 0.9514970125470669, -0.28531120969415513]),
 ]
 
+# Inputs on which the two routes agree only to a few ulps, run under --method both
+# at a tolerance below that gap, so the record carries the disagreement warning:
+# kind -> (tolerance, input). The plane_recover input is tests/test_cli.py's.
+ROUTES_DISAGREE = {
+    "plane_recover": ("1e-15", _recover(
+        "plane_recover", [7, 10], [33, -2],
+        [-11.174170620902519, 0.05136235638721676], [0.8258293790974802, 26.051362356387216])),
+    "plane_compose": ("1e-15", _plane_compose([1, 2], 1, [3, -1], 0.5)),
+    "sphere_compose": ("1e-16", _sphere_compose([0, 0.6, 0.8], 1, [0.8, 0, 0.6], 0.5)),
+}
+
 # Inputs with two faults: the exit code is that of the first check, kind,
 # then fields, then values, with or without --degrees.
 PRECEDENCE = {
@@ -294,6 +305,9 @@ def cases() -> dict[str, tuple[list[str], str | None, bytes]]:
     for method in METHODS:
         add(f"exit4_sphere_routes_differ_{method}", ["sphere-recover", "--method", method], None,
             ROUTES_DIFFER)
+    for kind, (tol, obj) in ROUTES_DISAGREE.items():
+        add(f"warn_routes_disagree_{kind}",
+            [kind.replace("_", "-"), "--method", "both", "--tolerance", tol], None, obj)
     return out
 
 

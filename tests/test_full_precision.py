@@ -39,18 +39,18 @@ CORPUS_DIGESTS = {
     "baseball/algebraic": "7902941a3a15ef572a5a2a52efc4910bb24ee7bbf21fb302a1f814038d2d35f3",
     "baseball/both": "ec5fdfe622376f4b4b751bbc1142d6749ebd1d7435630ae78a0537edd2fddf5d",
     "baseball/geometric": "e48d2653c017cf1c3ad8750f7cf1b47f97fd4c87adb761ce0adbde8a56c7ca96",
-    "plane_compose/algebraic": "7c176e43263876779bb08f8646dfd25437857ec9d151214b8d7936d957a1fa89",
-    "plane_compose/both": "37c0abd67d5a9ff8d41b890bef32a11a28a3e9b3573d2f441590c91e7fa7ca77",
-    "plane_compose/geometric": "6132cb52d8878002bc00154d48d5f10a7e66fbff4cfc91dc62ad5599f1d6c1b8",
-    "plane_recover/algebraic": "c971e9ee374fb1ae4c7d895d2496d166d76caaa59f2050b24e719c696102c2da",
-    "plane_recover/both": "feb50978bb1a5b993b1725ea6c44f5690a57019f6d76db29fd643580a1784898",
-    "plane_recover/geometric": "5d5ca85d49d01fe29709bea5782429e466673b9d2aeea1049cb13bc1d42dbd08",
+    "plane_compose/algebraic": "f82833d138770b4d787d45b99cb84d9520612679f882d2c5f97e809769a980e5",
+    "plane_compose/both": "e866eb99296824333c58d518017b314976c3725aaf75de95d0c06c1a119726af",
+    "plane_compose/geometric": "c52164bcfc232c396baf395b6c4e34e2f870a4a8b8fcc3b702cb404e1416e3c6",
+    "plane_recover/algebraic": "45ea498f7609c0f14b4f0acf1c4b2499d8a650079ddf1a8076fb77f0f28a4e24",
+    "plane_recover/both": "ead882587838583d07952f5dd46061a473877ff87a9f4f27174967452d7aba1f",
+    "plane_recover/geometric": "f8a4426c4ccea64dadc559f771d9ccf113c9d72597e25d063ec43023e89d9579",
     "plane_reflections/algebraic": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/both": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
     "plane_reflections/geometric": "21b694a59371a112d2cae7a8c8250928bad9719e065511cb98992be7ec206c8c",
-    "sphere_compose/algebraic": "86120791785730daf9b429c1ebaf79e65ab3afff1ac845f34ffb0d590bd95fd3",
-    "sphere_compose/both": "0b29ea2c1fd491744e001576e243ab0545dc5a1c850d7e70c85c081ff6c002be",
-    "sphere_compose/geometric": "da9aa17706222467d2ecb8e428e42bd56891bc80bfcf7ab312c7441559291923",
+    "sphere_compose/algebraic": "ab4f5d84857ae726437e98f5df1713693d0a98afd44cebc6d96951b3216a22ff",
+    "sphere_compose/both": "399e7582cc8c95adaf307a0a1d4673e4f0357d8130b2ff2940e72b427ab5c7e4",
+    "sphere_compose/geometric": "1d8c71f18ed11a1ffd72e93c8c5288d9489497a5b845d5f5e75695a558a0b2af",
     "sphere_recover/algebraic": "38c05c981ada70b4e6a4f4d68ac3ff3c18ed52cce98204c2453ed44368518616",
     "sphere_recover/both": "783a01fe1fdfa46a048f09e7ed553b57ff13ac051c0fd8fabc25562e0159b0fd",
     "sphere_recover/geometric": "26e0f9cb6ef817f7103431e894f297d904146d1c728d9759cfa54c41bef0c1c4",
