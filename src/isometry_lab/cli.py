@@ -213,6 +213,9 @@ def parse_instance(text: bytes | str) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 # solving
 
+# the routes each --method runs, algebraic first
+_ROUTES = {"algebraic": ("algebraic",), "geometric": ("geometric",),
+           "both": ("algebraic", "geometric")}
 _PLANE_PROBE = (Vec2(0.31, 0.17), Vec2(-0.42, 0.93))
 _SPHERE_RESIDUAL_PROBES = (
     UnitVector3(1.0, 0.0, 0.0),
@@ -250,46 +253,38 @@ def _arcsin_notes(x: UnitVector3, xp: UnitVector3, rot: Rotation3) -> list[str]:
     return []
 
 
-def _solve_both_ways(method, tol, algebraic, geometric, pairs, apply, as_dict, notes=None,
-                     dist=Vec2.dist):
-    """Run the routes `method` asks for and build the record.
+def _record(method, tol, answers, residual, as_dict, diagnostics, dist=Vec2.dist):
+    """The record of one solve.
 
-    The algebraic answer is primary unless only the geometric route runs. `pairs`
-    holds (point, expected image) probes and `apply(answer, point)` gives an image; a
-    sphere recovery answer carries its images, looked up by probe index. The residual
-    is the primary answer's worst miss and, with "both", the discrepancy the worst
-    distance between the two answers' images, both as `dist` measures them.
-    `notes(primary)` supplies diagnostics. Returns the record and the primary answer.
+    `answers` holds (answer, images of the probes) for each route `method` ran,
+    algebraic first; the first answer is primary, `residual` is its worst miss and
+    `diagnostics` its notes. With "both" the discrepancy is the worst distance between
+    the two answers' images, as `dist` measures it, and a discrepancy beyond `tol`
+    adds a warning.
     """
-    iso_a = algebraic() if method != "geometric" else None
-    iso_g = geometric() if method != "algebraic" else None
-    primary = iso_g if iso_a is None else iso_a
-    images = [apply(primary, p) for p, _ in pairs]
-    residual = max(dist(image, q) for image, (_, q) in zip(images, pairs))
-    diagnostics = notes(primary) if notes else []
+    (primary, images), *rest = answers
     dict_g = disc = None
-    if method == "both":
-        # primary is iso_a here, so its images serve the discrepancy too
-        disc = max(dist(image, apply(iso_g, p)) for image, (p, _) in zip(images, pairs))
-        dict_g = as_dict(iso_g)
+    if rest:
+        answer_g, images_g = rest[0]
+        disc = max(map(dist, images, images_g))
+        dict_g = as_dict(answer_g)
         if disc > tol:
             diagnostics.append(
                 f"algebraic and geometric results disagree by {disc:.6g} "
                 f"(tolerance {tol:g}); both are reported unreconciled"
             )
-    return SolutionRecord(as_dict(primary), method, residual, diagnostics, dict_g, disc), primary
+    return SolutionRecord(as_dict(primary), method, residual, diagnostics, dict_g, disc)
 
 
 def _run_plane_recover(payload, method, tol):
     src: Segment2 = payload["src"]
     dst: Segment2 = payload["dst"]
-    record, primary = _solve_both_ways(
-        method, tol,
-        lambda: recover_planar(src, dst, tol=tol),
-        lambda: recover_planar_geometric(src, dst, tol=tol),
-        ((src.a, dst.a), (src.b, dst.b)), apply_planar, _planar_iso_dict,
-    )
-    return record, lambda: planar_recovery_figure(src, dst, primary)
+    solve = {"algebraic": recover_planar, "geometric": recover_planar_geometric}
+    isos = [solve[route](src, dst, tol=tol) for route in _ROUTES[method]]
+    answers = [(iso, [apply_planar(iso, p) for p in (src.a, src.b)]) for iso in isos]
+    residual = max(map(Vec2.dist, answers[0][1], (dst.a, dst.b)))
+    record = _record(method, tol, answers, residual, _planar_iso_dict, [])
+    return record, lambda: planar_recovery_figure(src, dst, isos[0])
 
 
 def _run_plane_compose(payload, method, tol):
@@ -298,14 +293,14 @@ def _run_plane_compose(payload, method, tol):
     inner = Rotation2(h, payload["beta"])
     mid = tuple(apply_planar(inner, p) for p in _PLANE_PROBE)
     final = tuple(apply_planar(outer, p) for p in mid)
-    pivots = [(p, apply_planar(outer, apply_planar(inner, p))) for p in (g, h)]
-    record, primary = _solve_both_ways(
-        method, tol,
-        lambda: compose_rotations_planar(outer, inner),
-        lambda: _compose_planar_geometric(outer, inner),
-        (*pivots, *zip(_PLANE_PROBE, final)), apply_planar, _planar_iso_dict,
-        lambda primary: [] if isinstance(primary, Rotation2) else [_NOTE_CANCELLED_ANGLES],
-    )
+    targets = (*(apply_planar(outer, apply_planar(inner, p)) for p in (g, h)), *final)
+    solve = {"algebraic": compose_rotations_planar, "geometric": _compose_planar_geometric}
+    isos = [solve[route](outer, inner) for route in _ROUTES[method]]
+    answers = [(iso, [apply_planar(iso, p) for p in (g, h, *_PLANE_PROBE)]) for iso in isos]
+    residual = max(map(Vec2.dist, answers[0][1], targets))
+    primary = isos[0]
+    notes = [] if isinstance(primary, Rotation2) else [_NOTE_CANCELLED_ANGLES]
+    record = _record(method, tol, answers, residual, _planar_iso_dict, notes)
     return record, lambda: planar_compose_figure(g, h, primary, _PLANE_PROBE, mid, final)
 
 
@@ -335,21 +330,19 @@ def _run_plane_reflections(payload, method, tol):
 
 
 def _run_sphere_recover(payload, method, tol):
-    """Shared by sphere_recover and baseball; one _recover_sphere call solves every route."""
+    """Shared by sphere_recover and baseball. One _recover_sphere call solves every route
+    and gives each answer's residual and images, so the record reuses them."""
     before, after = payload["before"], payload["after"]
     x, y, xp, yp = before.a, before.b, after.a, after.b
-    routes = ("algebraic", "geometric") if method == "both" else (method,)
     try:
-        answers = dict(zip(routes, _recover_sphere(x, xp, y, yp, routes, tol)))
-        record, (rot, _, _) = _solve_both_ways(
-            method, tol, lambda: answers["algebraic"], lambda: answers["geometric"],
-            ((0, (xp.x, xp.y, xp.z)), (1, (yp.x, yp.y, yp.z))),
-            lambda answer, i: answer[2][i], lambda answer: _sphere_rot_dict(answer[0]),
-            lambda answer: _arcsin_notes(x, xp, answer[0]), _dist_xyz,
-        )
+        answers = _recover_sphere(x, xp, y, yp, _ROUTES[method], tol)
     except IdentityCorrespondence:
         residual = max(x.dist(xp), y.dist(yp))
         record, rot = SolutionRecord({"type": "identity"}, method, residual, []), None
+    else:
+        rot, residual, _ = answers[0]
+        record = _record(method, tol, [(r, images) for r, _, images in answers], residual,
+                         _sphere_rot_dict, _arcsin_notes(x, xp, rot), _dist_xyz)
     return record, lambda: sphere_recovery_figure(x, xp, y, yp, rot)
 
 
@@ -368,18 +361,17 @@ def _run_baseball(payload, method, tol):
 def _run_sphere_compose(payload, method, tol):
     outer = Rotation3(payload["g"], payload["alpha"])
     inner = Rotation3(payload["h"], payload["beta"])
-    record, primary = _solve_both_ways(
-        method, tol,
-        lambda: compose_sphere_rotations(outer, inner),
-        lambda: _compose_sphere_geometric(outer, inner),
-        [(p, _image_xyz(outer, apply_sphere(inner, p))) for p in _SPHERE_RESIDUAL_PROBES],
-        _image_xyz, _sphere_rot_dict, dist=_dist_xyz,
-    )
+    targets = [_image_xyz(outer, apply_sphere(inner, p)) for p in _SPHERE_RESIDUAL_PROBES]
+    solve = {"algebraic": compose_sphere_rotations, "geometric": _compose_sphere_geometric}
+    rots = [solve[route](outer, inner) for route in _ROUTES[method]]
+    answers = [(rot, [_image_xyz(rot, p) for p in _SPHERE_RESIDUAL_PROBES]) for rot in rots]
+    residual = max(map(_dist_xyz, answers[0][1], targets))
+    record = _record(method, tol, answers, residual, _sphere_rot_dict, [], _dist_xyz)
     # the eigenvalues cos t +- i sin t of the reported angle t in [0, pi];
     # pi - t is exact past pi/2, so a half turn gets b = 0.0, not sin(pi)
-    t = primary.angle
+    t = rots[0].angle
     record.result["complex_pair"] = [math.cos(t), math.sin(min(t, math.pi - t))]
-    return record, lambda: sphere_compose_figure(payload["g"], payload["h"], primary)
+    return record, lambda: sphere_compose_figure(payload["g"], payload["h"], rots[0])
 
 
 class _Kind(NamedTuple):
@@ -443,16 +435,18 @@ def run(
     tolerance: float = DEFAULT_TOL,
 ) -> SolutionRecord:
     """Solve one instance and, if asked, write its diagram. The diagram is
-    built only then."""
-    if method not in ("algebraic", "geometric", "both"):
+    built only then. An `svg_path` whose last part is empty, "." or ".."
+    raises IsADirectoryError before the solve."""
+    if method not in _ROUTES:
         raise ValueError(f"unknown method {method!r}")
+    if svg_path is not None:
+        _require_file_name(svg_path)
     record, figure = _KINDS[instance.kind].solve(instance.payload, method, check_tol(tolerance))
     if svg_path is not None:
         data = render_svg(figure())
         # Overwrite in place, then cut the tail: opening with O_TRUNC would
         # make ext4 flush a rewritten file on close (its auto_da_alloc rule).
-        # Path() keeps "" the working directory, so svg_path="" stays an error.
-        with open(os.open(Path(svg_path), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        with open(os.open(svg_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
             f.write(data)
             f.truncate()
     return record
@@ -576,14 +570,17 @@ def _error_payload(exc: BaseException) -> dict:
     return {"error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def _svg_path_for(svg: str | None, index: int, batch: bool) -> str | None:
-    if svg is None:
-        return None
+def _require_file_name(svg: str) -> None:
     # on the text as given: Path() reads "d/" and "d/." as "d", a file name it is not
     if os.path.basename(svg) in ("", ".", ".."):
         raise IsADirectoryError(f"--svg {svg!r} names a directory, not a file")
-    if not batch:
+
+
+def _svg_path_for(svg: str | None, index: int, batch: bool) -> str | None:
+    """The file for item `index`; run() checks a single instance's `svg`."""
+    if svg is None or not batch:
         return svg
+    _require_file_name(svg)
     p = Path(svg)
     return str(p.with_name(f"{p.stem}.{index}{p.suffix}"))
 
@@ -604,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, metavar="FILE",
                         help="instance JSON file, or - for stdin")
-    common.add_argument("--method", choices=("algebraic", "geometric", "both"),
+    common.add_argument("--method", choices=tuple(_ROUTES),
                         default="both", help="solution route (default: both)")
     common.add_argument("--svg", metavar="FILE", default=None,
                         help="also write an SVG diagram of the solution")

@@ -653,6 +653,31 @@ def test_no_figure_is_built_without_an_svg_path(monkeypatch, method):
         assert record.residual <= 1e-9
 
 
+# each kind's algebraic and geometric solver, as cli names them
+_ROUTE_SOLVERS = {
+    "plane_recover": ("recover_planar", "recover_planar_geometric"),
+    "plane_compose": ("compose_rotations_planar", "_compose_planar_geometric"),
+    "sphere_compose": ("compose_sphere_rotations", "_compose_sphere_geometric"),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", sorted(_ROUTE_SOLVERS))
+def test_a_run_solves_each_route_it_runs_once_algebraic_first(monkeypatch, kind, method):
+    import isometry_lab.cli as cli
+
+    calls = []
+    for name in _ROUTE_SOLVERS[kind]:
+        def counted(*args, _original=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    run(instance_from_obj({"kind": kind, **_ONE_PER_KIND[kind]}), method=method)
+    routes = zip(("algebraic", "geometric"), _ROUTE_SOLVERS[kind])
+    assert calls == [name for route, name in routes if method in (route, "both")]
+
+
 @pytest.mark.parametrize("kind", sorted(_ONE_PER_KIND))
 def test_an_svg_path_builds_the_figure_once(monkeypatch, tmp_path, kind):
     import isometry_lab.cli as cli
@@ -1594,6 +1619,16 @@ def test_a_single_svg_path_that_names_no_file_exits_2(tmp_path, capsys, monkeypa
     assert out["error"]["type"] == "IsADirectoryError"
     assert err.startswith("error:")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["instance.json"]
+
+
+@pytest.mark.parametrize("svg", ["new/", "d/.", "..", ""])
+def test_run_refuses_an_svg_path_that_names_no_file(tmp_path, monkeypatch, svg):
+    # Path() reads "new/" and "d/." as "new" and "d": run() must not write those files
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(IsADirectoryError) as info:
+        run(instance_from_obj(P2_OBJ), svg_path=svg)
+    assert str(info.value) == f"--svg {svg!r} names a directory, not a file"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_reader_that_closes_stdout_early_gets_exit_2_and_no_traceback(tmp_path):

@@ -557,9 +557,12 @@ def test_fixed_point_algebraic_solve_checks_lengths_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("method, images", [("algebraic", 2), ("geometric", 2), ("both", 4)])
+# _dist_xyz: each route's residual in _recover_sphere, which the record reuses,
+# and with "both" the discrepancy between the two routes' images
+@pytest.mark.parametrize("method, images, dists",
+                         [("algebraic", 2, 2), ("geometric", 2, 2), ("both", 4, 6)])
 def test_a_sphere_recover_run_checks_lengths_once_and_turns_each_point_once_per_route(
-        method, images, monkeypatch):
+        method, images, dists, monkeypatch):
     import isometry_lab.cli as cli
     import isometry_lab.spherical as spherical
     from isometry_lab import parse_instance, run
@@ -568,7 +571,7 @@ def test_a_sphere_recover_run_checks_lengths_once_and_turns_each_point_once_per_
         '{"kind": "sphere_recover", "X": [1, 0, 0], "Y": [0, 1, 0],'
         ' "Xp": [0, 0, 1], "Yp": [1, 0, 0]}'
     )
-    calls = {"_image_xyz": [], "_require_isometric": []}
+    calls = {"_image_xyz": [], "_require_isometric": [], "_dist_xyz": []}
     for name, seen in calls.items():
         real = getattr(spherical, name)
         for module in (spherical, cli):
@@ -576,7 +579,7 @@ def test_a_sphere_recover_run_checks_lengths_once_and_turns_each_point_once_per_
                 monkeypatch.setattr(module, name,
                                     lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
     run(instance, method=method)
-    assert (len(calls["_image_xyz"]), len(calls["_require_isometric"])) == (images, 1)
+    assert [len(seen) for seen in calls.values()] == [images, 1, dists]
 
 
 def test_sphere_composite_is_constructed_without_the_algebraic_route(monkeypatch):
