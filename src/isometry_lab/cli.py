@@ -46,6 +46,7 @@ from .planar import (
     Segment2,
     Translation2,
     _compose_planar_geometric,
+    _images_xy,
     apply_planar,
     compose_reflections,
     compose_rotations_planar,
@@ -59,7 +60,7 @@ from .spherical import (
     UnitVector3,
     _compose_sphere_geometric,
     _dist_xyz,
-    _image_xyz,
+    _images_xyz,
     _recover_sphere,
     apply_sphere,
     chord_arcsin_angle,
@@ -217,6 +218,7 @@ def parse_instance(text: bytes | str) -> ProblemInstance:
 _ROUTES = {"algebraic": ("algebraic",), "geometric": ("geometric",),
            "both": ("algebraic", "geometric")}
 _PLANE_PROBE = (Vec2(0.31, 0.17), Vec2(-0.42, 0.93))
+_PLANE_PROBE_XY = tuple((p.x, p.y) for p in _PLANE_PROBE)
 _SPHERE_RESIDUAL_PROBES = (
     UnitVector3(1.0, 0.0, 0.0),
     UnitVector3(0.0, 1.0, 0.0),
@@ -253,7 +255,7 @@ def _arcsin_notes(x: UnitVector3, xp: UnitVector3, rot: Rotation3) -> list[str]:
     return []
 
 
-def _record(method, tol, answers, residual, as_dict, diagnostics, dist=Vec2.dist):
+def _record(method, tol, answers, residual, as_dict, diagnostics, dist):
     """The record of one solve.
 
     `answers` holds (answer, images of the probes) for each route `method` ran,
@@ -281,9 +283,10 @@ def _run_plane_recover(payload, method, tol):
     dst: Segment2 = payload["dst"]
     solve = {"algebraic": recover_planar, "geometric": recover_planar_geometric}
     isos = [solve[route](src, dst, tol=tol) for route in _ROUTES[method]]
-    answers = [(iso, [apply_planar(iso, p) for p in (src.a, src.b)]) for iso in isos]
-    residual = max(map(Vec2.dist, answers[0][1], (dst.a, dst.b)))
-    record = _record(method, tol, answers, residual, _planar_iso_dict, [])
+    probes = (src.a.x, src.a.y), (src.b.x, src.b.y)
+    answers = [(iso, _images_xy(iso, probes)) for iso in isos]
+    residual = max(map(math.dist, answers[0][1], ((dst.a.x, dst.a.y), (dst.b.x, dst.b.y))))
+    record = _record(method, tol, answers, residual, _planar_iso_dict, [], math.dist)
     return record, lambda: planar_recovery_figure(src, dst, isos[0])
 
 
@@ -291,17 +294,19 @@ def _run_plane_compose(payload, method, tol):
     g, h = payload["g"], payload["h"]
     outer = Rotation2(g, payload["alpha"])
     inner = Rotation2(h, payload["beta"])
-    mid = tuple(apply_planar(inner, p) for p in _PLANE_PROBE)
-    final = tuple(apply_planar(outer, p) for p in mid)
-    targets = (*(apply_planar(outer, apply_planar(inner, p)) for p in (g, h)), *final)
+    probes = ((g.x, g.y), (h.x, h.y), *_PLANE_PROBE_XY)
+    mid = _images_xy(inner, probes)
+    targets = _images_xy(outer, mid)
     solve = {"algebraic": compose_rotations_planar, "geometric": _compose_planar_geometric}
     isos = [solve[route](outer, inner) for route in _ROUTES[method]]
-    answers = [(iso, [apply_planar(iso, p) for p in (g, h, *_PLANE_PROBE)]) for iso in isos]
-    residual = max(map(Vec2.dist, answers[0][1], targets))
+    answers = [(iso, _images_xy(iso, probes)) for iso in isos]
+    residual = max(map(math.dist, answers[0][1], targets))
     primary = isos[0]
     notes = [] if isinstance(primary, Rotation2) else [_NOTE_CANCELLED_ANGLES]
-    record = _record(method, tol, answers, residual, _planar_iso_dict, notes)
-    return record, lambda: planar_compose_figure(g, h, primary, _PLANE_PROBE, mid, final)
+    record = _record(method, tol, answers, residual, _planar_iso_dict, notes, math.dist)
+    # the probe segment XY and its two images, after the pivots' images
+    return record, lambda: planar_compose_figure(
+        g, h, primary, _PLANE_PROBE, [Vec2(*p) for p in mid[2:]], [Vec2(*p) for p in targets[2:]])
 
 
 def _run_plane_reflections(payload, method, tol):
@@ -361,10 +366,10 @@ def _run_baseball(payload, method, tol):
 def _run_sphere_compose(payload, method, tol):
     outer = Rotation3(payload["g"], payload["alpha"])
     inner = Rotation3(payload["h"], payload["beta"])
-    targets = [_image_xyz(outer, apply_sphere(inner, p)) for p in _SPHERE_RESIDUAL_PROBES]
+    targets = _images_xyz(outer, [apply_sphere(inner, p) for p in _SPHERE_RESIDUAL_PROBES])
     solve = {"algebraic": compose_sphere_rotations, "geometric": _compose_sphere_geometric}
     rots = [solve[route](outer, inner) for route in _ROUTES[method]]
-    answers = [(rot, [_image_xyz(rot, p) for p in _SPHERE_RESIDUAL_PROBES]) for rot in rots]
+    answers = [(rot, _images_xyz(rot, _SPHERE_RESIDUAL_PROBES)) for rot in rots]
     residual = max(map(_dist_xyz, answers[0][1], targets))
     record = _record(method, tol, answers, residual, _sphere_rot_dict, [], _dist_xyz)
     # the eigenvalues cos t +- i sin t of the reported angle t in [0, pi];
@@ -436,7 +441,8 @@ def run(
 ) -> SolutionRecord:
     """Solve one instance and, if asked, write its diagram. The diagram is
     built only then. An `svg_path` whose last part is empty, "." or ".."
-    raises IsADirectoryError before the solve."""
+    raises IsADirectoryError before the solve. A `pathlib.Path` has already lost
+    a trailing "/": `Path("new/")` writes a file `new`, while the text "new/" is refused."""
     if method not in _ROUTES:
         raise ValueError(f"unknown method {method!r}")
     if svg_path is not None:

@@ -9,12 +9,14 @@ null space of (M - I).
 
 The hot kernels (`apply_planar`, `a.dist(b)` for `(a - b).norm()`, the
 leaf constructions of `planar` (bisectors, their crossing, the angle at a
-pivot) and `spherical`, the sphere solve's axis constructions, residual,
-rotation check and eigensolve, and the sphere samplers and planar
+pivot) and `spherical`, the sphere solve's axis constructions, rotation
+check and eigensolve, the cross-check, and the sphere samplers and planar
 renderer of `figures`) work on floats and build no intermediate vectors,
 in the operation order of the vector expression each replaces, so every
-result keeps its bits; the full-precision digests and the golden corpus
-of the test suite hold them to that. The plane's algebraic route is not
+result keeps its bits; the full-precision digests and the golden corpus of
+the test suite hold them to that. The cross-check maps its probes through
+one image kernel per space, `planar._images_xy` and `spherical._images_xyz`,
+each taking cos and sin once per turn. The plane's algebraic route is not
 one of them: it computes in closed form on `complex` numbers, and a
 50-digit error bound in the test suite holds its answers.
 """
@@ -332,25 +334,27 @@ def eig3_rotation(m: Mat3) -> tuple[Vec3, tuple[float, float]]:
     """
     require_rotation(m)
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m.rows
-    r0, r1, r2 = (a0 - 1.0, a1, a2), (b0, b1 - 1.0, b2), (c0, c1, c2 - 1.0)  # m - I
-    if max(abs(v) for r in (r0, r1, r2) for v in r) < IDENTITY_TOL:
+    d0, d1, d2 = a0 - 1.0, b1 - 1.0, c2 - 1.0  # m - I is (d0, a1, a2), (b0, d1, b2), (c0, c1, d2)
+    if max(map(abs, (d0, a1, a2, b0, d1, b2, c0, c1, d2))) < IDENTITY_TOL:
         raise IdentityRotation("matrix is the identity; every direction is fixed")
 
-    a = clamp((m.trace() - 1.0) / 2.0, -1.0, 1.0)
+    a = clamp((a0 + b1 + c2 - 1.0) / 2.0, -1.0, 1.0)
     sx, sy, sz = (c1 - b2) / 2.0, (a2 - c0) / 2.0, (b0 - a1) / 2.0
     b = math.sqrt(sx * sx + sy * sy + sz * sz)
 
-    # the longest cross product of two rows, normalized
-    x, y, z = max(
-        [(p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
-         for (p0, p1, p2), (q0, q1, q2) in ((r0, r1), (r0, r2), (r1, r2))],
-        key=lambda v: v[0] * v[0] + v[1] * v[1] + v[2] * v[2],
-    )
-    n = math.sqrt(x * x + y * y + z * z)
+    # the longest cross product of two rows, the first of equal ones: rows 0 x 1, 0 x 2, 1 x 2
+    x, y, z = a1 * b2 - a2 * d1, a2 * b0 - d0 * b2, d0 * d1 - a1 * b0
+    nn = x * x + y * y + z * z
+    for u, v, w in ((a1 * d2 - a2 * c1, a2 * c0 - d0 * d2, d0 * c1 - a1 * c0),
+                    (d1 * d2 - b2 * c1, b2 * c0 - b0 * d2, b0 * c1 - d1 * c0)):
+        if (uu := u * u + v * v + w * w) > nn:
+            x, y, z, nn = u, v, w, uu
+    n = math.sqrt(nn)
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     x, y, z = x / n, y / n, z / n
     # flip so the first component above AXIS_SIGN_TOL in magnitude is positive
-    if next((c for c in (x, y, z) if abs(c) > AXIS_SIGN_TOL), 1.0) < 0.0:
+    t = AXIS_SIGN_TOL
+    if (x if abs(x) > t else y if abs(y) > t else z if abs(z) > t else 0.0) < 0.0:
         x, y, z = -x, -y, -z
     return Vec3(x, y, z), (a, b)

@@ -139,6 +139,25 @@ def apply_planar(iso: PlanarIsometry, p: Vec2) -> Vec2:
     raise TypeError(f"not a planar isometry: {iso!r}")
 
 
+def _images_xy(iso: PlanarIsometry, points) -> list[tuple[float, float]]:
+    """apply_planar(iso, p) for each (x, y) of `points`, as (x, y) floats, taking cos and sin
+    once. A reflection raises TypeError: the cross-check has none to map."""
+    if isinstance(iso, Rotation2):
+        qx, qy = iso.pivot.x, iso.pivot.y
+        c, s = math.cos(iso.angle), math.sin(iso.angle)
+        images = []
+        for x, y in points:
+            dx, dy = x - qx, y - qy
+            images.append((qx + (c * dx - s * dy), qy + (s * dx + c * dy)))
+        return images
+    if isinstance(iso, Translation2):
+        vx, vy = iso.v.x, iso.v.y
+        return [(x + vx, y + vy) for x, y in points]
+    if isinstance(iso, Identity2):
+        return list(points)
+    raise TypeError(f"not a rotation, translation or identity: {iso!r}")
+
+
 def reflect(line: Line2, p: Vec2) -> Vec2:
     """Mirror image of p across the line."""
     w = p - line.point

@@ -152,10 +152,20 @@ def apply_sphere(rot: Rotation3, p: Vec3) -> UnitVector3:
     return UnitVector3(*_turned((a.x, a.y, a.z), rot.angle, (p.x, p.y, p.z)))
 
 
-def _image_xyz(rot: Rotation3, p: UnitVector3) -> Xyz:
-    """The coordinates of apply_sphere(rot, p), without building it."""
+def _images_xyz(rot: Rotation3, points) -> list[Xyz]:
+    """The coordinates of apply_sphere(rot, p) for each unit vector p of `points`, without
+    building it: _turned's terms, cos and sin taken once, then renormalized as UnitVector3 does."""
     a = rot.axis
-    return _unit_xyz(*_turned((a.x, a.y, a.z), rot.angle, (p.x, p.y, p.z)))
+    ax, ay, az = a.x, a.y, a.z
+    c, s = math.cos(rot.angle), math.sin(rot.angle)
+    images = []
+    for p in points:
+        px, py, pz = p.x, p.y, p.z
+        k = (ax * px + ay * py + az * pz) * (1.0 - c)
+        images.append(_unit_xyz(px * c + (ay * pz - az * py) * s + ax * k,
+                                py * c + (az * px - ax * pz) * s + ay * k,
+                                pz * c + (ax * py - ay * px) * s + az * k))
+    return images
 
 
 def _turned(axis: Xyz, angle: float, p: Xyz) -> Xyz:
@@ -366,7 +376,7 @@ def _recover_sphere(x: UnitVector3, xp: UnitVector3, y: UnitVector3, yp: UnitVec
         else:
             axis = _axis_cross(x, xp, y, yp, move_x * move_y)
         rot = Rotation3(axis, rotation_angle_about_axis(axis, p, q))
-        images = _image_xyz(rot, x), _image_xyz(rot, y)
+        images = _images_xyz(rot, (x, y))
         residual = max(_dist_xyz(images[0], (xp.x, xp.y, xp.z)),
                        _dist_xyz(images[1], (yp.x, yp.y, yp.z)))
         if residual > tol:

@@ -13,6 +13,7 @@ import math
 import struct
 from typing import NamedTuple
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -271,6 +272,30 @@ def test_apply_planar_rotation_is_the_matrix_expression(pivot, angle, p):
 def test_apply_planar_translation_is_the_sum(v, p):
     tr = Translation2(v)
     assert _bits(apply_planar(tr, p)) == _bits(_apply_planar_oracle(tr, p))
+
+
+plane_isometries = st.one_of(
+    st.builds(Rotation2, vec2s, angles), st.builds(Translation2, vec2s), st.just(planar.Identity2()))
+
+
+@given(plane_isometries, st.lists(vec2s, max_size=4))
+@example(Rotation2(Vec2(-0.0, 0.0), -0.0), [Vec2(0.0, -0.0), Vec2(-0.0, -0.0)])
+@example(Rotation2(Vec2(MAX_COORD, -MAX_COORD), math.pi), [Vec2(-MAX_COORD, MAX_COORD)])
+@example(Translation2(Vec2(-0.0, -0.0)), [Vec2(-0.0, 0.0), Vec2(MAX_COORD, -MAX_COORD)])
+@example(planar.Identity2(), [Vec2(-0.0, 5e-324)])
+def test_plane_images_are_apply_planar(iso, points):
+    # the cross-check's targets, route images, residual and discrepancy: floats, not Vec2s
+    got = planar._images_xy(iso, [(p.x, p.y) for p in points])
+    assert _bits(got) == _bits([apply_planar(iso, p) for p in points])
+    q = points[0] if points else Vec2(0.0, 0.0)
+    for p in points:
+        assert _bits(math.dist((p.x, p.y), (q.x, q.y))) == _bits(p.dist(q))
+
+
+def test_plane_images_refuse_a_reflection():
+    mirror = planar.Reflection2(Line2(Vec2(0.0, 0.0), Vec2(1.0, 0.0)))
+    with pytest.raises(TypeError):
+        planar._images_xy(mirror, [(1.0, 2.0)])
 
 
 @given(vec2s, vec2s)
@@ -822,16 +847,20 @@ def test_a_unit_vector_divides_once_by_its_norm(v):
     assert _outcome(UnitVector3, v.x, v.y, v.z) == want
 
 
-@given(sphere_rotations, st.one_of(sphere_points, off_units))
-@example(Rotation3(UnitVector3(0.0, -0.0, 1.0), -0.0), UnitVector3(-0.0, 1.0, 0.0))
-def test_a_sphere_image_is_apply_sphere(rot, p):
+@given(sphere_rotations, st.one_of(sphere_points, off_units), sphere_points)
+@example(Rotation3(UnitVector3(0.0, -0.0, 1.0), -0.0), UnitVector3(-0.0, 1.0, 0.0),
+         UnitVector3(0.0, 0.0, -1.0))
+def test_a_sphere_image_is_apply_sphere(rot, p, q):
     want = _outcome(_apply_sphere_oracle, rot, p)
     assert _outcome(apply_sphere, rot, p) == want
     try:
         p = _as_unit(p)  # as apply_sphere takes it
     except NonUnitVector:
         return
-    assert _outcome(spherical._image_xyz, rot, p) == want
+    # one kernel call turns every point, each as apply_sphere would
+    want_q = _outcome(_apply_sphere_oracle, rot, q)
+    assert _outcome(spherical._images_xyz, rot, [p, q]) == (want, want_q)
+    assert _outcome(spherical._images_xyz, rot, []) == ()
 
 
 @given(vec3s, vec3s)
@@ -895,7 +924,7 @@ def test_one_sphere_solve_for_both_routes_is_each_route_alone(points, tol):
         return
     assert [_bits(_axis_angle(rot)) for rot, _, _ in answers] == alone
     for rot, residual, images in answers:
-        fresh = spherical._image_xyz(rot, x), spherical._image_xyz(rot, y)
+        fresh = spherical._images_xyz(rot, (x, y))
         miss = max(spherical._dist_xyz(fresh[0], (xp.x, xp.y, xp.z)),
                    spherical._dist_xyz(fresh[1], (yp.x, yp.y, yp.z)))
         assert _bits((residual, images)) == _bits((miss, fresh))
@@ -960,6 +989,10 @@ def test_compose_sphere_geometric_is_its_vector_body(axes, alpha, beta):
 @given(matrices)
 @example(Mat3(((1.0, 1e-9, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))))  # m - I of rank 1
 @example(Mat3(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))))  # three tied cross products
+# a quarter turn about (1, 1, 0): rows 0 x 2 and 1 x 2 tie, and give axes whose z differs in sign
+@example(Mat3(((0.5000000000000001, 0.5, 0.7071067811865476),
+               (0.5, 0.5000000000000001, -0.7071067811865476),
+               (-0.7071067811865476, 0.7071067811865476, 6.123233995736766e-17))))
 @example(Mat3(((-1.0, 0.0, 0.0), (0.0, 1.0, -0.0), (0.0, 0.0, -1.0))))  # a half turn about y
 def test_the_rotation_check_and_eigensolve_are_their_matrix_bodies(m):
     assert _outcome(require_rotation, m) == _outcome(_require_rotation_oracle, m)

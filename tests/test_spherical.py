@@ -557,6 +557,7 @@ def test_fixed_point_algebraic_solve_checks_lengths_once(monkeypatch):
     assert len(calls) == 1
 
 
+# images: the points turned, by one _images_xyz call per route on x and y;
 # _dist_xyz: each route's residual in _recover_sphere, which the record reuses,
 # and with "both" the discrepancy between the two routes' images
 @pytest.mark.parametrize("method, images, dists",
@@ -571,7 +572,7 @@ def test_a_sphere_recover_run_checks_lengths_once_and_turns_each_point_once_per_
         '{"kind": "sphere_recover", "X": [1, 0, 0], "Y": [0, 1, 0],'
         ' "Xp": [0, 0, 1], "Yp": [1, 0, 0]}'
     )
-    calls = {"_image_xyz": [], "_require_isometric": [], "_dist_xyz": []}
+    calls = {"_images_xyz": [], "_require_isometric": [], "_dist_xyz": []}
     for name, seen in calls.items():
         real = getattr(spherical, name)
         for module in (spherical, cli):
@@ -579,7 +580,9 @@ def test_a_sphere_recover_run_checks_lengths_once_and_turns_each_point_once_per_
                 monkeypatch.setattr(module, name,
                                     lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
     run(instance, method=method)
-    assert [len(seen) for seen in calls.values()] == [images, 1, dists]
+    turned = calls.pop("_images_xyz")
+    assert [tuple(points) for _, points in turned] == [(X, Y)] * (images // 2)
+    assert [len(seen) for seen in calls.values()] == [1, dists]
 
 
 def test_sphere_composite_is_constructed_without_the_algebraic_route(monkeypatch):
