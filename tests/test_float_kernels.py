@@ -287,8 +287,7 @@ def test_plane_images_are_apply_planar(iso, points):
     # the cross-check's targets, route images, residual and discrepancy: floats, not Vec2s
     got = planar._images_xy(iso, [(p.x, p.y) for p in points])
     assert _bits(got) == _bits([apply_planar(iso, p) for p in points])
-    q = points[0] if points else Vec2(0.0, 0.0)
-    for p in points:
+    for p, q in zip(points, reversed(points)):
         assert _bits(math.dist((p.x, p.y), (q.x, q.y))) == _bits(p.dist(q))
 
 
@@ -860,7 +859,6 @@ def test_a_sphere_image_is_apply_sphere(rot, p, q):
     # one kernel call turns every point, each as apply_sphere would
     want_q = _outcome(_apply_sphere_oracle, rot, q)
     assert _outcome(spherical._images_xyz, rot, [p, q]) == (want, want_q)
-    assert _outcome(spherical._images_xyz, rot, []) == ()
 
 
 @given(vec3s, vec3s)
