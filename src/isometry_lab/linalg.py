@@ -8,17 +8,21 @@ read from the trace and the skew part, and the eigenvector comes from the
 null space of (M - I).
 
 The hot kernels (`apply_planar`, `a.dist(b)` for `(a - b).norm()`, the
-leaf constructions of `planar` (bisectors, their crossing, the angle at a
-pivot) and `spherical`, the sphere solve's axis constructions, rotation
-check and eigensolve, the cross-check, and the sphere samplers and planar
-renderer of `figures`) work on floats and build no intermediate vectors,
-in the operation order of the vector expression each replaces, so every
-result keeps its bits; the full-precision digests and the golden corpus of
-the test suite hold them to that. The cross-check maps its probes through
-one image kernel per space, `planar._images_xy` and `spherical._images_xyz`,
-each taking cos and sin once per turn. The plane's algebraic route is not
-one of them: it computes in closed form on `complex` numbers, and a
-50-digit error bound in the test suite holds its answers.
+plane and sphere constructions, the sphere solve's rotation check and
+eigensolve, the cross-check, and the sphere samplers and planar renderer
+of `figures`) work on floats and build no intermediate vectors, in the
+operation order of the vector expression each replaces, so every result
+keeps its bits; the full-precision digests and the golden corpus of the
+test suite hold them to that. The plane's are `planar._unit_xy`,
+`_bisector_xy`, `_crossing_xy` on `_solve2`, and `_compose_mirrors`,
+wrapped by `Line2`, `perpendicular_bisector`, `solve2` and
+`compose_reflections`; a geometric plane route builds only its answer and
+its `Vec2`, and one `Vec2` more where the bisectors coincide. The
+cross-check maps its probes through one image kernel per space,
+`planar._images_xy` and `spherical._images_xyz`, each taking cos and sin
+once per turn. The plane's algebraic route is not one of them: it computes
+in closed form on `complex` numbers, and a 50-digit error bound in the
+test suite holds its answers.
 """
 
 from __future__ import annotations
@@ -257,11 +261,16 @@ def solve2(m00: float, m01: float, m10: float, m11: float, b0: float, b1: float)
     Raises SingularMatrix when |det| <= SOLVE2_RTOL * (max row norm)^2; the
     squared row norm makes the test invariant under uniform scaling of the matrix.
     """
+    return Vec2(*_solve2(m00, m01, m10, m11, b0, b1))
+
+
+def _solve2(m00: float, m01: float, m10: float, m11: float, b0: float, b1: float) -> tuple[float, float]:
+    """solve2 on floats: the solution as an (x, y) pair."""
     det = m00 * m11 - m01 * m10
     row = max(math.hypot(m00, m01), math.hypot(m10, m11))
     if abs(det) <= SOLVE2_RTOL * row * row:
         raise SingularMatrix(f"2x2 system is singular (det={det:.3g})")
-    return Vec2((b0 * m11 - m01 * b1) / det, (m00 * b1 - b0 * m10) / det)
+    return (b0 * m11 - m01 * b1) / det, (m00 * b1 - b0 * m10) / det
 
 
 Xyz = tuple[float, float, float]

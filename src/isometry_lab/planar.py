@@ -20,7 +20,7 @@ from .errors import (
     ZeroAngle,
 )
 from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, NORMALIZE_MIN, SAME_LINE_RTOL
-from .linalg import Vec2, _value, check_coords, check_tol, cross2, solve2, wrap_angle
+from .linalg import Vec2, _solve2, _value, check_coords, check_tol, cross2, wrap_angle
 
 __all__ = [
     "Identity2", "Line2", "PlanarIsometry", "Reflection2", "Rotation2", "Segment2", "Translation2",
@@ -32,6 +32,18 @@ __all__ = [
 
 def _finite2(v: Vec2) -> bool:
     return math.isfinite(v.x) and math.isfinite(v.y)
+
+
+def _unit_xy(x: float, y: float) -> tuple[float, float]:
+    """(x, y) over its length, a line's direction; ValueError if both are 0."""
+    n = math.hypot(x, y)
+    if n == 0.0:
+        raise ValueError("line direction must be nonzero")
+    if not NORMALIZE_MIN <= n < math.inf:  # too long or too short to divide by: rescale first
+        m = max(abs(x), abs(y))
+        x, y = x / m, y / m
+        n = math.hypot(x, y)
+    return x / n, y / n
 
 
 @_value
@@ -70,17 +82,8 @@ class Line2:
     def _canonical(point, direction):
         if not (_finite2(point) and _finite2(direction)):
             raise ValueError("line parameters must be finite")
-        n = direction.norm()
-        if n == 0.0:
-            raise ValueError("line direction must be nonzero")
-        if n != 1.0:
-            x, y = direction.x, direction.y
-            if not NORMALIZE_MIN <= n < math.inf:  # too long or too short to divide by: rescale first
-                m = max(abs(x), abs(y))
-                x, y = x / m, y / m
-                n = math.hypot(x, y)
-            direction = Vec2(x / n, y / n)
-        return point, direction
+        x, y = _unit_xy(direction.x, direction.y)
+        return point, direction if x == direction.x and y == direction.y else Vec2(x, y)
 
 
 @_value
@@ -173,20 +176,25 @@ def orientation_sign(a: Vec2, b: Vec2, c: Vec2) -> int:
 
 def perpendicular_bisector(a: Vec2, b: Vec2) -> Line2:
     """Locus of points equidistant from a and b."""
-    cx, cy = b.x - a.x, b.y - a.y
+    mx, my, dx, dy = _bisector_xy(a.x, a.y, b.x, b.y)
+    return Line2(Vec2(mx, my), Vec2(dx, dy))
+
+
+def _bisector_xy(ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float, float]:
+    """perpendicular_bisector on floats: the midpoint, then the chord's quarter turn, not unit."""
+    cx, cy = bx - ax, by - ay
     if cx == 0.0 and cy == 0.0:
         raise DegenerateBisector("coincident points have no perpendicular bisector")
-    return Line2(Vec2((a.x + b.x) * 0.5, (a.y + b.y) * 0.5), Vec2(-cy, cx))
+    return (ax + bx) * 0.5, (ay + by) * 0.5, -cy, cx
 
 
-def _intersect_lines(l1: Line2, l2: Line2) -> Vec2 | None:
-    """Intersection point, or None when the lines are parallel."""
-    p, d, q, e = l1.point, l1.direction, l2.point, l2.direction
+def _crossing_xy(px, py, dx, dy, qx, qy, ex, ey) -> tuple[float, float] | None:
+    """Where the line through p along d crosses the one through q along e; None if parallel."""
     try:
-        t = solve2(d.x, -e.x, d.y, -e.y, q.x - p.x, q.y - p.y).x
+        t = _solve2(dx, -ex, dy, -ey, qx - px, qy - py)[0]
     except SingularMatrix:
         return None
-    return Vec2(p.x + d.x * t, p.y + d.y * t)
+    return px + dx * t, py + dy * t
 
 
 def _point_scale(*points: Vec2) -> float:
@@ -269,18 +277,20 @@ def _pivot_geometric(src: Segment2, dst: Segment2, scale: float) -> Vec2:
     if fixed_a or fixed_b:
         return src.a if fixed_a else src.b
 
-    la = perpendicular_bisector(src.a, dst.a)
-    lb = perpendicular_bisector(src.b, dst.b)
-    point = _intersect_lines(la, lb)
+    a, b, qa, qb = src.a, src.b, dst.a, dst.b
+    pax, pay, ux, uy = _bisector_xy(a.x, a.y, qa.x, qa.y)
+    pbx, pby, vx, vy = _bisector_xy(b.x, b.y, qb.x, qb.y)
+    (ux, uy), (vx, vy) = _unit_xy(ux, uy), _unit_xy(vx, vy)
+    point = _crossing_xy(pax, pay, ux, uy, pbx, pby, vx, vy)
     if point is None:
-        offset = abs(cross2(la.direction, lb.point - la.point))
+        offset = abs(ux * (pby - pay) - uy * (pbx - pax))  # cross2(u, pb - pa)
         if offset <= SAME_LINE_RTOL * scale:
-            iso = compose_reflections(Reflection2(la), Reflection2(Line2(dst.a, dst.b - dst.a)))
+            iso = _compose_mirrors(Vec2(pax, pay), ux, uy, qa, *_unit_xy(qb.x - qa.x, qb.y - qa.y))
             if isinstance(iso, Rotation2):
                 return iso.pivot
             raise ParallelBisectors("correspondence is a translation; no pivot exists")
         raise ParallelBisectors("bisectors are parallel; the correspondence is a translation")
-    return point
+    return Vec2(*point)
 
 
 def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAULT_TOL) -> PlanarIsometry:
@@ -291,13 +301,13 @@ def recover_planar_geometric(src: Segment2, dst: Segment2, *, tol: float = DEFAU
     off the endpoint that moves more, the one farther from it.
     """
     _check_lengths(src, dst, tol)
-    da = dst.a - src.a
-    db = dst.b - src.b
+    dax, day = dst.a.x - src.a.x, dst.a.y - src.a.y  # da = dst.a - src.a
+    dbx, dby = dst.b.x - src.b.x, dst.b.y - src.b.y  # db = dst.b - src.b
     scale = _point_scale(src.a, src.b, dst.a, dst.b)
-    if da.dist(db) <= ANGLE_MIN * src.length():
-        return _translation(da, scale)
+    if math.hypot(dax - dbx, day - dby) <= ANGLE_MIN * src.length():  # da.dist(db)
+        return _translation(Vec2(dax, day), scale)
     pivot = _pivot_geometric(src, dst, scale)
-    p, q = (src.a, dst.a) if da.norm() >= db.norm() else (src.b, dst.b)
+    p, q = (src.a, dst.a) if math.hypot(dax, day) >= math.hypot(dbx, dby) else (src.b, dst.b)
     # signed_angle(p - pivot, q - pivot), in its operation order
     ux, uy, vx, vy = p.x - pivot.x, p.y - pivot.y, q.x - pivot.x, q.y - pivot.y
     cross, dot = ux * vy - uy * vx, ux * vx + uy * vy
@@ -358,9 +368,8 @@ def _compose_planar_geometric(outer: Rotation2, inner: Rotation2) -> PlanarIsome
     g, h = outer.pivot, inner.pivot
     phi = math.atan2(g.y - h.y, g.x - h.x)  # 0, the x axis, when the pivots coincide
     a, b = phi - inner.angle / 2.0, phi + outer.angle / 2.0
-    n = Line2(inner.pivot, Vec2(math.cos(a), math.sin(a)))
-    m = Line2(outer.pivot, Vec2(math.cos(b), math.sin(b)))
-    return compose_reflections(Reflection2(n), Reflection2(m))
+    n, m = _unit_xy(math.cos(a), math.sin(a)), _unit_xy(math.cos(b), math.sin(b))
+    return _compose_mirrors(h, *n, g, *m)
 
 
 def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsometry:
@@ -371,12 +380,19 @@ def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsomet
     composite, it is the translation taking the first line's point to its
     image instead, or the identity when that translation is negligible.
     """
-    angle = wrap_angle(2.0 * signed_angle(first.line.direction, second.line.direction))
+    d, e = first.line.direction, second.line.direction
+    return _compose_mirrors(first.line.point, d.x, d.y, second.line.point, e.x, e.y)
+
+
+def _compose_mirrors(p: Vec2, dx: float, dy: float, q: Vec2, ex: float, ey: float) -> PlanarIsometry:
+    """compose_reflections, on floats, of the lines through p and q along the units d and e."""
+    # wrap_angle(2 signed_angle(d, e)), in its operation order
+    angle = wrap_angle(2.0 * math.atan2(dx * ey - dy * ex, dx * ex + dy * ey))
     if abs(angle) < ANGLE_MIN:
-        n = second.line.direction.perp()
-        v = n * (2.0 * (second.line.point - first.line.point).dot(n))
-        return _translation(v, _point_scale(first.line.point, second.line.point))
-    return Rotation2(_intersect_lines(first.line, second.line), angle)
+        nx, ny = -ey, ex  # e.perp()
+        s = 2.0 * ((q.x - p.x) * nx + (q.y - p.y) * ny)  # 2 (q - p) . n
+        return _translation(Vec2(nx * s, ny * s), _point_scale(p, q))
+    return Rotation2(Vec2(*_crossing_xy(p.x, p.y, dx, dy, q.x, q.y, ex, ey)), angle)
 
 
 def reflections_for_rotation(rot: Rotation2) -> tuple[Reflection2, Reflection2]:

@@ -21,7 +21,9 @@ from isometry_lab import (
     GeometryError,
     InternalCheckError,
     LengthMismatch,
+    Line2,
     ParseError,
+    Reflection2,
     Rotation2,
     SchemaError,
     Segment2,
@@ -1437,13 +1439,14 @@ def test_cancelled_angle_note_comes_with_a_non_rotation(method):
         assert noted == (record.result["type"] != "rotation"), obj
 
 
-# Vec2 and Vec3 values built by one run() on the first instance of each
-# plane kind's corpus case: the float kernels build no intermediates, and the
-# cross-check of plane_recover and plane_compose maps its probes on floats
+# Vec2, Vec3, Line2 and Reflection2 values built by one run() on any instance
+# of each plane kind's corpus case: the float kernels build no intermediates,
+# so plane_recover and plane_compose build only each route's pivot, and only
+# plane_reflections, whose answer is two mirror lines, builds lines
 _CONSTRUCTIONS = {
-    "plane_compose": {"Vec2": 5},
-    "plane_recover": {"Vec2": 11},
-    "plane_reflections": {"Vec2": 13},
+    "plane_compose": {"Vec2": 2},
+    "plane_recover": {"Vec2": 2},
+    "plane_reflections": {"Vec2": 12, "Line2": 2, "Reflection2": 2},
 }
 
 
@@ -1466,11 +1469,13 @@ def _counting(monkeypatch, classes) -> Counter:
 
 @pytest.mark.parametrize("kind", sorted(_CONSTRUCTIONS))
 def test_a_plane_run_builds_few_vectors(monkeypatch, kind):
-    inst = _corpus_instances(kind)[0]
-    counts = _counting(monkeypatch, (Vec2, Vec3))
-    run(inst, method="both")
-    for name in ("Vec2", "Vec3"):
-        assert counts[name] <= _CONSTRUCTIONS[kind].get(name, 0), (name, dict(counts))
+    instances = _corpus_instances(kind)
+    counts = _counting(monkeypatch, (Vec2, Vec3, Line2, Reflection2))
+    for inst in instances:
+        counts.clear()
+        run(inst, method="both")
+        for name in ("Vec2", "Vec3", "Line2", "Reflection2"):
+            assert counts[name] <= _CONSTRUCTIONS[kind].get(name, 0), (name, dict(counts))
 
 
 # UnitVector3, Vec3 and Mat3 values built by one run() on any instance of

@@ -35,7 +35,9 @@ from isometry_lab import (
     Mat3,
     NonUnitVector,
     NotARotation,
+    ParallelBisectors,
     PointOnAxis,
+    Reflection2,
     Rotation2,
     Rotation3,
     Segment2,
@@ -51,7 +53,9 @@ from isometry_lab import (
     bisector_great_circle,
     chord_arcsin_angle,
     compose_planar,
+    compose_reflections,
     cross,
+    cross2,
     eig3_rotation,
     intersect_great_circles,
     perpendicular_bisector,
@@ -66,8 +70,8 @@ from isometry_lab import (
 from isometry_lab.linalg import (
     ACOS_SINE_MIN, ANGLE_MIN, AXIS_SIGN_TOL, COINCIDENT_RTOL, FIGURE_CLIP_TOL, FIGURE_MIN_ARC,
     FIGURE_MIN_SPAN, IDENTITY_TOL,
-    MAX_COORD, ON_AXIS_TOL, PARALLEL_TOL, ROTATION_TOL, SKEW_CHECK_TOL, SKEW_TOL,
-    SPHERE_CHORD_MIN, UNIT_TOL, require_rotation,
+    MAX_COORD, NORMALIZE_MIN, ON_AXIS_TOL, PARALLEL_TOL, ROTATION_TOL, SAME_LINE_RTOL,
+    SKEW_CHECK_TOL, SKEW_TOL, SOLVE2_RTOL, SPHERE_CHORD_MIN, UNIT_TOL, _solve2, require_rotation,
 )
 
 _EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300, 1.0, -1.0,
@@ -159,21 +163,85 @@ def _apply_planar_oracle(iso, p):
     return p + iso.v
 
 
-def _bisector_oracle(a, b):
+class _Line(NamedTuple):
+    """A line as the plane oracles build it: the bits of a Line2 of the same fields."""
+
+    point: Vec2
+    direction: Vec2
+
+
+def _direction_oracle(direction):
+    """Line2's direction, as it normalized a Vec2."""
+    n = direction.norm()
+    if n == 0.0:
+        raise ValueError("line direction must be nonzero")
+    if n != 1.0:
+        x, y = direction.x, direction.y
+        if not NORMALIZE_MIN <= n < math.inf:
+            m = max(abs(x), abs(y))
+            x, y = x / m, y / m
+            n = math.hypot(x, y)
+        direction = Vec2(x / n, y / n)
+    return direction
+
+
+def _solve2_oracle(m, b):
+    det = m.m00 * m.m11 - m.m01 * m.m10
+    row = max(math.hypot(m.m00, m.m01), math.hypot(m.m10, m.m11))
+    if abs(det) <= SOLVE2_RTOL * row * row:
+        raise SingularMatrix(f"2x2 system is singular (det={det:.3g})")
+    return Vec2((b.x * m.m11 - m.m01 * b.y) / det, (m.m00 * b.y - b.x * m.m10) / det)
+
+
+def _bisector_parts_oracle(a, b):
     chord = b - a
     if chord.norm() == 0.0:
         raise DegenerateBisector("coincident points have no perpendicular bisector")
-    return Line2((a + b) * 0.5, chord.perp())
+    mid, d = (a + b) * 0.5, chord.perp()
+    return mid.x, mid.y, d.x, d.y
+
+
+def _bisector_oracle(a, b):
+    mx, my, dx, dy = _bisector_parts_oracle(a, b)
+    return _Line(Vec2(mx, my), _direction_oracle(Vec2(dx, dy)))
 
 
 def _intersect_oracle(l1, l2):
     m = _Mat2(l1.direction.x, -l2.direction.x, l1.direction.y, -l2.direction.y)
     b = l2.point - l1.point
     try:
-        ts = solve2(*m, b.x, b.y)
+        ts = _solve2_oracle(m, b)
     except SingularMatrix:
         return None
     return l1.point + l1.direction * ts.x
+
+
+def _compose_reflections_oracle(l1, l2):
+    angle = wrap_angle(2.0 * signed_angle(l1.direction, l2.direction))
+    if abs(angle) < ANGLE_MIN:
+        n = l2.direction.perp()
+        v = n * (2.0 * (l2.point - l1.point).dot(n))
+        return planar._translation(v, planar._point_scale(l1.point, l2.point))
+    return Rotation2(_intersect_oracle(l1, l2), angle)
+
+
+def _pivot_oracle(src, dst, scale):
+    fixed_a, fixed_b = planar._fixed_endpoints(src, dst, scale)
+    if fixed_a and fixed_b:
+        raise DegenerateBisector("both endpoints are fixed; any point is a candidate pivot")
+    if fixed_a or fixed_b:
+        return src.a if fixed_a else src.b
+    la = _bisector_oracle(src.a, dst.a)
+    lb = _bisector_oracle(src.b, dst.b)
+    point = _intersect_oracle(la, lb)
+    if point is None:
+        if abs(cross2(la.direction, lb.point - la.point)) <= SAME_LINE_RTOL * scale:
+            iso = _compose_reflections_oracle(la, _Line(dst.a, _direction_oracle(dst.b - dst.a)))
+            if isinstance(iso, Rotation2):
+                return iso.pivot
+            raise ParallelBisectors("correspondence is a translation; no pivot exists")
+        raise ParallelBisectors("bisectors are parallel; the correspondence is a translation")
+    return point
 
 
 def _recover_planar_geometric_oracle(src, dst):
@@ -185,7 +253,7 @@ def _recover_planar_geometric_oracle(src, dst):
         if da.norm() <= COINCIDENT_RTOL * scale:
             return planar.Identity2()
         return Translation2(da)
-    pivot = planar._pivot_geometric(src, dst, scale)
+    pivot = _pivot_oracle(src, dst, scale)
     if da.norm() >= db.norm():
         theta = signed_angle(src.a - pivot, dst.a - pivot)
     else:
@@ -197,9 +265,9 @@ def _compose_planar_geometric_oracle(outer, inner):
     d = outer.pivot - inner.pivot
     phi = math.atan2(d.y, d.x)
     a, b = phi - inner.angle / 2.0, phi + outer.angle / 2.0
-    n = Line2(inner.pivot, Vec2(math.cos(a), math.sin(a)))
-    m = Line2(outer.pivot, Vec2(math.cos(b), math.sin(b)))
-    return planar.compose_reflections(planar.Reflection2(n), planar.Reflection2(m))
+    n = _Line(inner.pivot, _direction_oracle(Vec2(math.cos(a), math.sin(a))))
+    m = _Line(outer.pivot, _direction_oracle(Vec2(math.cos(b), math.sin(b))))
+    return _compose_reflections_oracle(n, m)
 
 
 def _rotation_angle_oracle(axis, x, xp):
@@ -297,21 +365,75 @@ def test_plane_images_refuse_a_reflection():
         planar._images_xy(mirror, [(1.0, 2.0)])
 
 
+@given(vec2s)
+@example(Vec2(1.0, -0.0))  # unit already
+@example(Vec2(5e-324, -5e-324))  # subnormal
+@example(Vec2(9e-151, 0.0))  # just short of NORMALIZE_MIN: rescaled
+@example(Vec2(NORMALIZE_MIN, -0.0))  # at it: divided as it stands
+@example(Vec2(MAX_COORD, -MAX_COORD))
+@example(Vec2(-0.0, 0.0))  # no direction: both raise
+def test_a_line_direction_is_the_vector_normalization(d):
+    assert _outcome(planar._unit_xy, d.x, d.y) == _outcome(_direction_oracle, d)
+    assert _outcome(lambda: Line2(Vec2(0.0, 0.0), d).direction) == _outcome(_direction_oracle, d)
+
+
+def test_a_line_direction_of_edge_coordinates_is_the_vector_normalization():
+    for x, y in itertools.product(_EDGES, repeat=2):
+        d = Vec2(x, y)
+        assert _outcome(planar._unit_xy, x, y) == _outcome(_direction_oracle, d), d
+        assert _outcome(lambda: Line2(Vec2(0.0, 0.0), d).direction) == _outcome(_direction_oracle, d)
+
+
+@given(st.tuples(*[coords] * 4), vec2s)
+@example((1.0, 0.0, 0.0, SOLVE2_RTOL), Vec2(1.0, -0.0))  # |det| at the SOLVE2_RTOL cut: singular
+@example((1.0, 0.0, 0.0, math.nextafter(SOLVE2_RTOL, 1.0)), Vec2(1.0, -0.0))  # just above it
+@example((-0.0, 1.0, 1.0, 0.0), Vec2(-0.0, 5e-324))
+@example((0.0, 0.0, 0.0, 0.0), Vec2(1.0, 1.0))
+def test_the_2x2_solve_is_cramers_rule(m, b):
+    m = _Mat2(*m)
+    assert _outcome(_solve2, *m, b.x, b.y) == _outcome(_solve2_oracle, m, b)
+    assert _outcome(solve2, *m, b.x, b.y) == _outcome(_solve2_oracle, m, b)
+
+
 @given(vec2s, vec2s)
-@example(Vec2(1.0, -0.0), Vec2(1.0, 0.0))
+@example(Vec2(1.0, -0.0), Vec2(1.0, 0.0))  # coincident: both raise
+@example(Vec2(MAX_COORD, -0.0), Vec2(MAX_COORD, -0.0))
 @example(Vec2(5e-324, 0.0), Vec2(0.0, 0.0))
 def test_perpendicular_bisector_is_the_vector_construction(a, b):
+    assert _outcome(planar._bisector_xy, a.x, a.y, b.x, b.y) == _outcome(_bisector_parts_oracle, a, b)
     assert _outcome(perpendicular_bisector, a, b) == _outcome(_bisector_oracle, a, b)
 
 
+def _parts(line):
+    return line.point.x, line.point.y, line.direction.x, line.direction.y
+
+
 @given(vec2s, vec2s, vec2s, vec2s)
-@example(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(-0.0, 1.0), Vec2(1.0, 0.0))
+@example(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(-0.0, 1.0), Vec2(1.0, 0.0))  # parallel
+@example(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 0.0), Vec2(-1.0, -0.0))  # the same line
+@example(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(1.0, 1e-12))  # nearly parallel
 def test_intersect_lines_is_the_vector_construction(p, d, q, e):
     try:
         l1, l2 = Line2(p, d), Line2(q, e)
     except ValueError:  # a zero direction, or one whose norm overflows
         return
-    assert _outcome(planar._intersect_lines, l1, l2) == _outcome(_intersect_oracle, l1, l2)
+    assert _outcome(planar._crossing_xy, *_parts(l1), *_parts(l2)) == _outcome(_intersect_oracle, l1, l2)
+
+
+@given(vec2s, vec2s, vec2s, st.one_of(vec2s, st.sampled_from([1.0, -1.0])))
+@example(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 0.75e-12), Vec2(1.0, 0.0))  # the identity
+@example(Vec2(0.0, 0.0), Vec2(1.0, -0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0))  # a translation
+@example(Vec2(0.1, 0.1), Vec2(3.0, 1.0), Vec2(1.9, 0.1), -1.0)  # one that rounds
+@example(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(-0.0, 1.0), Vec2(1.0, 1.0))  # a quarter turn
+def test_compose_reflections_is_the_vector_construction(p, d, q, e):
+    # e as a sign: the second mirror parallel to the first, a translation
+    try:
+        l1, l2 = Line2(p, d), Line2(q, d * e if isinstance(e, float) else e)
+    except ValueError:
+        return
+    assert _outcome(compose_reflections, Reflection2(l1), Reflection2(l2)) == _outcome(
+        _compose_reflections_oracle, l1, l2
+    )
 
 
 @given(vec2s, vec2s, vec2s, angles)
