@@ -324,10 +324,10 @@ def _run_plane_reflections(payload, method, tol):
         "angle_between_lines": rot.angle / 2.0,
         "lines": [
             {
-                "point": [r.line.point.x, r.line.point.y],
-                "direction": [r.line.direction.x, r.line.direction.y],
+                "point": [line.point.x, line.point.y],
+                "direction": [line.direction.x, line.direction.y],
             }
-            for r in (first, second)
+            for line in (first, second)
         ],
     }
     record = SolutionRecord(result, "algebraic", residual, [])

@@ -378,8 +378,8 @@ def reflection_pair_figure(rot, first, second) -> FigureSpec:
     """The two mirror lines through the pivot with the half-angle arc."""
     span = max(1.0, abs(rot.pivot.x), abs(rot.pivot.y)) * 0.35
     elements: tuple[FigureElement, ...] = (
-        LineElement(first.line, style="solid", label="l1"),
-        LineElement(second.line, style="solid", label="l2"),
+        LineElement(first, style="solid", label="l1"),
+        LineElement(second, style="solid", label="l2"),
         ArcElement(rot.pivot, span, 0.0, rot.angle / 2.0, label="t/2"),
         Marker(rot.pivot, "P", style="pivot"),
     )

@@ -23,7 +23,7 @@ from .linalg import ANGLE_MIN, COINCIDENT_RTOL, DEFAULT_TOL, NORMALIZE_MIN, SAME
 from .linalg import Vec2, _solve2, _value, check_coords, check_tol, cross2, wrap_angle
 
 __all__ = [
-    "Identity2", "Line2", "PlanarIsometry", "Reflection2", "Rotation2", "Segment2", "Translation2",
+    "Identity2", "Line2", "PlanarIsometry", "Rotation2", "Segment2", "Translation2",
     "apply_planar", "compose_planar", "compose_reflections", "compose_rotations_planar",
     "orientation_sign", "perpendicular_bisector", "recover_pivot_geometric", "recover_planar",
     "recover_planar_geometric", "reflect", "reflections_for_rotation", "signed_angle",
@@ -87,18 +87,11 @@ class Line2:
 
 
 @_value
-class Reflection2:
-    """Mirror across a line."""
-
-    line: Line2
-
-
-@_value
 class Identity2:
     """The do-nothing isometry."""
 
 
-PlanarIsometry = Rotation2 | Translation2 | Reflection2 | Identity2
+PlanarIsometry = Rotation2 | Translation2 | Identity2
 
 
 @_value
@@ -135,8 +128,6 @@ def apply_planar(iso: PlanarIsometry, p: Vec2) -> Vec2:
         return Vec2(q.x + (c * dx - s * dy), q.y + (s * dx + c * dy))
     if isinstance(iso, Translation2):
         return Vec2(p.x + iso.v.x, p.y + iso.v.y)
-    if isinstance(iso, Reflection2):
-        return reflect(iso.line, p)
     if isinstance(iso, Identity2):
         return p
     raise TypeError(f"not a planar isometry: {iso!r}")
@@ -144,7 +135,7 @@ def apply_planar(iso: PlanarIsometry, p: Vec2) -> Vec2:
 
 def _images_xy(iso: PlanarIsometry, points) -> list[tuple[float, float]]:
     """apply_planar(iso, p) for each (x, y) of `points`, as (x, y) floats, taking cos and sin
-    once. A reflection raises TypeError: the cross-check has none to map."""
+    once."""
     if isinstance(iso, Rotation2):
         qx, qy = iso.pivot.x, iso.pivot.y
         c, s = math.cos(iso.angle), math.sin(iso.angle)
@@ -320,7 +311,7 @@ def _anchored_form(iso: PlanarIsometry) -> tuple[float, Vec2, Vec2]:
     """Write an orientation-preserving isometry as x -> q + R_theta (x - p).
 
     A rotation is anchored at its pivot (p = q = pivot), a translation by v at
-    the origin (p = 0, q = v), the identity at p = q = 0; a reflection has none.
+    the origin (p = 0, q = v), the identity at p = q = 0.
     """
     if isinstance(iso, Rotation2):
         return iso.angle, iso.pivot, iso.pivot
@@ -329,15 +320,12 @@ def _anchored_form(iso: PlanarIsometry) -> tuple[float, Vec2, Vec2]:
         return 0.0, origin, iso.v
     if isinstance(iso, Identity2):
         return 0.0, origin, origin
-    if isinstance(iso, Reflection2):
-        raise ValueError("mixed reflection composites are orientation-reversing")
     raise TypeError(f"not a planar isometry: {iso!r}")
 
 
 def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsometry:
-    """Compose two isometries (inner first) within the orientation-preserving
-    subgroup; two reflections are also accepted since their composite is
-    orientation-preserving again.
+    """Compose two isometries (inner first); a pair of mirror lines composes
+    through compose_reflections.
 
     With outer x -> q1 + R1 (x - p1) and inner x -> q2 + R2 (x - p2), the
     composite turns by R = R1 R2 and moves the inner anchor p2 by
@@ -348,8 +336,6 @@ def compose_planar(outer: PlanarIsometry, inner: PlanarIsometry) -> PlanarIsomet
     G + R_alpha(H + R_{-alpha}(x - H) - G). G = H gives the identity, as
     it must; the shortcut G + H is not a valid translation vector.
     """
-    if isinstance(outer, Reflection2) and isinstance(inner, Reflection2):
-        return compose_reflections(inner, outer)
     t1, p1, q1 = _anchored_form(outer)
     t2, p2, q2 = _anchored_form(inner)
     a1, b1, a2, b2 = complex(p1.x, p1.y), complex(q1.x, q1.y), complex(p2.x, p2.y), complex(q2.x, q2.y)
@@ -372,7 +358,7 @@ def _compose_planar_geometric(outer: Rotation2, inner: Rotation2) -> PlanarIsome
     return _compose_mirrors(h, *n, g, *m)
 
 
-def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsometry:
+def compose_reflections(first: Line2, second: Line2) -> PlanarIsometry:
     """Reflect across `first`, then across `second`.
 
     The composite turns by twice the signed angle from the first line to
@@ -380,8 +366,8 @@ def compose_reflections(first: Reflection2, second: Reflection2) -> PlanarIsomet
     composite, it is the translation taking the first line's point to its
     image instead, or the identity when that translation is negligible.
     """
-    d, e = first.line.direction, second.line.direction
-    return _compose_mirrors(first.line.point, d.x, d.y, second.line.point, e.x, e.y)
+    d, e = first.direction, second.direction
+    return _compose_mirrors(first.point, d.x, d.y, second.point, e.x, e.y)
 
 
 def _compose_mirrors(p: Vec2, dx: float, dy: float, q: Vec2, ex: float, ey: float) -> PlanarIsometry:
@@ -395,8 +381,8 @@ def _compose_mirrors(p: Vec2, dx: float, dy: float, q: Vec2, ex: float, ey: floa
     return Rotation2(Vec2(*_crossing_xy(p.x, p.y, dx, dy, q.x, q.y, ex, ey)), angle)
 
 
-def reflections_for_rotation(rot: Rotation2) -> tuple[Reflection2, Reflection2]:
-    """Split a rotation into two line reflections through its pivot.
+def reflections_for_rotation(rot: Rotation2) -> tuple[Line2, Line2]:
+    """Split a rotation into two mirror lines through its pivot.
 
     Any two lines through the pivot separated by half the angle work; for
     a deterministic answer the first is taken parallel to the x axis and
@@ -405,6 +391,4 @@ def reflections_for_rotation(rot: Rotation2) -> tuple[Reflection2, Reflection2]:
     if rot.angle == 0.0:
         raise ZeroAngle("a zero rotation has no meaningful reflection pair")
     half = rot.angle / 2.0
-    first = Reflection2(Line2(rot.pivot, Vec2(1.0, 0.0)))
-    second = Reflection2(Line2(rot.pivot, Vec2(math.cos(half), math.sin(half))))
-    return first, second
+    return Line2(rot.pivot, Vec2(1.0, 0.0)), Line2(rot.pivot, Vec2(math.cos(half), math.sin(half)))

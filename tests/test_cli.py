@@ -23,7 +23,6 @@ from isometry_lab import (
     LengthMismatch,
     Line2,
     ParseError,
-    Reflection2,
     Rotation2,
     SchemaError,
     Segment2,
@@ -1439,14 +1438,14 @@ def test_cancelled_angle_note_comes_with_a_non_rotation(method):
         assert noted == (record.result["type"] != "rotation"), obj
 
 
-# Vec2, Vec3, Line2 and Reflection2 values built by one run() on any instance
+# Vec2, Vec3 and Line2 values built by one run() on any instance
 # of each plane kind's corpus case: the float kernels build no intermediates,
 # so plane_recover and plane_compose build only each route's pivot, and only
 # plane_reflections, whose answer is two mirror lines, builds lines
 _CONSTRUCTIONS = {
     "plane_compose": {"Vec2": 2},
     "plane_recover": {"Vec2": 2},
-    "plane_reflections": {"Vec2": 12, "Line2": 2, "Reflection2": 2},
+    "plane_reflections": {"Vec2": 12, "Line2": 2},
 }
 
 
@@ -1470,11 +1469,11 @@ def _counting(monkeypatch, classes) -> Counter:
 @pytest.mark.parametrize("kind", sorted(_CONSTRUCTIONS))
 def test_a_plane_run_builds_few_vectors(monkeypatch, kind):
     instances = _corpus_instances(kind)
-    counts = _counting(monkeypatch, (Vec2, Vec3, Line2, Reflection2))
+    counts = _counting(monkeypatch, (Vec2, Vec3, Line2))
     for inst in instances:
         counts.clear()
         run(inst, method="both")
-        for name in ("Vec2", "Vec3", "Line2", "Reflection2"):
+        for name in ("Vec2", "Vec3", "Line2"):
             assert counts[name] <= _CONSTRUCTIONS[kind].get(name, 0), (name, dict(counts))
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import typing
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from isometry_lab import (
     LengthMismatch,
     Line2,
     ParallelBisectors,
-    Reflection2,
+    PlanarIsometry,
     Rotation2,
     Segment2,
     Translation2,
@@ -37,6 +38,9 @@ from isometry_lab import (
     solve2,
     wrap_angle,
 )
+from isometry_lab.cli import _planar_iso_dict
+from isometry_lab.planar import _images_xy
+from value_samples import SAMPLES
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 points = st.builds(Vec2, coords, coords)
@@ -66,13 +70,14 @@ class TestApplyPlanar:
             isos = (
                 rand_rotation2(rng),
                 Translation2(rand_vec2(rng)),
-                Reflection2(Line2(rand_vec2(rng), rand_vec2(rng, 1.0) + Vec2(1.5, 0))),
+                Line2(rand_vec2(rng), rand_vec2(rng, 1.0) + Vec2(1.5, 0)),  # a mirror
                 Identity2(),
             )
             p, q = rand_vec2(rng), rand_vec2(rng)
             d0 = (p - q).norm()
             for iso in isos:
-                d1 = (apply_planar(iso, p) - apply_planar(iso, q)).norm()
+                image = reflect if isinstance(iso, Line2) else apply_planar
+                d1 = (image(iso, p) - image(iso, q)).norm()
                 assert abs(d0 - d1) <= 1e-12 * max(1.0, d0)
 
     def test_rejects_a_non_isometry(self):
@@ -117,8 +122,7 @@ class TestReflect:
         line = Line2(Vec2(0.0, 0.0), Vec2(1.7e308, 1.7e308))
         assert _close(line.direction, Vec2(math.sqrt(0.5), math.sqrt(0.5)), 1e-15)
         assert _close(reflect(line, Vec2(1.0, 0.0)), Vec2(0.0, 1.0), 1e-15)
-        x_axis = Reflection2(Line2(Vec2(0.0, 0.0), Vec2(1.0, 0.0)))
-        quarter = compose_reflections(x_axis, Reflection2(line))
+        quarter = compose_reflections(Line2(Vec2(0.0, 0.0), Vec2(1.0, 0.0)), line)
         assert isinstance(quarter, Rotation2)
         assert _close(quarter.pivot, Vec2(0.0, 0.0), 1e-15)
         assert math.isclose(quarter.angle, math.pi / 2, rel_tol=1e-15)
@@ -150,9 +154,10 @@ class TestOrientationSign:
                 continue
             rot = rand_rotation2(rng)
             tra = Translation2(rand_vec2(rng))
-            ref = Reflection2(Line2(rand_vec2(rng), rand_vec2(rng, 1.0) + Vec2(1.5, 0)))
-            for iso, expected in ((rot, s), (tra, s), (ref, -s)):
-                images = [apply_planar(iso, p) for p in (a, b, c)]
+            mirror = Line2(rand_vec2(rng), rand_vec2(rng, 1.0) + Vec2(1.5, 0))
+            for iso, expected in ((rot, s), (tra, s), (mirror, -s)):
+                image = reflect if iso is mirror else apply_planar
+                images = [image(iso, p) for p in (a, b, c)]
                 assert orientation_sign(*images) == expected
 
 
@@ -399,22 +404,11 @@ class TestComposePlanar:
                 seq = apply_planar(outer, apply_planar(inner, p))
                 assert _close(apply_planar(out, p), seq, 1e-9)
 
-    def test_two_reflections_accepted(self):
-        r1 = Reflection2(Line2(Vec2(0, 0), Vec2(1, 0)))
-        r2 = Reflection2(Line2(Vec2(0, 0), Vec2(1, 1)))
-        out = compose_planar(r2, r1)  # r1 first
-        assert isinstance(out, Rotation2)
-        assert math.isclose(out.angle, math.pi / 2, abs_tol=1e-12)
-
     def test_mixed_reflection_rejected(self):
-        r = Reflection2(Line2(Vec2(0, 0), Vec2(1, 0)))
-        with pytest.raises(ValueError):
-            compose_planar(r, Rotation2(Vec2(0, 0), 1.0))
-
-    def test_a_lone_reflection_is_orientation_reversing_on_either_side(self):
-        r = Reflection2(Line2(Vec2(0, 0), Vec2(1, 0)))
-        for outer, inner in ((r, Identity2()), (Translation2(Vec2(1, 2)), r)):
-            with pytest.raises(ValueError, match="^mixed reflection composites are orientation-"):
+        # a mirror line is not a PlanarIsometry; two compose through compose_reflections
+        mirror, rot = Line2(Vec2(0, 0), Vec2(1, 0)), Rotation2(Vec2(0, 0), 1.0)
+        for outer, inner in ((mirror, rot), (rot, mirror), (mirror, mirror)):
+            with pytest.raises(TypeError, match="^not a planar isometry: Line2"):
                 compose_planar(outer, inner)
 
     def test_a_non_isometry_is_a_type_error_as_in_apply_planar(self):
@@ -423,39 +417,57 @@ class TestComposePlanar:
             compose_planar(Segment2(Vec2(0, 0), Vec2(1, 0)), Identity2())
 
 
+def test_every_consumer_of_the_union_takes_each_member_and_no_mirror_line():
+    members = [cls(*SAMPLES[cls][0]) for cls in typing.get_args(PlanarIsometry)]
+    mirror, p = Line2(Vec2(0.0, 0.0), Vec2(1.0, 0.0)), Vec2(0.5, -2.0)
+    for iso in members:
+        q = apply_planar(iso, p)
+        assert _images_xy(iso, [(p.x, p.y)]) == [(q.x, q.y)]
+        assert _planar_iso_dict(iso)["type"] in {"rotation", "translation", "identity"}
+        for other in members:
+            assert isinstance(compose_planar(iso, other), PlanarIsometry)
+        for outer, inner in ((iso, mirror), (mirror, iso)):
+            with pytest.raises(TypeError):
+                compose_planar(outer, inner)
+    for refused in (lambda: apply_planar(mirror, p), lambda: _images_xy(mirror, [(p.x, p.y)]),
+                    lambda: _planar_iso_dict(mirror)):
+        with pytest.raises(TypeError):
+            refused()
+
+
 class TestComposeReflections:
     def test_x_axis_then_diagonal(self):
-        first = Reflection2(Line2(Vec2(0, 0), Vec2(1, 0)))
-        second = Reflection2(Line2(Vec2(0, 0), Vec2(1, 1)))
+        first = Line2(Vec2(0, 0), Vec2(1, 0))
+        second = Line2(Vec2(0, 0), Vec2(1, 1))
         out = compose_reflections(first, second)
         assert isinstance(out, Rotation2)
         assert _close(out.pivot, Vec2(0, 0), 1e-12)
         assert math.isclose(out.angle, math.pi / 2, abs_tol=1e-12)
 
     def test_parallel_lines_translate_twice_the_gap(self):
-        first = Reflection2(Line2(Vec2(0, 0), Vec2(1, 0)))
-        second = Reflection2(Line2(Vec2(0, 1), Vec2(1, 0)))
+        first = Line2(Vec2(0, 0), Vec2(1, 0))
+        second = Line2(Vec2(0, 1), Vec2(1, 0))
         out = compose_reflections(first, second)
         assert isinstance(out, Translation2)
         assert _close(out.v, Vec2(0, 2), 1e-12)
 
     def test_same_line_twice_is_identity(self):
-        r = Reflection2(Line2(Vec2(1, 2), Vec2(2, 1)))
-        assert isinstance(compose_reflections(r, r), Identity2)
+        line = Line2(Vec2(1, 2), Vec2(2, 1))
+        assert isinstance(compose_reflections(line, line), Identity2)
 
     def test_lines_crossing_below_angle_min_translate(self):
         # a 4e-10 rad turn about a crossing 5e9 away: below ANGLE_MIN, as for
         # every plane composite, that is a translation
         t = 2e-10
-        first = Reflection2(Line2(Vec2(0.0, 0.0), Vec2(math.cos(t), -math.sin(t))))
-        second = Reflection2(Line2(Vec2(0.0, 1.0), Vec2(1.0, 0.0)))
+        first = Line2(Vec2(0.0, 0.0), Vec2(math.cos(t), -math.sin(t)))
+        second = Line2(Vec2(0.0, 1.0), Vec2(1.0, 0.0))
         assert compose_reflections(first, second) == Translation2(Vec2(0.0, 2.0))
 
     def test_parallel_lines_below_the_cut_translate_like_every_plane_composite(self):
         # a gap of 0.75e-12 translates by 1.5e-12, above the identity cut of
         # COINCIDENT_RTOL at unit scale, though the gap itself is below it
-        first = Reflection2(Line2(Vec2(0.0, 0.0), Vec2(1.0, 0.0)))
-        second = Reflection2(Line2(Vec2(0.0, 0.75e-12), Vec2(1.0, 0.0)))
+        first = Line2(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
+        second = Line2(Vec2(0.0, 0.75e-12), Vec2(1.0, 0.0))
         out = compose_reflections(first, second)
         assert isinstance(out, Translation2)
         assert (out.v.x, out.v.y) == (0.0, 1.5e-12)
@@ -465,7 +477,7 @@ class TestComposeReflections:
         for _ in range(200):
             l1 = Line2(rand_vec2(rng), rand_vec2(rng, 1.0) + Vec2(1.5, 0))
             l2 = Line2(rand_vec2(rng), rand_vec2(rng, 1.0) + Vec2(0, 1.5))
-            out = compose_reflections(Reflection2(l1), Reflection2(l2))
+            out = compose_reflections(l1, l2)
             p = rand_vec2(rng)
             assert _close(apply_planar(out, p), reflect(l2, reflect(l1, p)), 1e-9)
 
@@ -473,18 +485,18 @@ class TestComposeReflections:
 class TestReflectionsForRotation:
     def test_canonical_lines_for_quarter_turn(self):
         first, second = reflections_for_rotation(Rotation2(Vec2(0, 0), math.pi / 2))
-        assert first.line.point == Vec2(0, 0)
-        assert _close(first.line.direction, Vec2(1, 0), 1e-15)
+        assert first.point == Vec2(0, 0)
+        assert _close(first.direction, Vec2(1, 0), 1e-15)
         assert math.isclose(
-            signed_angle(first.line.direction, second.line.direction),
+            signed_angle(first.direction, second.direction),
             math.pi / 4,
             abs_tol=1e-15,
         )
 
     def test_half_turn_gives_perpendicular_lines(self):
         first, second = reflections_for_rotation(Rotation2(Vec2(2, 5), math.pi))
-        assert first.line.point == Vec2(2, 5)
-        assert abs(first.line.direction.dot(second.line.direction)) <= 1e-12
+        assert first.point == Vec2(2, 5)
+        assert abs(first.direction.dot(second.direction)) <= 1e-12
 
     def test_zero_angle_rejected(self):
         with pytest.raises(ZeroAngle):

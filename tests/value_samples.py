@@ -24,7 +24,7 @@ from isometry_lab.figures import (
     SegmentElement,
 )
 from isometry_lab.linalg import Mat3, Vec2, Vec3
-from isometry_lab.planar import Identity2, Line2, Reflection2, Rotation2, Segment2, Translation2
+from isometry_lab.planar import Identity2, Line2, Rotation2, Segment2, Translation2
 from isometry_lab.spherical import Rotation3, SphereSegment, UnitVector3
 
 _I3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -41,7 +41,6 @@ SAMPLES = {
     Rotation2: ((Vec2(1.0, 2.0), 7.0), (Vec2(1.0, 2.0), 0.5)),
     Translation2: ((Vec2(1.0, 2.0),), (Vec2(2.0, 1.0),)),
     Line2: ((Vec2(0.0, 0.0), Vec2(3.0, 4.0)), (Vec2(0.0, 0.0), Vec2(0.0, 1.0))),
-    Reflection2: ((_LINE,), (Line2(Vec2(1.0, 0.0), Vec2(0.0, 1.0)),)),
     Identity2: ((), None),
     Segment2: ((Vec2(0.0, 0.0), Vec2(1.0, 0.0)), (Vec2(0.0, 0.0), Vec2(0.0, 1.0))),
     UnitVector3: ((0.6, 0.0, 0.8000001), (0.0, 1.0, 0.0)),
