@@ -123,7 +123,9 @@ class FigureSpec:
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+    """v to two decimals; a value that rounds to zero prints 0.00, never -0.00."""
+    text = f"{v:.2f}"
+    return "0.00" if text == "-0.00" else text
 
 
 def _window(spec: FigureSpec) -> tuple[float, float, float]:
@@ -171,8 +173,9 @@ def _clip_line(line: Line2, cx: float, cy: float, span: float):
 
 def _polyline(flat: list[float], stroke: str, cls: str) -> str:
     """A polyline through the points (x0, y0, x1, y1, ...) of a flat list,
-    formatted in one call: "%.2f" writes every float as f"{v:.2f}" does."""
-    coords = " ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)
+    formatted in one call as _fmt formats each: "%.2f" writes a float as
+    f"{v:.2f}" does, and "-0.00" can only be a whole coordinate, so it becomes 0.00."""
+    coords = (" ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat)).replace("-0.00", "0.00")
     return f'<polyline class="{cls}" points="{coords}" fill="none"{stroke}/>'
 
 

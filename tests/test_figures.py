@@ -9,6 +9,7 @@ import pytest
 import isometry_lab.cli as cli
 from isometry_lab import (
     Line2, Rotation2, Rotation3, Segment2, UnitVector3, Vec2, Vec3, recover_pivot_geometric,
+    reflections_for_rotation,
 )
 from isometry_lab.figures import (
     ArcElement,
@@ -18,6 +19,7 @@ from isometry_lab.figures import (
     Marker,
     SegmentElement,
     _geodesic_samples,
+    _polyline,
     planar_recovery_figure,
     reflection_pair_figure,
     render_svg,
@@ -79,6 +81,16 @@ class TestRenderSvg:
         )
         root = _root(render_svg(spec))
         assert len(_all(root, "line")) == 1
+
+    def test_a_line_clipped_just_past_the_window_edge_prints_zero(self):
+        # the half turn's first mirror line ends 2.8e-14 px left of the window
+        rot = Rotation2(Vec2(1.0, -2.0), math.pi)
+        svg = render_svg(reflection_pair_figure(rot, *reflections_for_rotation(rot)))
+        assert b'<line class="line" x1="0.00" y1="240.00"' in svg
+        assert b"-0.00" not in svg
+
+    def test_a_polyline_prints_zero_for_a_value_that_rounds_to_it(self):
+        assert 'points="0.00,0.00 -0.01,-10.00"' in _polyline([-1e-14, -0.004, -0.005001, -10.0], "", "c")
 
     def test_segment_coordinates_map_linearly(self):
         spec = FigureSpec("planar", (SegmentElement(Vec2(-1, 0), Vec2(1, 0)),))
@@ -192,8 +204,6 @@ class TestFigureBuilders:
 
     def test_reflection_pair_figure(self):
         rot = Rotation2(Vec2(2, 5), math.pi / 2)
-        from isometry_lab import reflections_for_rotation
-
         first, second = reflections_for_rotation(rot)
         fig = reflection_pair_figure(rot, first, second)
         root = _root(render_svg(fig))
