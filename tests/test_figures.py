@@ -90,7 +90,8 @@ class TestRenderSvg:
         assert b"-0.00" not in svg
 
     def test_a_polyline_prints_zero_for_a_value_that_rounds_to_it(self):
-        assert 'points="0.00,0.00 -0.01,-10.00"' in _polyline([-1e-14, -0.004, -0.005001, -10.0], "", "c")
+        line = _polyline([-1e-14, -0.004, -0.005001, -10.0], "", "c")
+        assert 'points="0.00,0.00 -0.01,-10.00"' in line
 
     def test_segment_coordinates_map_linearly(self):
         spec = FigureSpec("planar", (SegmentElement(Vec2(-1, 0), Vec2(1, 0)),))
